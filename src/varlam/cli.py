@@ -2,7 +2,7 @@
 
     varlam parse      -e '\\x.x'                   print the canonical form
     varlam normalize  -e 'Succ #2' --sugar        normal form (exit 2 on fuel/size)
-    varlam eq 'Plus #1 #2' '#3'                   EQUAL / NOT-EQUAL / UNKNOWN
+    varlam eq 'Plus #1 #2' '#3'                   EQUAL / NOT-EQUAL / UNKNOWN (exit 3 on error)
     varlam bracket    --algo turner -e '\\x.x x'   basis term
     varlam expand     --n 3 -e '\\x[1..n] s. s x[1..n]'
     varlam church 4 / varlam unchurch -e 'Plus #2 #2'
@@ -31,6 +31,7 @@ from .syntax import parse, parse_meta, print_term
 from .terms import App, LambdaError
 
 USAGE_ERROR = 64
+EQ_ERROR = 3  # eq's 1 means NOT-EQUAL, so its errors need a code of their own
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,7 +129,7 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except LambdaError as exc:
         print(f"varlam: {exc}", file=sys.stderr)
-        return 1
+        return EQ_ERROR if args.command == "eq" else 1
 
 
 def _dispatch(args) -> int:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .terms import App, Lam, Term, UnexpandedConstant, Var, alpha_eq, alpha_normal, expand_consts, substitute
+from .terms import App, Lam, Term, UnexpandedConstant, Var, alpha_eq, expand_consts, substitute
 from .terms import _first_const
 
 
@@ -85,7 +85,7 @@ def _beta_normalize(t: Term, fuel: int, max_size: int):
                     if steps >= fuel:
                         return Status.FUEL_EXHAUSTED, _rebuild(t, stack), steps
                     _, arg = stack.pop()
-                    total -= 2 + t.size + arg.size
+                    total -= 1 + t.size + arg.size  # the redex App(t, arg)
                     t = substitute(t.body, t.binder, arg)
                     total += t.size
                     steps += 1
@@ -208,49 +208,184 @@ class ReachResult:
     found        -- a term alpha-equal to the target was visited
     inconclusive -- a cap was hit before the graph was exhausted
     explored     -- number of distinct terms visited
+    generated    -- one-step reducts generated, summed over the terms expanded
     """
 
     found: bool
     inconclusive: bool = False
     explored: int = 0
+    generated: int = 0
 
     def __bool__(self):
         return self.found
 
 
+# Key tags of the nodes of a _DeBruijnTable.
+_BOUND, _FREE, _ABS, _APPL = range(4)
+
+
+class _DeBruijnTable:
+    """Hash-consed nameless terms for one reachability search.
+
+    A node is an int id.  Bound variables are de Bruijn indices and free
+    variables keep their names, so alpha-equal terms get the same key and
+    hence the same id.  ``loose[i]`` is one more than the highest loose index
+    of node i (0 if it has none): shifting and substitution return a subterm
+    whose loose indices all lie below the cutoff untouched.  Reducts are cached
+    per id for the life of the table.
+    """
+
+    def __init__(self):
+        self.ids: dict = {}
+        # id -> key: (_BOUND, index) | (_FREE, name) | (_ABS, body) | (_APPL, fun, arg)
+        self.nodes: list = []
+        self.loose: list[int] = []
+        self._reducts: dict[int, list[int]] = {}
+
+    def _node(self, key: tuple, loose: int) -> int:
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.nodes)
+            self.nodes.append(key)
+            self.loose.append(loose)
+        return i
+
+    def bound(self, index: int) -> int:
+        return self._node((_BOUND, index), index + 1)
+
+    def lam(self, body: int) -> int:
+        n = self.loose[body]
+        return self._node((_ABS, body), n - 1 if n else 0)
+
+    def app(self, fun: int, arg: int) -> int:
+        return self._node((_APPL, fun, arg), max(self.loose[fun], self.loose[arg]))
+
+    def intern(self, t: Term) -> int:
+        """Id of a constant-free named term."""
+        scope: dict[str, int] = {}  # binder name -> depth of its innermost binder
+
+        def go(u: Term, depth: int) -> int:
+            cls = u.__class__
+            if cls is Var:
+                level = scope.get(u.name)
+                if level is None:
+                    return self._node((_FREE, u.name), 0)
+                return self.bound(depth - 1 - level)
+            if cls is Lam:
+                outer = scope.get(u.binder)
+                scope[u.binder] = depth
+                body = go(u.body, depth + 1)
+                if outer is None:
+                    del scope[u.binder]
+                else:
+                    scope[u.binder] = outer
+                return self.lam(body)
+            return self.app(go(u.fun, depth), go(u.arg, depth))
+
+        return go(t, 0)
+
+    def contract(self, body: int, arg: int) -> int:
+        """Id of the reduct of the redex (lam. body) arg."""
+        nodes, loose = self.nodes, self.loose
+        shifted: dict = {}
+        substituted: dict = {}
+
+        def shift(t: int, by: int, cutoff: int) -> int:
+            if loose[t] <= cutoff:
+                return t
+            memo = (t, by, cutoff)
+            done = shifted.get(memo)
+            if done is None:
+                key = nodes[t]
+                tag = key[0]
+                if tag == _BOUND:
+                    done = self.bound(key[1] + by)
+                elif tag == _ABS:
+                    done = self.lam(shift(key[1], by, cutoff + 1))
+                else:
+                    done = self.app(shift(key[1], by, cutoff), shift(key[2], by, cutoff))
+                shifted[memo] = done
+            return done
+
+        def subst(t: int, depth: int) -> int:
+            # index `depth` becomes arg (shifted under `depth` binders);
+            # the indices above it lose the binder being contracted
+            if loose[t] <= depth:
+                return t
+            memo = (t, depth)
+            done = substituted.get(memo)
+            if done is None:
+                key = nodes[t]
+                tag = key[0]
+                if tag == _BOUND:
+                    done = shift(arg, depth, 0) if key[1] == depth else self.bound(key[1] - 1)
+                elif tag == _ABS:
+                    done = self.lam(subst(key[1], depth + 1))
+                else:
+                    done = self.app(subst(key[1], depth), subst(key[2], depth))
+                substituted[memo] = done
+            return done
+
+        return subst(body, 0)
+
+    def reducts(self, t: int) -> list[int]:
+        """Ids of the one-step reducts of node t, in ``one_step_reducts`` order."""
+        out = self._reducts.get(t)
+        if out is not None:
+            return out
+        key = self.nodes[t]
+        tag = key[0]
+        if tag == _ABS:
+            out = [self.lam(s) for s in self.reducts(key[1])]
+        elif tag == _APPL:
+            _, f, x = key
+            fun = self.nodes[f]
+            out = [self.contract(fun[1], x)] if fun[0] == _ABS else []
+            out += [self.app(s, x) for s in self.reducts(f)]
+            out += [self.app(f, s) for s in self.reducts(x)]
+        else:
+            out = []
+        self._reducts[t] = out
+        return out
+
+
 def reduces_to(a: Term, target: Term, env=None, node_cap: int = 100_000, depth_cap: int = 200) -> ReachResult:
-    """Breadth-first search: does a reduce (in any order) to the target?"""
+    """Breadth-first search: does a reduce (in any order) to the target?
+
+    Terms are compared up to alpha through the ids of a table that lives only
+    for this call.
+    """
     a = _prepare(a, env)
     target = _prepare(target, env)
-    goal_key = repr(alpha_normal(target))
-
-    def key(t: Term) -> str:
-        return repr(alpha_normal(t))
-
-    start = key(a)
-    if start == goal_key:
+    table = _DeBruijnTable()
+    start = table.intern(a)
+    goal = table.intern(target)
+    if start == goal:
         return ReachResult(True, explored=1)
     seen = {start}
-    frontier = [a]
+    frontier = [start]
     capped = False
+    generated = 0
     for _ in range(depth_cap):
         if not frontier:
-            return ReachResult(False, inconclusive=capped, explored=len(seen))
+            return ReachResult(False, inconclusive=capped, explored=len(seen), generated=generated)
         nxt = []
         for t in frontier:
-            for r in one_step_reducts(t):
-                k = key(r)
-                if k in seen:
+            reducts = table.reducts(t)
+            generated += len(reducts)
+            for r in reducts:
+                if r in seen:
                     continue
-                if k == goal_key:
-                    return ReachResult(True, explored=len(seen) + 1)
+                if r == goal:
+                    return ReachResult(True, explored=len(seen) + 1, generated=generated)
                 if len(seen) >= node_cap:
                     capped = True
                     continue
-                seen.add(k)
+                seen.add(r)
                 nxt.append(r)
         frontier = nxt
-    return ReachResult(False, inconclusive=capped or bool(frontier), explored=len(seen))
+    return ReachResult(False, inconclusive=capped or bool(frontier), explored=len(seen),
+                       generated=generated)
 
 
 def random_strategy_normalize(t: Term, env=None, fuel: int = 10_000, max_size: int = 200_000, seed: int = 0):

@@ -207,23 +207,3 @@ def expand_consts(t: Term, env) -> Term:
         return App(expand_consts(t.fun, env), expand_consts(t.arg, env))
     return Lam(t.binder, expand_consts(t.body, env))
 
-
-def alpha_normal(t: Term) -> Term:
-    """Rename binders to v0, v1, ... in traversal order (used for hashing)."""
-    counter = [0]
-
-    def go(u: Term, ren: dict) -> Term:
-        c = u.__class__
-        if c is Var:
-            return Var(ren.get(u.name, u.name))
-        if c is App:
-            return App(go(u.fun, ren), go(u.arg, ren))
-        if c is Lam:
-            fresh = f"v{counter[0]}"
-            counter[0] += 1
-            ren2 = dict(ren)
-            ren2[u.binder] = fresh
-            return Lam(fresh, go(u.body, ren2))
-        return u
-
-    return go(t, {})

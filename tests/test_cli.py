@@ -35,6 +35,11 @@ def test_eq_exit_codes(capsys):
     assert code == 1 and out.strip() == "NOT-EQUAL"
     code, out, _ = run(capsys, "eq", "--max-steps", "30", r"(\x.x x) (\x.x x)", "K")
     assert code == 2 and out.strip() == "UNKNOWN"
+    # errors have a code of their own, distinct from NOT-EQUAL
+    code, out, err = run(capsys, "eq", "(K", "K")
+    assert code == 3 and out == "" and "varlam:" in err
+    code, out, err = run(capsys, "eq", "K", "NoSuchName")
+    assert code == 3 and out == "" and "NoSuchName" in err
 
 
 def test_bracket_turner(capsys):

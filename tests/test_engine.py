@@ -1,7 +1,11 @@
+from hypothesis import given
+from hypothesis import strategies as st
+
 from varlam.checks import random_closed_terms
 from varlam.church import church
 from varlam.engine import (
     ReductionConfig,
+    _DeBruijnTable,
     Status,
     Verdict,
     beta_eta_equal,
@@ -172,9 +176,14 @@ def test_reduces_to_refuted(env):
 
 
 def test_reduces_to_boehm(env):
-    lhs = App(build("ycurry", 1, 1), build("boehm", 1, 1))
-    res = reduces_to(lhs, build("yturing", 1, 1), env, node_cap=100_000, depth_cap=200)
-    assert res.found
+    # the three queries of check_boehm, which prints "explored N terms"
+    expected = {(1, 1): (12, 13), (2, 1): (5597, 14653), (2, 2): (5056, 12940)}
+    for (n, k), (explored, generated) in expected.items():
+        steps = [build("boehm", n, j) for j in range(1, n + 1)]
+        lhs = apply(build("ycurry", n, k), *steps)
+        res = reduces_to(lhs, build("yturing", n, k), env, node_cap=100_000, depth_cap=200)
+        assert res.found and not res.inconclusive
+        assert (res.explored, res.generated) == (explored, generated)
 
 
 def test_reduces_to_cap_reported(env):
@@ -197,3 +206,105 @@ def test_arithmetic_sanity(env):
             assert unchurch(apply(Const("Monus"), church(a), church(b)), env) == max(a - b, 0)
     assert alpha_eq(nf(apply(Const("Zero"), church(0)), env), env.expanded("True"))
     assert alpha_eq(nf(apply(Const("Zero"), church(3)), env), env.expanded("False"))
+
+
+# Names that collide with priming (x') and with binder-numbering schemes (v0).
+reach_names = st.sampled_from(["x", "y", "z", "v0", "v1", "x'"])
+reach_terms = st.recursive(
+    reach_names.map(Var),
+    lambda sub: (st.builds(Lam, reach_names, sub) | st.builds(App, sub, sub)
+                 | st.builds(lambda b, body, arg: App(Lam(b, body), arg), reach_names, sub, sub)),
+    max_leaves=10,
+)
+
+
+def _rename_binders(t: Term) -> Term:
+    """An alpha-variant: every binder gets a fresh name of its own."""
+    counter = [0]
+
+    def go(u, ren):
+        if u.__class__ is Var:
+            return Var(ren.get(u.name, u.name))
+        if u.__class__ is App:
+            return App(go(u.fun, ren), go(u.arg, ren))
+        counter[0] += 1
+        fresh = f"b{counter[0]}"
+        return Lam(fresh, go(u.body, {**ren, u.binder: fresh}))
+
+    return go(t, {})
+
+
+@given(reach_terms, reach_terms)
+def test_table_ids_are_alpha_classes(a, b):
+    table = _DeBruijnTable()
+    assert table.intern(a) == table.intern(_rename_binders(a))
+    assert (table.intern(a) == table.intern(b)) == alpha_eq(a, b)
+
+
+@given(reach_terms)
+def test_table_reducts_match_one_step_reducts(t):
+    # position by position, up to alpha (ids are alpha classes, above)
+    table = _DeBruijnTable()
+    named = one_step_reducts(t)
+    assert table.reducts(table.intern(t)) == [table.intern(r) for r in named]
+
+
+def _naive_reduces_to(a, target, node_cap, depth_cap):
+    """The reference search: named reducts, pairwise alpha-equality."""
+    if alpha_eq(a, target):
+        return True, False, 1, 0
+    seen, frontier, capped, generated = [a], [a], False, 0
+    for _ in range(depth_cap):
+        if not frontier:
+            return False, capped, len(seen), generated
+        nxt = []
+        for t in frontier:
+            reducts = one_step_reducts(t)
+            generated += len(reducts)
+            for r in reducts:
+                if any(alpha_eq(r, s) for s in seen):
+                    continue
+                if alpha_eq(r, target):
+                    return True, False, len(seen) + 1, generated
+                if len(seen) >= node_cap:
+                    capped = True
+                    continue
+                seen.append(r)
+                nxt.append(r)
+        frontier = nxt
+    return False, capped or bool(frontier), len(seen), generated
+
+
+@given(reach_terms, reach_terms, st.lists(st.integers(0, 7), max_size=4),
+       st.integers(1, 25), st.integers(1, 5))
+def test_reduces_to_matches_naive_search(a, other, path, node_cap, depth_cap):
+    # the target is either an unrelated term or one reached along `path`
+    target = other
+    if path:
+        target = a
+        for i in path:
+            reducts = one_step_reducts(target)
+            if not reducts:
+                break
+            target = reducts[i % len(reducts)]
+    res = reduces_to(a, target, node_cap=node_cap, depth_cap=depth_cap)
+    assert (res.found, res.inconclusive, res.explored, res.generated) == \
+        _naive_reduces_to(a, target, node_cap, depth_cap)
+
+
+def test_size_limit_is_exact(env):
+    # The tracked size is the true size at every stop: a size limit stops at
+    # the first step whose term outgrows it, and a fuel stop within the limit
+    # is reported as such.
+    t = parse(r"#6 (\x. Pair x x) I", env)
+    fuel = 100
+    sizes = [s.size for s in trace(t, env, ReductionConfig(fuel=fuel))]
+    for limit in sorted(set(sizes)):
+        out = normalize(t, env, ReductionConfig(fuel=fuel, max_term_size=limit))
+        first = next((k for k in range(1, len(sizes)) if sizes[k] > limit), None)
+        if first is None:
+            assert out.status is Status.FUEL_EXHAUSTED and out.steps == fuel
+            assert out.result.size == sizes[fuel]
+        else:
+            assert out.status is Status.SIZE_EXCEEDED and out.steps == first
+            assert out.result.size == sizes[first]
