@@ -1,7 +1,7 @@
 """Command-line interface.
 
     varlam parse      -e '\\x.x'                   print the canonical form
-    varlam normalize  -e 'Succ #2' --sugar        normal form (exit 2 on fuel/size)
+    varlam normalize  -e 'Succ #2' --sugar        normal form (exit 2: no normal form, fuel, size)
     varlam eq 'Plus #1 #2' '#3'                   EQUAL / NOT-EQUAL / UNKNOWN (exit 3 on error)
     varlam bracket    --algo turner -e '\\x.x x'   basis term
     varlam expand     --n 3 -e '\\x[1..n] s. s x[1..n]'
@@ -9,7 +9,11 @@
     varlam check      --suite all --max-n 3       verification suites
     varlam repl                                   interactive loop
 
-Expressions come from -e, from a file argument, or from stdin.  The env var
+Expressions come from -e, from a file argument, or from stdin.  When a term
+is certified to have no normal form, or the fuel or size limit stops the
+reducer, normalize, bracket --n and unchurch print "<status> after N steps"
+(no-normal-form, fuel-exhausted or size-exceeded) on stderr and exit 2; the
+REPL prints the same line and reads on.  The env var
 VARLAM_PRELUDE may point to a directory with alternate prelude.lam /
 variadic.lam files.
 """
@@ -123,6 +127,14 @@ def _read_expr(args) -> str:
     return sys.stdin.read()
 
 
+def _stopped(outcome) -> bool:
+    """Report an outcome without a normal form on stderr; True if it has none."""
+    if outcome.status is Status.NORMAL_FORM:
+        return False
+    print(f"varlam: {outcome.status.value} after {outcome.steps} steps", file=sys.stderr)
+    return True
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -170,16 +182,17 @@ def _dispatch(args) -> int:
             for step in trace(t, env, cfg):
                 print(print_term(step, sugar=args.sugar))
         outcome = normalize(t, env, cfg)
-        if outcome.status is not Status.NORMAL_FORM:
-            print(f"varlam: {outcome.status.value} after {outcome.steps} steps",
-                  file=sys.stderr)
+        if _stopped(outcome):
             return 2
         if not args.trace:
             print(print_term(outcome.result, sugar=args.sugar))
         return 0
 
     if cmd == "unchurch":
-        print(unchurch(parse(source, env), env, cfg))
+        outcome = normalize(parse(source, env), env, cfg)
+        if _stopped(outcome):
+            return 2
+        print(unchurch(outcome.result, env, cfg))
         return 0
 
     if cmd == "bracket":
@@ -192,9 +205,7 @@ def _dispatch(args) -> int:
             print(print_term(bound))
             return 0
         outcome = normalize(App(bound, church(args.n)), env, cfg)
-        if outcome.status is not Status.NORMAL_FORM:
-            print(f"varlam: {outcome.status.value} after {outcome.steps} steps",
-                  file=sys.stderr)
+        if _stopped(outcome):
             return 2
         print(print_term(outcome.result))
         return 0
@@ -234,11 +245,8 @@ def _repl(env, cfg) -> int:
                 print(verdict.value)
                 continue
             outcome = normalize(parse(line, env), env, cfg)
-            if outcome.status is not Status.NORMAL_FORM:
-                print(f"varlam: {outcome.status.value} after {outcome.steps} steps",
-                      file=sys.stderr)
-                continue
-            print(print_term(outcome.result, sugar=True))
+            if not _stopped(outcome):
+                print(print_term(outcome.result, sugar=True))
         except LambdaError as exc:
             print(f"varlam: {exc}", file=sys.stderr)
 

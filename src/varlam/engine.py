@@ -2,7 +2,9 @@
 
 ``normalize`` contracts the leftmost-outermost beta-redex until no redex
 remains, then (by default) erases eta-redexes in a single uncounted post-pass,
-yielding a canonical beta-eta-normal form.  Fuel counts beta-steps only.
+yielding a canonical beta-eta-normal form.  Fuel counts beta-steps only.  It
+stops early with ``NO_NORMAL_FORM`` when an argument it starts to normalize
+is alpha-equal to an argument it is still normalizing (see ``_beta_normalize``).
 
 ``trace`` is an independent, deliberately naive implementation of the same
 strategy (one global leftmost-outermost step at a time); the test suite holds
@@ -11,7 +13,6 @@ the two implementations to the same answers.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,6 +24,7 @@ class Status(Enum):
     NORMAL_FORM = "normal-form"
     FUEL_EXHAUSTED = "fuel-exhausted"
     SIZE_EXCEEDED = "size-exceeded"
+    NO_NORMAL_FORM = "no-normal-form"
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,18 @@ _FUN, _ARGDONE, _LAM = 0, 1, 2
 
 
 def _beta_normalize(t: Term, fuel: int, max_size: int):
-    """Iterative leftmost-outermost machine over an explicit context stack."""
+    """Iterative leftmost-outermost machine over an explicit context stack.
+
+    Normal order starts on an argument N only once the head of its spine is a
+    variable, so from then on every frame on the stack is final: the normal
+    form of the whole term, if any, contains NF(N).  An argument is open from
+    that start until its ``_ARGDONE`` frame is popped.  If N is alpha-equal to
+    an open argument M, NF(M) would contain NF(N) = NF(M) as a proper subterm,
+    so neither has a normal form: the regress is certified ``NO_NORMAL_FORM``.
+    """
     stack: list = []
+    open_args: dict[int, list[Term]] = {}  # size -> open arguments of that size
+    open_sizes: list[int] = []  # sizes of the open arguments, innermost last
     total = t.size
     steps = 0
     down = True
@@ -106,9 +118,17 @@ def _beta_normalize(t: Term, fuel: int, max_size: int):
                     down = True
                     continue
                 stack.append((_ARGDONE, t))
+                size = payload.size
+                same = open_args.setdefault(size, [])
+                for m in same:
+                    if alpha_eq(m, payload):
+                        return Status.NO_NORMAL_FORM, _rebuild(payload, stack), steps
+                same.append(payload)
+                open_sizes.append(size)
                 t = payload
                 down = True
             elif tag == _ARGDONE:
+                open_args[open_sizes.pop()].pop()
                 t = App(payload, t)
             else:
                 t = Lam(payload, t)
@@ -174,14 +194,23 @@ def trace(t: Term, env=None, cfg: ReductionConfig = DEFAULT_CONFIG) -> list[Term
 
 
 def beta_eta_equal(a: Term, b: Term, env=None, cfg: ReductionConfig = DEFAULT_CONFIG) -> Verdict:
-    """Compare beta-eta-normal forms; UNKNOWN when either side runs out of fuel."""
+    """Compare beta-eta-normal forms.
+
+    NOT_EQUAL also when one side is certified to have no normal form and the
+    other has one: by Church-Rosser and eta-postponement, a term beta-eta-equal
+    to a normal form has a beta-normal form itself.  UNKNOWN when either side
+    runs out of fuel or size, or when both sides have no normal form.
+    """
+    decided = (Status.NORMAL_FORM, Status.NO_NORMAL_FORM)
     ra = normalize(a, env, cfg)
-    if ra.status is not Status.NORMAL_FORM:
+    if ra.status not in decided:
         return Verdict.UNKNOWN
     rb = normalize(b, env, cfg)
-    if rb.status is not Status.NORMAL_FORM:
+    if rb.status not in decided or ra.status is rb.status is Status.NO_NORMAL_FORM:
         return Verdict.UNKNOWN
-    return Verdict.EQUAL if alpha_eq(ra.result, rb.result) else Verdict.NOT_EQUAL
+    if ra.status is not rb.status or not alpha_eq(ra.result, rb.result):
+        return Verdict.NOT_EQUAL
+    return Verdict.EQUAL
 
 
 def one_step_reducts(t: Term) -> list[Term]:
@@ -387,16 +416,3 @@ def reduces_to(a: Term, target: Term, env=None, node_cap: int = 100_000, depth_c
     return ReachResult(False, inconclusive=capped or bool(frontier), explored=len(seen),
                        generated=generated)
 
-
-def random_strategy_normalize(t: Term, env=None, fuel: int = 10_000, max_size: int = 200_000, seed: int = 0):
-    """Contract uniformly random redexes; used to spot-check confluence."""
-    t = _prepare(t, env)
-    rng = random.Random(seed)
-    for steps in range(fuel):
-        if t.size > max_size:
-            return None
-        reducts = one_step_reducts(t)
-        if not reducts:
-            return t
-        t = rng.choice(reducts)
-    return None

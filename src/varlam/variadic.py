@@ -82,13 +82,9 @@ def library(env=None) -> dict[str, VariadicEntry]:
     return out
 
 
-def _nf(t, env, cfg):
-    return normalize(t, env, cfg)
-
-
 def _eq_case(suite, label, lhs, rhs, env, cfg) -> CaseResult:
-    ra = _nf(lhs, env, cfg)
-    rb = _nf(rhs, env, cfg)
+    ra = normalize(lhs, env, cfg)
+    rb = normalize(rhs, env, cfg)
     steps = ra.steps + rb.steps
     if ra.status is not Status.NORMAL_FORM or rb.status is not Status.NORMAL_FORM:
         bad = ra.status if ra.status is not Status.NORMAL_FORM else rb.status
@@ -199,21 +195,30 @@ def _check_observational_entry(name, max_n, cfg, env):
 
 def _upgrade_probe(name, max_n, cfg, env):
     """If (VarX c_k c_n) and the family member both normalize after all,
-    compare them directly (the observational classification is then moot)."""
+    compare them directly (the observational classification is then moot).
+    Otherwise both sides must be certified to have no normal form."""
     fam, _ = {"VarPhi": ("ycurry", True), "VarPsi": ("yturing", True)}[name]
     probe_cfg = ReductionConfig(fuel=_UPGRADE_FUEL, max_term_size=cfg.max_term_size, eta=cfg.eta)
     cases = []
+    uncertified = []
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
-            ra = _nf(apply(Const(name), church(k), church(n)), env, probe_cfg)
-            rb = _nf(meta.build(fam, n, k), env, probe_cfg)
+            ra = normalize(apply(Const(name), church(k), church(n)), env, probe_cfg)
+            rb = normalize(meta.build(fam, n, k), env, probe_cfg)
             if ra.status is Status.NORMAL_FORM and rb.status is Status.NORMAL_FORM:
                 ok = alpha_eq(ra.result, rb.result)
                 cases.append(
                     CaseResult(name, f"normal-form k={k} n={n} (upgraded)", ok,
                                "" if ok else "normal forms differ", ra.steps + rb.steps)
                 )
-    if not cases:
+                continue
+            for side, r in ((name, ra), (fam, rb)):
+                if r.status is not Status.NO_NORMAL_FORM:
+                    uncertified.append(f"{side} k={k} n={n} {r.status.value}")
+    if uncertified:
+        cases.append(CaseResult(name, "no-normal-form probe", False,
+                                "not certified: " + ", ".join(uncertified)))
+    elif not cases:
         cases.append(
             CaseResult(name, "no-normal-form probe", True,
                        f"no instance normalized within {_UPGRADE_FUEL} steps; observational checks apply")

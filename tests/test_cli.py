@@ -24,6 +24,13 @@ def test_normalize_fuel_diagnostic(capsys):
     assert code == 2 and "fuel-exhausted" in err and out == ""
 
 
+def test_no_normal_form_diagnostic(capsys):
+    for argv in (["normalize", "-e", "VarPhi #1 #1"], ["unchurch", "-e", "VarPhi #1 #1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.strip() == "varlam: no-normal-form after 551 steps"
+
+
 def test_normalize_trace(capsys):
     code, out, _ = run(capsys, "normalize", "--trace", "-e", r"(\x.x) y")
     assert code == 0 and out.splitlines() == [r"(\x.x) y", "y"]
@@ -35,6 +42,9 @@ def test_eq_exit_codes(capsys):
     assert code == 1 and out.strip() == "NOT-EQUAL"
     code, out, _ = run(capsys, "eq", "--max-steps", "30", r"(\x.x x) (\x.x x)", "K")
     assert code == 2 and out.strip() == "UNKNOWN"
+    # one side certified to have no normal form, the other normalizing
+    code, out, _ = run(capsys, "eq", "VarPhi #1 #1", "K")
+    assert code == 1 and out.strip() == "NOT-EQUAL"
     # errors have a code of their own, distinct from NOT-EQUAL
     code, out, err = run(capsys, "eq", "(K", "K")
     assert code == 3 and out == "" and "varlam:" in err

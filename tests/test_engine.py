@@ -1,4 +1,6 @@
-from hypothesis import given
+import random
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varlam.checks import random_closed_terms
@@ -12,14 +14,13 @@ from varlam.engine import (
     eta_normalize,
     normalize,
     one_step_reducts,
-    random_strategy_normalize,
     reduces_to,
     step_once,
     trace,
 )
 from varlam.meta import build
 from varlam.syntax import parse
-from varlam.terms import App, Lam, Term, Var, alpha_eq, apply, expand_consts
+from varlam.terms import App, Const, Lam, Term, Var, alpha_eq, apply, expand_consts
 
 OMEGA = r"(\x.x x) (\x.x x)"
 
@@ -74,6 +75,18 @@ def test_beta_eta_equal_examples(env):
     assert beta_eta_equal(parse("K", env), parse("S", env), env) is Verdict.NOT_EQUAL
     small = ReductionConfig(fuel=50)
     assert beta_eta_equal(parse(OMEGA), Var("f"), env, small) is Verdict.UNKNOWN
+
+
+def test_beta_eta_equal_certified_side(env):
+    # a certified no-normal-form side differs from any side with a normal form
+    phi, psi = parse("VarPhi #1 #1", env), parse("VarPsi #1 #1", env)
+    assert beta_eta_equal(phi, parse("K", env), env) is Verdict.NOT_EQUAL
+    assert beta_eta_equal(Var("f"), phi, env) is Verdict.NOT_EQUAL
+    # two certified sides, or a fuel stop on either side, decide nothing
+    assert beta_eta_equal(phi, psi, env) is Verdict.UNKNOWN
+    assert beta_eta_equal(phi, parse(OMEGA), env, ReductionConfig(fuel=1000)) is Verdict.UNKNOWN
+    assert beta_eta_equal(parse(OMEGA), phi, env, ReductionConfig(fuel=1000)) is Verdict.UNKNOWN
+    assert beta_eta_equal(phi, parse("K", env), env, ReductionConfig(fuel=100)) is Verdict.UNKNOWN
 
 
 def test_trace_examples(env):
@@ -143,6 +156,19 @@ def test_equivalence_coherence():
             assert (verdict is Verdict.EQUAL) == alpha_eq(nf(a), nf(b))
 
 
+def random_strategy_normalize(t: Term, fuel: int = 10_000, max_size: int = 200_000, seed: int = 0):
+    """Contract uniformly random redexes; None if fuel or size runs out."""
+    rng = random.Random(seed)
+    for _ in range(fuel):
+        if t.size > max_size:
+            return None
+        reducts = one_step_reducts(t)
+        if not reducts:
+            return t
+        t = rng.choice(reducts)
+    return None
+
+
 def test_confluence_spot_check():
     for i, t in enumerate(random_closed_terms(count=40, seed=10)):
         expected = nf(t)
@@ -198,7 +224,6 @@ def test_reduces_to_cap_reported(env):
 
 def test_arithmetic_sanity(env):
     from varlam.church import unchurch
-    from varlam.terms import Const
 
     for a in range(9):
         for b in range(9):
@@ -308,3 +333,94 @@ def test_size_limit_is_exact(env):
         else:
             assert out.status is Status.SIZE_EXCEEDED and out.steps == first
             assert out.result.size == sizes[first]
+
+
+def test_certified_no_normal_form_examples(env):
+    # Curry's Y and Turing's Theta regress at once; Omega only cycles, which
+    # the certificate does not cover, so it runs out of fuel (test_fuel_exhaustion)
+    for source, steps in ((r"\f.(\x.f (x x)) (\x.f (x x))", 2),
+                          (r"(\x y. y (x x y)) (\x y. y (x x y))", 3)):
+        out = normalize(parse(source), None, ReductionConfig(fuel=100))
+        assert out.status is Status.NO_NORMAL_FORM and out.steps == steps
+        # the result is the term the machine stopped on: the trace's last term
+        assert alpha_eq(out.result, trace(parse(source), None, ReductionConfig(fuel=steps))[-1])
+
+
+def test_certificate_spares_normalizing_terms(env):
+    # equal sibling arguments are never open at the same time
+    out = normalize(parse("x (y z) (y z)"))
+    assert out.status is Status.NORMAL_FORM and out.steps == 0
+    # the open argument (\u. y (u u)) (\a. a b c) and its inner argument
+    # (\a. a b c) (\a. a b c) have the same size but differ
+    out = normalize(parse(r"x ((\u. y (u u)) (\a. a b c))"))
+    assert out.status is Status.NORMAL_FORM and out.steps == 3
+    assert alpha_eq(out.result, parse("x (y (b b c c))"))
+    # normal order discards the regressing argument unseen
+    out = normalize(parse(r"(\x.\y.y) (VarPhi #1 #1)", env), env)
+    assert out.status is Status.NORMAL_FORM and out.steps == 1
+    assert alpha_eq(out.result, parse(r"\y.y"))
+
+
+# beta-steps to the certificate, at 1 <= k <= n <= 3
+FIXPOINT_STEPS = {
+    "VarPhi": {(1, 1): 551, (1, 2): 1548, (2, 2): 1573, (1, 3): 3815, (2, 3): 3850, (3, 3): 3875},
+    "VarPsi": {(1, 1): 692, (1, 2): 1637, (2, 2): 1707, (1, 3): 3704, (2, 3): 3794, (3, 3): 3864},
+    "ycurry": {(1, 1): 2, (1, 2): 4, (2, 2): 4, (1, 3): 6, (2, 3): 6, (3, 3): 6},
+    "yturing": {(1, 1): 3, (1, 2): 6, (2, 2): 6, (1, 3): 9, (2, 3): 9, (3, 3): 9},
+}
+# beta-steps to the certificate of Ystar c_n and YstarCurried c_n, n = 1, 2, 3
+YSTAR_STEPS = {"Ystar": (66, 182, 446), "YstarCurried": (382, 1059, 2586)}
+
+
+def test_fixed_point_combinators_are_certified(env):
+    for name, table in FIXPOINT_STEPS.items():
+        for (k, n), steps in table.items():
+            if name in ("VarPhi", "VarPsi"):
+                t = apply(Const(name), church(k), church(n))
+            else:
+                t = build(name, n, k)
+            out = normalize(t, env)
+            assert (out.status, out.steps) == (Status.NO_NORMAL_FORM, steps), (name, k, n)
+    for name, table in YSTAR_STEPS.items():
+        for n, steps in enumerate(table, start=1):
+            out = normalize(App(Const(name), church(n)), env)
+            assert (out.status, out.steps) == (Status.NO_NORMAL_FORM, steps), (name, n)
+
+
+# Random terms mixing free variables with self-application, fixed-point and
+# discarding combinators, so that both regressing and normalizing terms occur.
+_FIXPOINT_PARTS = [parse(s) for s in (
+    r"\x.x x", r"\x.f (x x)", r"\f.(\x.f (x x)) (\x.f (x x))", r"\x y.y", r"\x y.x",
+    r"(\x y. y (x x y)) (\x y. y (x x y))",
+)]
+mixed_terms = st.recursive(
+    reach_names.map(Var) | st.sampled_from(_FIXPOINT_PARTS),
+    lambda sub: st.builds(Lam, reach_names, sub) | st.builds(App, sub, sub),
+    max_leaves=12,
+)
+
+
+def _reference_normal_form(t: Term, fuel: int, max_size: int):
+    """(normal form, steps) by step_once, the step of trace; None past fuel or size."""
+    for steps in range(fuel + 1):
+        if t.size > max_size:
+            return None
+        nxt = step_once(t)
+        if nxt is None:
+            return t, steps
+        t = nxt
+    return None
+
+
+@settings(max_examples=300)
+@given(mixed_terms)
+def test_certificate_never_fires_on_a_normalizing_term(t):
+    fuel, max_size = 200, 2_000
+    out = normalize(t, None, ReductionConfig(fuel=fuel, max_term_size=max_size, eta=False))
+    ref = _reference_normal_form(t, fuel, max_size)
+    if ref is not None:
+        assert out.status is Status.NORMAL_FORM
+        assert out.steps == ref[1]
+        assert alpha_eq(out.result, ref[0])
+    else:
+        assert out.status is not Status.NORMAL_FORM

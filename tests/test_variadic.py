@@ -138,3 +138,15 @@ def test_check_entry_observational_names(env):
 def test_check_entry_unknown_name(env):
     with pytest.raises(KeyError):
         variadic.check_entry("NotAnEntry", 1, CFG, env)
+
+
+def test_upgrade_probe_needs_certificates(env, monkeypatch):
+    # every instance is certified well within the probe's fuel
+    cases = variadic._upgrade_probe("VarPhi", 2, CFG, env)
+    assert [(c.name, c.ok) for c in cases] == [("no-normal-form probe", True)]
+    # a fuel stop no longer passes for "no normal form": VarPhi c_1 c_1 needs
+    # 551 steps, ycurry(1, 1) only 2
+    monkeypatch.setattr(variadic, "_UPGRADE_FUEL", 100)
+    cases = variadic._upgrade_probe("VarPhi", 1, CFG, env)
+    assert [(c.name, c.ok) for c in cases] == [("no-normal-form probe", False)]
+    assert cases[0].detail == "not certified: VarPhi k=1 n=1 fuel-exhausted"
