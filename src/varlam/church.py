@@ -32,6 +32,8 @@ def unchurch(t: Term, env=None, cfg=DEFAULT_CONFIG) -> int:
     s = fresh_name("s", t.free)
     z = fresh_name("z", t.free | {s})
     outcome = normalize(App(App(t, Var(s)), Var(z)), env, cfg)
+    if outcome.status is Status.NO_NORMAL_FORM:
+        raise NotANumeral(f"no normal form (certified after {outcome.steps} steps)")
     if outcome.status is not Status.NORMAL_FORM:
         raise NotANumeral(f"no normal form within limits ({outcome.status.value})")
     u = outcome.result

@@ -44,12 +44,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def natural(text: str) -> int:
+    """argparse type of the limits: an int of at least 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0: {n}")
+    return n
+
+
 def _add_common(p, expr=True):
     p.add_argument("--defs", action="append", default=[], metavar="FILE",
                    help="load additional .lam definition files")
     p.add_argument("--no-prelude", action="store_true", help="start from an empty table")
-    p.add_argument("--max-steps", type=int, default=1_000_000, metavar="N")
-    p.add_argument("--max-size", type=int, default=1_000_000, metavar="N")
+    p.add_argument("--max-steps", type=natural, default=1_000_000, metavar="N")
+    p.add_argument("--max-size", type=natural, default=1_000_000, metavar="N")
     p.add_argument("--no-eta", action="store_true", help="skip the eta post-pass")
     if expr:
         p.add_argument("-e", "--expr", metavar="EXPR", help="expression text")
@@ -96,7 +104,7 @@ def build_parser() -> _Parser:
     _add_common(p, expr=False)
     p.add_argument("--suite", choices=("kernel", "bracket", "variadic", "fixpoint", "all"),
                    default="all")
-    p.add_argument("--max-n", type=int, default=3)
+    p.add_argument("--max-n", type=natural, default=3)
 
     p = sub.add_parser("repl", help="interactive loop (:def, :eq, :quit)")
     _add_common(p, expr=False)

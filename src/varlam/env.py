@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.resources
 from pathlib import Path
 
+from .syntax import parse_definitions
 from .terms import LambdaError, Term, UnboundName, expand_consts, free_vars
 
 
@@ -53,8 +54,6 @@ class Env:
         self.provenance[name] = source
 
     def load_text(self, text: str, source: str = "<string>") -> None:
-        from .syntax import parse_definitions
-
         parse_definitions(text, self, source)
 
     def load_file(self, path) -> None:

@@ -7,13 +7,15 @@ application chain.  ``expand`` instantiates a meta-term at a concrete n.
 ``family`` builds members of the indexed combinator families (K_n, sigma_k^n,
 the multiple fixed-point combinators, ...) directly and syntactically; it is
 the brute-force oracle every arity-generic library entry is checked against.
+Selectors and projections are the builders of ``church``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import App, Lam, LambdaError, Term, Var, apply, lams
+from .church import IndexOutOfRange, projection, selector
+from .terms import App, Const, Lam, LambdaError, Term, Var, apply, lams
 
 
 class UnknownSequence(LambdaError):
@@ -26,10 +28,6 @@ class UnknownFamily(LambdaError):
     def __init__(self, name):
         super().__init__(f"unknown family: {name}")
         self.name = name
-
-
-class IndexOutOfRange(LambdaError):
-    pass
 
 
 # -- meta-term AST ------------------------------------------------------------
@@ -156,16 +154,10 @@ def expand(m, n: int) -> Term:
     return _expand(m, n, {})
 
 
-def _seq_names(base: str, n: int):
-    return [f"{base}{i}" for i in range(1, n + 1)]
-
-
 def _expand(u, n: int, seqs: dict) -> Term:
     if isinstance(u, MVar):
         return Var(u.name)
     if isinstance(u, MConst):
-        from .terms import Const
-
         return Const(u.name)
     if isinstance(u, Splice):
         return _chain(_pieces_of(u, n, seqs))
@@ -174,7 +166,7 @@ def _expand(u, n: int, seqs: dict) -> Term:
         seqs2 = dict(seqs)
         for b in u.binders:
             if isinstance(b, SeqBinder):
-                names = _seq_names(b.name, n)
+                names = _xs(n, b.name)
                 seqs2[b.name] = names
                 binders.extend(names)
             else:
@@ -278,14 +270,6 @@ def _fam_selfapply(n: int) -> Term:
     return lams(_xs(n), App(apply(*xs), apply(*xs)))
 
 
-def _fam_selector(k: int, n: int) -> Term:
-    return lams(_xs(n), Var(f"x{k}"))
-
-
-def _fam_projection(k: int, n: int) -> Term:
-    return Lam("t", App(Var("t"), _fam_selector(k, n)))
-
-
 def _fam_tuple_maker(n: int) -> Term:
     xs = _vars(_xs(n))
     return lams(_xs(n) + ["s"], apply(Var("s"), *xs))
@@ -353,8 +337,8 @@ _FAMILIES = {
     "B": (False, _fam_compose),
     "C": (False, _fam_flip),
     "selfapp": (False, _fam_selfapply),
-    "sel": (True, _fam_selector),
-    "proj": (True, _fam_projection),
+    "sel": (True, selector),
+    "proj": (True, projection),
     "tup": (False, _fam_tuple_maker),
     "rightapp": (False, _fam_right_applicator),
     "rev": (False, _fam_reverser),

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 
+from .church import church
 from .terms import App, Const, Lam, LambdaError, Term, UnboundName, Var
 
 
@@ -147,7 +148,7 @@ class _Parser:
             return Const(text)
         if kind == "hashnum":
             self.next()
-            return church_literal(int(text[1:]))
+            return church(int(text[1:]))
         if kind == "lparen":
             self.next()
             t = self.term()
@@ -175,8 +176,6 @@ class _Parser:
         return idx
 
     def meta_term(self):
-        from . import meta
-
         if self.peek()[0] == "lambda":
             return self.meta_lam()
         return self.meta_app()
@@ -244,13 +243,6 @@ class _Parser:
         if kind == "lambda":
             return self.meta_lam()
         self.fail(f"expected a meta-term, found {text!r}")
-
-
-def church_literal(n: int) -> Term:
-    body = Var("z")
-    for _ in range(n):
-        body = App(Var("s"), body)
-    return Lam("s", Lam("z", body))
 
 
 def parse(source: str, env=None) -> Term:

@@ -10,6 +10,7 @@ generators whose fixed points the reducer can actually compute.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import meta
 from .church import church, tuple_of
@@ -21,7 +22,9 @@ from .engine import (
     reduces_to,
 )
 from .env import standard_env
+from .meta import _vars, _xs
 from .report import CaseResult
+from .syntax import parse
 from .terms import Const, Term, Var, alpha_eq, apply, lams
 
 # Entries whose identity (VarX c_n [c_k]) = X_n is decided by normalizing
@@ -43,13 +46,32 @@ FAMILY_ORACLES = {
     "VarM": ("boehm", True),
 }
 
-# Entries checked against equational laws (both sides normalize).
-LAW_ENTRIES = ("Apply", "VarExtend", "Catenate", "Iota", "VarMakeX")
+# Entries checked against equational laws (both sides normalize): entry ->
+# (index names, each over 0..max_n; lhs builder; rhs builder), with free
+# a1 ... an and b1 ... bk.  VarMakeX is checked by check_makex.
+_LAWS = {
+    "Apply": (("n",),
+              lambda n: apply(Const("Apply"), Var("f"), tuple_of(_vars(_xs(n, "a")))),
+              lambda n: apply(Var("f"), *_vars(_xs(n, "a")))),
+    "VarExtend": (("n",),
+                  lambda n: apply(Const("VarExtend"), church(n),
+                                  tuple_of(_vars(_xs(n, "a"))), Var("b")),
+                  lambda n: tuple_of(_vars(_xs(n, "a") + ["b"]))),
+    "Catenate": (("n", "k"),
+                 lambda n, k: apply(Const("Catenate"), church(n), tuple_of(_vars(_xs(n, "a"))),
+                                    church(k), tuple_of(_vars(_xs(k, "b")))),
+                 lambda n, k: tuple_of(_vars(_xs(n, "a") + _xs(k, "b")))),
+    "Iota": (("n",),
+             lambda n: apply(Const("Iota"), church(n)),
+             lambda n: tuple_of([church(i) for i in range(n)])),
+}
 
-# Entries with no normal form of their own, checked on probes.
-OBSERVATIONAL = ("VarPhi", "VarPsi", "Ystar", "YstarCurried")
+LAW_ENTRIES = (*_LAWS, "VarMakeX")
 
-ENTRY_NAMES = tuple(FAMILY_ORACLES) + LAW_ENTRIES + OBSERVATIONAL
+# Entries with no normal form of their own, checked on probes, with the
+# family their upgrade probe compares against (None: the tuple-valued Y*).
+_OBSERVED = {"VarPhi": "ycurry", "VarPsi": "yturing", "Ystar": None, "YstarCurried": None}
+OBSERVATIONAL = tuple(_OBSERVED)
 
 # Fuel for the does-it-normalize-after-all probe on observational entries.
 _UPGRADE_FUEL = 20_000
@@ -63,68 +85,23 @@ class VariadicEntry:
     check_mode: str  # "Normalizing" | "Observational"
 
 
-def library(env=None) -> dict[str, VariadicEntry]:
-    """All registered entries, with their terms from the loaded library file."""
-    env = env if env is not None else standard_env()
-    out = {}
-    for name in ENTRY_NAMES:
-        if name in FAMILY_ORACLES:
-            fam, has_k = FAMILY_ORACLES[name]
-            oracle = f"family {fam}" + ("(k, n)" if has_k else "(n)")
-            mode = "Normalizing"
-        elif name in LAW_ENTRIES:
-            oracle = "equational laws"
-            mode = "Normalizing"
-        else:
-            oracle = "probe suite"
-            mode = "Observational"
-        out[name] = VariadicEntry(name, env.raw(name), oracle, mode)
-    return out
-
-
 def _eq_case(suite, label, lhs, rhs, env, cfg) -> CaseResult:
     ra = normalize(lhs, env, cfg)
     rb = normalize(rhs, env, cfg)
     steps = ra.steps + rb.steps
-    if ra.status is not Status.NORMAL_FORM or rb.status is not Status.NORMAL_FORM:
-        bad = ra.status if ra.status is not Status.NORMAL_FORM else rb.status
-        return CaseResult(suite, label, False, f"no normal form ({bad.value})", steps, True)
+    stopped = [r for r in (ra, rb) if r.status is not Status.NORMAL_FORM]
+    if stopped:
+        # a certificate is a definite failure; a fuel or size stop is not
+        limited = any(r.status is not Status.NO_NORMAL_FORM for r in stopped)
+        detail = f"{stopped[0].status.value} after {stopped[0].steps} steps"
+        return CaseResult(suite, label, False, detail, steps, limited)
     ok = alpha_eq(ra.result, rb.result)
     return CaseResult(suite, label, ok, "" if ok else "normal forms differ", steps)
 
 
-def _free(names):
-    return [Var(x) for x in names]
-
-
-def _args(n, base="a"):
-    return _free([f"{base}{i}" for i in range(1, n + 1)])
-
-
 def _probe_generators(n: int) -> list[Term]:
     """F_j = lam y1...yn. c_j: the fixed point of F_j is c_j itself."""
-    ys = [f"y{i}" for i in range(1, n + 1)]
-    return [lams(ys, church(j)) for j in range(1, n + 1)]
-
-
-def _even_odd(env):
-    from .syntax import parse
-
-    even = parse(r"\e o m. Zero m True  (o (Pred m))", env)
-    odd = parse(r"\e o m. Zero m False (e (Pred m))", env)
-    return even, odd
-
-
-def check_entry(name: str, max_n: int = 3, cfg: ReductionConfig = DEFAULT_CONFIG, env=None) -> list[CaseResult]:
-    """Check one entry against its oracle for all indices up to max_n."""
-    env = env if env is not None else standard_env()
-    if name in FAMILY_ORACLES:
-        return _check_family_entry(name, max_n, cfg, env)
-    if name in LAW_ENTRIES:
-        return _check_law_entry(name, max_n, cfg, env)
-    if name in OBSERVATIONAL:
-        return _check_observational_entry(name, max_n, cfg, env)
-    raise KeyError(f"unknown library entry: {name}")
+    return [lams(_xs(n, "y"), church(j)) for j in range(1, n + 1)]
 
 
 def _check_family_entry(name, max_n, cfg, env):
@@ -144,60 +121,55 @@ def _check_family_entry(name, max_n, cfg, env):
 
 
 def _check_law_entry(name, max_n, cfg, env):
-    cases = []
-    if name == "Apply":
-        for n in range(max_n + 1):
-            xs = _args(n)
-            lhs = apply(Const("Apply"), Var("f"), tuple_of(xs))
-            rhs = apply(Var("f"), *xs)
-            cases.append(_eq_case(name, f"n={n}", lhs, rhs, env, cfg))
-    elif name == "VarExtend":
-        for n in range(max_n + 1):
-            xs = _args(n)
-            lhs = apply(Const("VarExtend"), church(n), tuple_of(xs), Var("b"))
-            rhs = tuple_of(xs + [Var("b")])
-            cases.append(_eq_case(name, f"n={n}", lhs, rhs, env, cfg))
-    elif name == "Catenate":
-        for n in range(max_n + 1):
-            for k in range(max_n + 1):
-                xs = _args(n)
-                ys = _args(k, "b")
-                lhs = apply(Const("Catenate"), church(n), tuple_of(xs), church(k), tuple_of(ys))
-                rhs = tuple_of(xs + ys)
-                cases.append(_eq_case(name, f"n={n} k={k}", lhs, rhs, env, cfg))
-    elif name == "Iota":
-        for n in range(max_n + 1):
-            lhs = apply(Const("Iota"), church(n))
-            rhs = tuple_of([church(i) for i in range(n)])
-            cases.append(_eq_case(name, f"n={n}", lhs, rhs, env, cfg))
-    elif name == "VarMakeX":
-        for n in range(2, max(max_n, 2) + 1):
-            cases.extend(check_makex(n, _default_basis_terms(n), cfg, env))
-    return cases
+    indices, lhs, rhs = _LAWS[name]
+    return [_eq_case(name, " ".join(f"{i}={v}" for i, v in zip(indices, vs)),
+                     lhs(*vs), rhs(*vs), env, cfg)
+            for vs in product(range(max_n + 1), repeat=len(indices))]
 
 
-def _default_basis_terms(n: int) -> list[Term]:
+def _check_makex_entry(name, max_n, cfg, env):
     pool = [Const(c) for c in ("K", "S", "B", "C", "I")]
-    return pool[:n]
+    return [case for n in range(2, max(max_n, 2) + 1) for case in check_makex(n, pool[:n], cfg, env)]
 
 
 def _check_observational_entry(name, max_n, cfg, env):
-    cases = []
-    if name in ("VarPhi", "VarPsi"):
-        cases.extend(_upgrade_probe(name, max_n, cfg, env))
-        cases.extend(_constant_probes(name, max_n, cfg, env))
-        cases.extend(_even_odd_probes(name, cfg, env))
-    else:
-        cases.extend(_ystar_constant_probes(name, max_n, cfg, env))
-        cases.extend(_ystar_even_odd(name, cfg, env))
-    return cases
+    fam = _OBSERVED[name]
+    fix = _indexed if fam else _tupled
+    upgrade = _upgrade_probe(name, max_n, cfg, env) if fam else []
+    return upgrade + _constant_probes(name, fix, max_n, cfg, env) + _even_odd_probes(name, fix, cfg, env)
+
+
+# The registry: entry -> (oracle, check mode, checker).
+_REGISTRY = {
+    **{name: (f"family {fam}({'k, n' if has_k else 'n'})", "Normalizing", _check_family_entry)
+       for name, (fam, has_k) in FAMILY_ORACLES.items()},
+    **{name: ("equational laws", "Normalizing", _check_law_entry) for name in _LAWS},
+    "VarMakeX": ("equational laws", "Normalizing", _check_makex_entry),
+    **{name: ("probe suite", "Observational", _check_observational_entry) for name in OBSERVATIONAL},
+}
+
+ENTRY_NAMES = tuple(_REGISTRY)
+
+
+def library(env=None) -> dict[str, VariadicEntry]:
+    """All registered entries, with their terms from the loaded library file."""
+    env = env if env is not None else standard_env()
+    return {name: VariadicEntry(name, env.raw(name), oracle, mode)
+            for name, (oracle, mode, _) in _REGISTRY.items()}
+
+
+def check_entry(name: str, max_n: int = 3, cfg: ReductionConfig = DEFAULT_CONFIG, env=None) -> list[CaseResult]:
+    """Check one entry against its oracle for all indices up to max_n."""
+    if name not in _REGISTRY:
+        raise KeyError(f"unknown library entry: {name}")
+    return _REGISTRY[name][2](name, max_n, cfg, env if env is not None else standard_env())
 
 
 def _upgrade_probe(name, max_n, cfg, env):
     """If (VarX c_k c_n) and the family member both normalize after all,
     compare them directly (the observational classification is then moot).
     Otherwise both sides must be certified to have no normal form."""
-    fam, _ = {"VarPhi": ("ycurry", True), "VarPsi": ("yturing", True)}[name]
+    fam = _OBSERVED[name]
     probe_cfg = ReductionConfig(fuel=_UPGRADE_FUEL, max_term_size=cfg.max_term_size, eta=cfg.eta)
     cases = []
     uncertified = []
@@ -226,69 +198,46 @@ def _upgrade_probe(name, max_n, cfg, env):
     return cases
 
 
-def _constant_probes(name, max_n, cfg, env):
+def _indexed(name, k, n, gens):
+    """VarPhi/VarPsi c_k c_n F1 ... Fn: the k-th fixed point of F1 ... Fn."""
+    return apply(Const(name), church(k), church(n), *gens)
+
+
+def _tupled(name, k, n, gens):
+    """Ystar c_n <F1, ..., Fn> (YstarCurried c_n F1 ... Fn): the tuple of all
+    n fixed points when k is None, else its k-th component."""
+    tup = apply(Const(name), church(n), *([tuple_of(gens)] if name == "Ystar" else gens))
+    return tup if k is None else apply(Const("VarProj"), church(k), church(n), tup)
+
+
+def _constant_probes(name, fix, max_n, cfg, env):
+    """With constant generators the fixed points are c_1, ..., c_n: checked one
+    by one (indexed entries) or as their tuple (tupled entries)."""
     cases = []
     for n in range(1, max_n + 1):
         gens = _probe_generators(n)
+        if fix is _tupled:
+            rhs = tuple_of([church(j) for j in range(1, n + 1)])
+            cases.append(_eq_case(name, f"constant-probe n={n}", fix(name, None, n, gens), rhs, env, cfg))
+            continue
         for k in range(1, n + 1):
-            lhs = apply(Const(name), church(k), church(n), *gens)
+            lhs = fix(name, k, n, gens)
             cases.append(_eq_case(name, f"constant-probe k={k} n={n}", lhs, church(k), env, cfg))
     return cases
 
 
-def _even_odd_probes(name, cfg, env):
-    even, odd = _even_odd(env)
+def _even_odd_probes(name, fix, cfg, env):
+    """The mutually recursive even/odd pair: fixed point k = 1 decides evenness,
+    k = 2 oddness."""
+    gens = [parse(r"\e o m. Zero m True  (o (Pred m))", env),
+            parse(r"\e o m. Zero m False (e (Pred m))", env)]
+    label = "-projection" if fix is _tupled else "?"
     cases = []
     for m in range(7):
-        is_even = apply(Const(name), church(1), church(2), even, odd, church(m))
-        want = Const("True") if m % 2 == 0 else Const("False")
-        cases.append(_eq_case(name, f"even? {m}", is_even, want, env, cfg))
-        is_odd = apply(Const(name), church(2), church(2), even, odd, church(m))
-        want = Const("False") if m % 2 == 0 else Const("True")
-        cases.append(_eq_case(name, f"odd? {m}", is_odd, want, env, cfg))
-    return cases
-
-
-def _ystar_apply(name, n, gens):
-    if name == "Ystar":
-        return apply(Const("Ystar"), church(n), tuple_of(gens))
-    return apply(Const("YstarCurried"), church(n), *gens)
-
-
-def _ystar_constant_probes(name, max_n, cfg, env):
-    """With constant generators the fixed-point tuple is (c_1, ..., c_n)."""
-    cases = []
-    for n in range(1, max_n + 1):
-        lhs = _ystar_apply(name, n, _probe_generators(n))
-        rhs = tuple_of([church(j) for j in range(1, n + 1)])
-        cases.append(_eq_case(name, f"constant-probe n={n}", lhs, rhs, env, cfg))
-    return cases
-
-
-def _ystar_even_odd(name, cfg, env):
-    even, odd = _even_odd(env)
-    tup = _ystar_apply(name, 2, [even, odd])
-    cases = []
-    for m in range(7):
-        is_even = apply(Const("VarProj"), church(1), church(2), tup, church(m))
-        want = Const("True") if m % 2 == 0 else Const("False")
-        cases.append(_eq_case(name, f"even-projection {m}", is_even, want, env, cfg))
-        is_odd = apply(Const("VarProj"), church(2), church(2), tup, church(m))
-        want = Const("False") if m % 2 == 0 else Const("True")
-        cases.append(_eq_case(name, f"odd-projection {m}", is_odd, want, env, cfg))
-    return cases
-
-
-def probe_fixedpoints(max_n: int = 3, cfg: ReductionConfig = DEFAULT_CONFIG, env=None) -> list[CaseResult]:
-    """Constant-generator and even/odd probes for VarPhi, VarPsi and Y*."""
-    env = env if env is not None else standard_env()
-    cases = []
-    for name in ("VarPhi", "VarPsi"):
-        cases.extend(_constant_probes(name, max_n, cfg, env))
-        cases.extend(_even_odd_probes(name, cfg, env))
-    for name in ("Ystar", "YstarCurried"):
-        cases.extend(_ystar_constant_probes(name, min(max_n, 3), cfg, env))
-        cases.extend(_ystar_even_odd(name, cfg, env))
+        for k, test in ((1, "even"), (2, "odd")):
+            want = Const("True" if (m % 2 == 0) == (k == 1) else "False")
+            lhs = apply(fix(name, k, 2, gens), church(m))
+            cases.append(_eq_case(name, f"{test}{label} {m}", lhs, want, env, cfg))
     return cases
 
 
@@ -302,8 +251,6 @@ def check_boehm(max_n: int = 2, node_cap: int = 100_000, depth_cap: int = 200,
     arity-generic counterpart holds observationally.
     """
     env = env if env is not None else standard_env()
-    from .syntax import parse
-
     cases = [_eq_case("boehm", "VarM 1 1 = S I", apply(Const("VarM"), church(1), church(1)),
                       parse("S I", env), env, cfg)]
     for n in range(1, max_n + 1):
@@ -311,9 +258,7 @@ def check_boehm(max_n: int = 2, node_cap: int = 100_000, depth_cap: int = 200,
             lhs = apply(Const("VarM"), church(k), church(n))
             cases.append(_eq_case("boehm", f"VarM vs family k={k} n={n}", lhs,
                                   meta.build("boehm", n, k), env, cfg))
-    for n in (1, 2):
-        if n > max_n:
-            continue
+    for n in range(1, min(max_n, 2) + 1):
         steps = [meta.build("boehm", n, j) for j in range(1, n + 1)]
         for k in range(1, n + 1):
             lhs = apply(meta.build("ycurry", n, k), *steps)

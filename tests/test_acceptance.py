@@ -100,7 +100,7 @@ def test_criterion_4_library_laws(env):
 
 def test_criterion_5_fixed_points(env):
     started = time.perf_counter()
-    cases = variadic.probe_fixedpoints(MAX_N, CFG, env)
+    cases = [c for name in variadic.OBSERVATIONAL for c in variadic.check_entry(name, MAX_N, CFG, env)]
     _report(5, "fixed points", started, 120.0, all_ok(cases))
 
 

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from varlam.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "check_all_n3.txt"
 
 
 def run(capsys, *argv):
@@ -97,6 +101,13 @@ def test_check_deterministic(capsys):
     assert first == second
 
 
+def test_check_all_matches_golden(capsys):
+    # the full report is byte-stable; regenerate the file only on purpose
+    code, out, _ = run(capsys, "check", "--suite", "all", "--max-n", "3")
+    assert code == 0
+    assert out == GOLDEN.read_text(encoding="utf-8")
+
+
 def test_parse_error_diagnostic(capsys):
     code, _, err = run(capsys, "parse", "-e", "(a b")
     assert code == 1 and "parse error" in err
@@ -111,6 +122,15 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 64
+
+
+@pytest.mark.parametrize("flag", ["--max-n", "--max-steps", "--max-size"])
+def test_negative_limits_are_usage_errors(capsys, flag):
+    # a negative --max-n would check no case and still print PASS
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--suite", "variadic", flag, "-1"])
+    assert exc.value.code == 64
+    assert "must be at least 0" in capsys.readouterr().err
 
 
 def test_no_prelude(capsys):

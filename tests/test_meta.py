@@ -1,7 +1,8 @@
 import pytest
 
 from varlam import meta
-from varlam.church import church, projection, selector
+from varlam import church as church_mod
+from varlam.church import church
 from varlam.engine import ReductionConfig, Status, Verdict, beta_eta_equal, normalize
 from varlam.meta import (
     FamilyInstance,
@@ -94,6 +95,7 @@ def test_family_fixed_point_shapes():
 
 
 def test_family_errors():
+    assert IndexOutOfRange is church_mod.IndexOutOfRange  # one class for every index error
     with pytest.raises(UnknownFamily):
         family(FamilyInstance("nope", 2))
     with pytest.raises(IndexOutOfRange):
@@ -110,9 +112,10 @@ def test_family_errors():
 
 def test_cross_oracle_selectors():
     for n in range(1, 5):
+        xs = " ".join(f"x{i}" for i in range(1, n + 1))
         for k in range(1, n + 1):
-            assert alpha_eq(build("sel", n, k), selector(k, n))
-            assert alpha_eq(build("proj", n, k), projection(k, n))
+            assert alpha_eq(build("sel", n, k), parse(rf"\{xs}. x{k}"))
+            assert alpha_eq(build("proj", n, k), parse(rf"\t. t (\{xs}. x{k})"))
 
 
 def test_cross_oracle_metas():

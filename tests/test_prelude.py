@@ -1,7 +1,7 @@
 import pytest
 
 from varlam.church import IndexOutOfRange, NotANumeral, church, projection, selector, tuple_of, unchurch
-from varlam.engine import Verdict, beta_eta_equal
+from varlam.engine import ReductionConfig, Verdict, beta_eta_equal
 from varlam.syntax import parse, print_term
 from varlam.terms import App, Var, apply
 
@@ -32,6 +32,16 @@ def test_unchurch_rejects_non_numerals(env):
         unchurch(parse(r"\s z. z s"), env)
     with pytest.raises(NotANumeral):
         unchurch(parse(r"(\x.x x) (\x.x x)"), env)
+
+
+def test_unchurch_no_normal_form_messages(env):
+    # a certificate is reported as such; a limit stop names the limit
+    with pytest.raises(NotANumeral, match=r"^no normal form \(certified after 552 steps\)$"):
+        unchurch(parse("VarPhi #1 #1", env), env)
+    with pytest.raises(NotANumeral, match=r"^no normal form within limits \(fuel-exhausted\)$"):
+        unchurch(parse(r"(\x.x x) (\x.x x)"), env, ReductionConfig(fuel=100))
+    with pytest.raises(NotANumeral, match=r"^no normal form within limits \(size-exceeded\)$"):
+        unchurch(parse("Plus #1", env), env, ReductionConfig(max_term_size=5))
 
 
 def test_succ_and_pred_properties(env):

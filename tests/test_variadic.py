@@ -24,6 +24,18 @@ def test_library_registry(env):
             assert entry.check_mode == "Observational"
         else:
             assert entry.check_mode == "Normalizing"
+    oracles = {name: entry.oracle for name, entry in lib.items()}
+    assert oracles == {
+        "VarI": "family I(n)", "VarK": "family K(n)", "VarS": "family S(n)",
+        "VarB": "family B(n)", "VarBalt": "family B(n)", "VarC": "family C(n)",
+        "VarCalt": "family C(n)", "VarSel": "family sel(k, n)", "VarProj": "family proj(k, n)",
+        "VarTup": "family tup(n)", "VarRightApp": "family rightapp(n)", "VarRev": "family rev(n)",
+        "VarMap": "family map(n)", "VarM": "family boehm(k, n)",
+        "Apply": "equational laws", "VarExtend": "equational laws", "Catenate": "equational laws",
+        "Iota": "equational laws", "VarMakeX": "equational laws",
+        "VarPhi": "probe suite", "VarPsi": "probe suite", "Ystar": "probe suite",
+        "YstarCurried": "probe suite",
+    }
 
 
 def test_basis_entries_against_families(env):
@@ -95,8 +107,10 @@ def test_right_applicator(env):
 
 
 def test_constant_fixed_point_probes(env):
-    cases = variadic.probe_fixedpoints(2, CFG, env)
-    assert cases and all_ok(cases)
+    for name in variadic.OBSERVATIONAL:
+        cases = variadic.check_entry(name, 2, CFG, env)
+        assert any(c.name.startswith("constant-probe") for c in cases), name
+        assert all_ok(cases), name
 
 
 def test_makex_pair(env):
@@ -150,3 +164,14 @@ def test_upgrade_probe_needs_certificates(env, monkeypatch):
     cases = variadic._upgrade_probe("VarPhi", 1, CFG, env)
     assert [(c.name, c.ok) for c in cases] == [("no-normal-form probe", False)]
     assert cases[0].detail == "not certified: VarPhi k=1 n=1 fuel-exhausted"
+
+
+def test_eq_case_names_the_stop(env):
+    omega = parse(r"(\x.x x) (\x.x x)")
+    case = variadic._eq_case("t", "omega", omega, Const("I"), env, ReductionConfig(fuel=100))
+    assert (case.ok, case.detail, case.inconclusive) == (False, "fuel-exhausted after 100 steps", True)
+    # a certificate is a definite failure, not an inconclusive one
+    phi = parse("VarPhi #1 #1", env)
+    case = variadic._eq_case("t", "phi", phi, Const("I"), env, CFG)
+    assert (case.ok, case.detail, case.inconclusive) == (False, "no-normal-form after 551 steps", False)
+    assert case.steps == 551
