@@ -10,32 +10,38 @@ five-combinator basis, abstracting one variable at a time:
     [x](P Q)        = B P ([x]Q)      x free in Q only
     [x](P Q)        = S ([x]P) ([x]Q) x free in both
 
-``extended`` adds the block rules for abstracting a whole sequence binder
-x[1..n] at once, producing VarI/VarK/VarB/VarC/VarS applied to the free index
-variable (and the sequence-eta rule: [xs](P xs) = P when the sequence does
-not occur in P).  Single binders fall back to the Turner rules, with grouped
-subterms containing splices treated as opaque atoms.
+The same function abstracts a meta-term (see ``meta``).  A sequence binder
+x[1..n] is abstracted as a block, with the rules above lifted to
+VarI/VarK/VarB/VarC/VarS applied to the index variable n, plus the
+sequence-eta rule [xs](P xs) = P when the sequence does not occur in P.
+A bare splice that a rule moves into argument position becomes grouped, so
+it stays one argument.  ``extended_bound`` binds the index variable.
 """
 
 from __future__ import annotations
 
-from . import meta as M
-from .terms import App, Const, Lam, LambdaError, Term, Var
+from .terms import App, Const, Lam, LambdaError, SeqBinder, Splice, Term, Var, grouped
 
 
 class MixedSequenceUse(LambdaError):
     """The sequence is used in a way the block rules cannot abstract."""
 
 
-# -- Turner's algorithm on plain terms ---------------------------------------
+# -- Turner's algorithm -------------------------------------------------------
 
 
 def turner(t: Term) -> Term:
-    """Translate t into the {I,K,B,C,S} basis; constants are opaque heads."""
+    """Translate t into the {I,K,B,C,S} basis; constants are opaque heads.
+
+    Sequence binders are abstracted over {VarI,VarK,VarB,VarC,VarS}, leaving
+    their index variable free.
+    """
     c = t.__class__
     if c is App:
         return App(turner(t.fun), turner(t.arg))
     if c is Lam:
+        if t.binder.__class__ is SeqBinder:
+            return _abstract_seq(t.binder, turner(t.body))
         return _abstract(t.binder, turner(t.body))
     return t
 
@@ -44,170 +50,71 @@ def _abstract(x: str, b: Term) -> Term:
     if b.__class__ is Var and b.name == x:
         return Const("I")
     if x not in b.free:
-        return App(Const("K"), b)
+        return App(Const("K"), grouped(b))
     # b is an application: after the body was bracketed there are no lambdas
-    # left, and the two cases above dispose of variables and constants.
+    # left, and the two cases above dispose of variables, constants and splices.
     p, q = b.fun, b.arg
+    if q.__class__ is Splice and not q.grouped:
+        # lam x.(P x1...xn) with x free in P: the trailing splice is n
+        # separate arguments, which no single-variable rule can absorb.
+        raise MixedSequenceUse(
+            f"cannot abstract {x!r} over a spine ending in the sequence {q.binder.name!r}"
+        )
     if q.__class__ is Var and q.name == x and x not in p.free:
-        return p
+        return grouped(p)
     in_p = x in p.free
     in_q = x in q.free
     if in_p and in_q:
         return App(App(Const("S"), _abstract(x, p)), _abstract(x, q))
     if in_p:
         return App(App(Const("C"), _abstract(x, p)), q)
-    return App(App(Const("B"), p), _abstract(x, q))
+    return App(App(Const("B"), grouped(p)), _abstract(x, q))
 
 
-# -- the arity-generic extension on meta-terms --------------------------------
+def _abstract_seq(xs: SeqBinder, b: Term) -> Term:
+    n = Var(xs.index)
+    if b.__class__ is Splice and b.binder == xs:
+        return App(Const("VarI"), n)
+    if xs not in b.free:
+        return App(App(Const("VarK"), n), grouped(b))
+    p, q = b.fun, b.arg
+    if q.__class__ is Splice and not q.grouped:
+        if q.binder == xs and xs not in p.free:
+            return grouped(p)  # sequence-eta
+        raise MixedSequenceUse(
+            f"sequence {xs.name!r} spread over a spine it cannot be blocked out of"
+        )
+    in_p = xs in p.free
+    in_q = xs in q.free
+    if in_p and in_q:
+        return App(App(App(Const("VarS"), n), _abstract_seq(xs, p)), _abstract_seq(xs, q))
+    if in_p:
+        return App(App(App(Const("VarC"), n), _abstract_seq(xs, p)), q)
+    return App(App(App(Const("VarB"), n), grouped(p)), _abstract_seq(xs, q))
+
+
+# -- meta-terms -----------------------------------------------------------------
 
 BUILTIN_META_NAMES = ("I", "K", "S", "B", "C", "selfapp")
 
 
-def extended(m) -> Term:
-    """Bracket-abstract a meta-term over {I,K,B,C,S, VarI,VarK,VarB,VarC,VarS}.
+def extended_bound(m: Term) -> Term:
+    """turner(m) with the index variable bound by an outer abstraction.
 
-    The result leaves the index variable free; bind it with lam n (see
-    ``extended_bound``) and apply to a Church numeral to obtain instances.
+    Apply it to a Church numeral c_n to obtain the n-th instance.
     """
-    M.validate(m)
-    return _to_term(_ext(m))
+    return Lam(index_var_of(m) or "n", turner(m))
 
 
-def extended_bound(m) -> Term:
-    """extended(m) with the index variable bound by an outer abstraction."""
-    idx = index_var_of(m) or "n"
-    return Lam(idx, extended(m))
-
-
-def index_var_of(m) -> str | None:
-    if isinstance(m, M.MLam):
-        for b in m.binders:
-            if isinstance(b, M.SeqBinder):
-                return b.index
-        return index_var_of(m.body)
-    if isinstance(m, M.MApp):
-        found = index_var_of(m.head)
-        if found:
-            return found
-        for a in m.args:
-            if isinstance(a, M.Plain):
-                found = index_var_of(a.term)
-                if found:
-                    return found
+def index_var_of(m: Term) -> str | None:
+    """The index variable of the meta-term's sequence binders, if any."""
+    stack = [m]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is Lam:
+            if u.binder.__class__ is SeqBinder:
+                return u.binder.index
+            stack.append(u.body)
+        elif u.__class__ is App:
+            stack += (u.arg, u.fun)
     return None
-
-
-def _ext(u):
-    """Eliminate every binder bottom-up; splices survive as atoms."""
-    if isinstance(u, (M.MVar, M.MConst, M.Splice)):
-        return u
-    if isinstance(u, M.MApp):
-        head = _ext(u.head)
-        args = [a if isinstance(a, M.Splice) else M.Plain(_ext(a.term)) for a in u.args]
-        return M.MApp(head, args)
-    if isinstance(u, M.MLam):
-        cur = _ext(u.body)
-        for b in reversed(u.binders):
-            if isinstance(b, M.SeqBinder):
-                cur = _abstract_seq(b.name, b.index, cur)
-            else:
-                cur = _abstract_var(b.name, cur)
-        return cur
-    raise TypeError(f"not a meta-term: {u!r}")
-
-
-def _occurs_var(u, name: str) -> bool:
-    if isinstance(u, M.MVar):
-        return u.name == name
-    if isinstance(u, M.MApp):
-        return _occurs_var(u.head, name) or any(
-            _occurs_var(a.term, name) for a in u.args if isinstance(a, M.Plain)
-        )
-    return False
-
-
-def _split(u: M.MApp):
-    """Last argument and the application prefix it is attached to."""
-    q = u.args[-1]
-    rest = u.args[:-1]
-    if rest:
-        p = M.MApp(u.head, rest)
-    else:
-        p = u.head
-    return p, q
-
-
-def _is_chain(u, sname: str) -> bool:
-    """Is u exactly the (possibly grouped) chain x1 ... xn of the sequence?"""
-    if isinstance(u, M.Splice):
-        return u.name == sname
-    return isinstance(u, M.MApp) and not u.args and _is_chain(u.head, sname)
-
-
-def _abstract_var(x: str, u):
-    if isinstance(u, M.MVar) and u.name == x:
-        return M.MConst("I")
-    if not _occurs_var(u, x):
-        return M.MApp(M.MConst("K"), [M.Plain(u)])
-    assert isinstance(u, M.MApp)
-    p, q = _split(u)
-    if isinstance(q, M.Splice):
-        # lam x.(P x1...xn) with x free in P: the trailing splice is n
-        # separate arguments, which no single-variable rule can absorb.
-        raise MixedSequenceUse(
-            f"cannot abstract {x!r} over a spine ending in the sequence {q.name!r}"
-        )
-    if isinstance(q.term, M.MVar) and q.term.name == x and not _occurs_var(p, x):
-        return p
-    in_p = _occurs_var(p, x)
-    in_q = _occurs_var(q.term, x)
-    if in_p and in_q:
-        return M.MApp(M.MConst("S"), [M.Plain(_abstract_var(x, p)), M.Plain(_abstract_var(x, q.term))])
-    if in_p:
-        return M.MApp(M.MConst("C"), [M.Plain(_abstract_var(x, p)), q])
-    return M.MApp(M.MConst("B"), [M.Plain(p), M.Plain(_abstract_var(x, q.term))])
-
-
-def _abstract_seq(sname: str, idx: str, u):
-    n = M.Plain(M.MVar(idx))
-    if _is_chain(u, sname):
-        return M.MApp(M.MConst("VarI"), [n])
-    if not M.seq_occurs(u, sname):
-        return M.MApp(M.MConst("VarK"), [n, M.Plain(u)])
-    if not isinstance(u, M.MApp) or not u.args:
-        raise MixedSequenceUse(f"cannot abstract sequence {sname!r} over this shape")
-    p, q = _split(u)
-    if isinstance(q, M.Splice):
-        if q.name == sname and not M.seq_occurs(p, sname):
-            return p  # sequence-eta
-        raise MixedSequenceUse(
-            f"sequence {sname!r} spread over a spine it cannot be blocked out of"
-        )
-    in_p = M.seq_occurs(p, sname)
-    in_q = M.seq_occurs(q.term, sname)
-    if in_p and in_q:
-        return M.MApp(
-            M.MConst("VarS"),
-            [n, M.Plain(_abstract_seq(sname, idx, p)), M.Plain(_abstract_seq(sname, idx, q.term))],
-        )
-    if in_p:
-        return M.MApp(M.MConst("VarC"), [n, M.Plain(_abstract_seq(sname, idx, p)), q])
-    return M.MApp(M.MConst("VarB"), [n, M.Plain(p), M.Plain(_abstract_seq(sname, idx, q.term))])
-
-
-def _to_term(u) -> Term:
-    if isinstance(u, M.MVar):
-        return Var(u.name)
-    if isinstance(u, M.MConst):
-        return Const(u.name)
-    if isinstance(u, M.MApp):
-        t = _to_term(u.head)
-        for a in u.args:
-            if isinstance(a, M.Splice):
-                raise MixedSequenceUse(f"unabstracted sequence {a.name!r} in the output")
-            t = App(t, _to_term(a.term))
-        return t
-    if isinstance(u, M.Splice):
-        raise MixedSequenceUse(f"unabstracted sequence {u.name!r} in the output")
-    raise TypeError(f"not a meta-term: {u!r}")

@@ -1,10 +1,11 @@
 """The ellipsis meta-language and the oracle registry of indexed families.
 
-A meta-term may bind a *sequence* of variables ``x[1..n]`` indexed by a
-single meta-variable and splice that sequence back in as a left-associated
-application chain.  ``expand`` instantiates a meta-term at a concrete n.
+A meta-term is an ordinary ``Term`` that may bind a *sequence* of variables
+``x[1..n]`` (a ``Lam`` whose binder is a ``SeqBinder``) and splice it back in
+(a ``Splice`` leaf) as a left-associated application chain; ``parse_meta``
+reads them.  ``expand`` instantiates a meta-term at a concrete n.
 
-``family`` builds members of the indexed combinator families (K_n, sigma_k^n,
+``build`` makes members of the indexed combinator families (K_n, sigma_k^n,
 the multiple fixed-point combinators, ...) directly and syntactically; it is
 the brute-force oracle every arity-generic library entry is checked against.
 Selectors and projections are the builders of ``church``.
@@ -12,16 +13,9 @@ Selectors and projections are the builders of ``church``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .church import IndexOutOfRange, projection, selector
-from .terms import App, Const, Lam, LambdaError, Term, Var, apply, lams
-
-
-class UnknownSequence(LambdaError):
-    def __init__(self, name):
-        super().__init__(f"splice of unknown sequence: {name}")
-        self.name = name
+from .syntax import UnknownSequence, parse_meta  # parse_meta raises UnknownSequence
+from .terms import App, Lam, LambdaError, SeqBinder, Splice, Term, Var, apply, lams
 
 
 class UnknownFamily(LambdaError):
@@ -30,118 +24,10 @@ class UnknownFamily(LambdaError):
         self.name = name
 
 
-# -- meta-term AST ------------------------------------------------------------
-
-
-class MetaTerm:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class MVar(MetaTerm):
-    name: str
-
-
-@dataclass(frozen=True)
-class MConst(MetaTerm):
-    name: str
-
-
-@dataclass(frozen=True)
-class SingleBinder:
-    name: str
-
-
-@dataclass(frozen=True)
-class SeqBinder:
-    name: str
-    index: str
-
-
-@dataclass(frozen=True)
-class Splice:
-    """The sequence spliced in as x1 ... xn; legal in head or argument position."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class Plain:
-    term: "MetaTerm | Splice"
-
-
-@dataclass(frozen=True)
-class MLam(MetaTerm):
-    binders: tuple
-    body: "MetaTerm | Splice"
-
-    def __init__(self, binders, body):
-        object.__setattr__(self, "binders", tuple(binders))
-        object.__setattr__(self, "body", body)
-
-
-@dataclass(frozen=True)
-class MApp(MetaTerm):
-    head: "MetaTerm | Splice"
-    args: tuple
-
-    def __init__(self, head, args):
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "args", tuple(args))
-
-
-def church_meta(n: int) -> MetaTerm:
-    body: MetaTerm = MVar("z")
-    for _ in range(n):
-        body = MApp(MVar("s"), [Plain(body)])
-    return MLam([SingleBinder("s"), SingleBinder("z")], body)
-
-
-def validate(m) -> None:
-    """Check that every splice refers to a sequence binder in scope."""
-
-    def go(u, scope: frozenset):
-        if isinstance(u, Splice):
-            if u.name not in scope:
-                raise UnknownSequence(u.name)
-        elif isinstance(u, Plain):
-            go(u.term, scope)
-        elif isinstance(u, MLam):
-            inner = scope
-            for b in u.binders:
-                if isinstance(b, SeqBinder):
-                    inner = inner | {b.name}
-                else:
-                    inner = inner - {b.name}
-            go(u.body, inner)
-        elif isinstance(u, MApp):
-            go(u.head, scope)
-            for a in u.args:
-                go(a, scope)
-
-    go(m, frozenset())
-
-
-def seq_occurs(u, name: str) -> bool:
-    """Does the sequence occur (via a splice) in this meta-structure?"""
-    if isinstance(u, Splice):
-        return u.name == name
-    if isinstance(u, Plain):
-        return seq_occurs(u.term, name)
-    if isinstance(u, MApp):
-        return seq_occurs(u.head, name) or any(seq_occurs(a, name) for a in u.args)
-    if isinstance(u, MLam):
-        for b in u.binders:
-            if isinstance(b, SeqBinder) and b.name == name:
-                return False  # shadowed
-        return seq_occurs(u.body, name)
-    return False
-
-
 # -- expansion ----------------------------------------------------------------
 
 
-def expand(m, n: int) -> Term:
+def expand(m: Term, n: int) -> Term:
     """Instantiate a meta-term at a concrete n.
 
     Every sequence binder becomes n concrete binders x1..xn and every splice
@@ -151,53 +37,38 @@ def expand(m, n: int) -> Term:
     """
     if n < 0:
         raise IndexOutOfRange(f"negative index {n}")
-    return _expand(m, n, {})
+    return _expand(m, n)
 
 
-def _expand(u, n: int, seqs: dict) -> Term:
-    if isinstance(u, MVar):
-        return Var(u.name)
-    if isinstance(u, MConst):
-        return Const(u.name)
-    if isinstance(u, Splice):
-        return _chain(_pieces_of(u, n, seqs))
-    if isinstance(u, MLam):
-        binders = []
-        seqs2 = dict(seqs)
-        for b in u.binders:
-            if isinstance(b, SeqBinder):
-                names = _xs(n, b.name)
-                seqs2[b.name] = names
-                binders.extend(names)
-            else:
-                binders.append(b.name)
-        return lams(binders, _expand(u.body, n, seqs2))
-    if isinstance(u, MApp):
-        pieces = _pieces_of(u.head, n, seqs)
-        for a in u.args:
-            if isinstance(a, Splice):
-                pieces.extend(_pieces_of(a, n, seqs))
-            else:
-                pieces.append(_expand(a.term, n, seqs))
-        return _chain(pieces)
-    raise TypeError(f"not a meta-term: {u!r}")
-
-
-def _pieces_of(head, n: int, seqs: dict) -> list:
-    if isinstance(head, Splice):
-        if head.name not in seqs:
-            raise UnknownSequence(head.name)
-        return [Var(x) for x in seqs[head.name]]
-    return [_expand(head, n, seqs)]
+def _expand(u: Term, n: int) -> Term:
+    c = u.__class__
+    if c is Lam:
+        body = _expand(u.body, n)
+        if u.binder.__class__ is SeqBinder:
+            return lams(_xs(n, u.binder.name), body)
+        return Lam(u.binder, body)
+    if c is Splice:
+        return _chain(_vars(_xs(n, u.binder.name)))
+    if c is not App:
+        return u
+    spine = []
+    while u.__class__ is App:
+        spine.append(u.arg)
+        u = u.fun
+    spine.append(u)
+    pieces = []
+    for a in reversed(spine):
+        if a.__class__ is Splice and not a.grouped:
+            pieces.extend(_vars(_xs(n, a.binder.name)))
+        else:
+            pieces.append(_expand(a, n))
+    return _chain(pieces)
 
 
 def _chain(pieces: list) -> Term:
     if not pieces:
         return Lam("u", Var("u"))
-    t = pieces[0]
-    for p in pieces[1:]:
-        t = App(t, p)
-    return t
+    return apply(*pieces)
 
 
 # -- the family registry -------------------------------------------------------
@@ -220,8 +91,6 @@ def builtin_meta(name: str):
     if name not in _META_SOURCES:
         raise UnknownFamily(name)
     if name not in _meta_cache:
-        from .syntax import parse_meta
-
         _meta_cache[name] = parse_meta(_META_SOURCES[name])
     return _meta_cache[name]
 
@@ -322,13 +191,6 @@ def _fam_boehm(k: int, n: int) -> Term:
     return lams(_xs(n, "p") + _xs(n), body)
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
-    family: str
-    n: int
-    k: int | None = None
-
-
 # name -> (needs k, builder)
 _FAMILIES = {
     "I": (False, _fam_identity),
@@ -351,23 +213,17 @@ _FAMILIES = {
 FAMILY_NAMES = tuple(_FAMILIES)
 
 
-def family(inst: FamilyInstance) -> Term:
-    """Build the concrete lambda-term of an indexed family member."""
-    if inst.family not in _FAMILIES:
-        raise UnknownFamily(inst.family)
-    needs_k, builder = _FAMILIES[inst.family]
-    if needs_k != (inst.k is not None):
-        raise IndexOutOfRange(
-            f"family {inst.family} {'requires' if needs_k else 'does not take'} an index k"
-        )
-    if inst.n < 0:
-        raise IndexOutOfRange(f"negative arity {inst.n}")
-    if needs_k:
-        if not 1 <= inst.k <= inst.n:
-            raise IndexOutOfRange(f"k = {inst.k} out of range for n = {inst.n}")
-        return builder(inst.k, inst.n)
-    return builder(inst.n)
-
-
 def build(name: str, n: int, k: int | None = None) -> Term:
-    return family(FamilyInstance(name, n, k))
+    """The concrete lambda-term of the family member name(n) or name(k, n)."""
+    if name not in _FAMILIES:
+        raise UnknownFamily(name)
+    needs_k, builder = _FAMILIES[name]
+    if needs_k != (k is not None):
+        raise IndexOutOfRange(f"family {name} {'requires' if needs_k else 'does not take'} an index k")
+    if n < 0:
+        raise IndexOutOfRange(f"negative arity {n}")
+    if needs_k:
+        if not 1 <= k <= n:
+            raise IndexOutOfRange(f"k = {k} out of range for n = {n}")
+        return builder(k, n)
+    return builder(n)

@@ -14,9 +14,12 @@ Comments run from ``--`` to the end of the line.
 Definition files (.lam) are sequences of ``Name := term ;`` where later
 definitions may reference earlier ones only.
 
-The meta grammar additionally allows ``x[1..n]`` both as a binder (a sequence
-of n binders) and in application position (a splice: the left-associated
-chain x1 ... xn).
+``parse_meta`` reads the meta grammar, which additionally allows ``x[1..n]``
+both as a binder (a sequence of n binders, a ``SeqBinder``) and as an atom (a
+``Splice``: the left-associated chain x1 ... xn, spread into n arguments in
+argument position).  A parenthesized splice, or a parenthesized spine of
+splices alone, is one grouped term.  One index variable per meta-term; every
+splice must name a sequence binder in scope (else ``UnknownSequence``).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import re
 
 from .church import church
-from .terms import App, Const, Lam, LambdaError, Term, UnboundName, Var
+from .terms import App, Const, Lam, LambdaError, SeqBinder, Splice, Term, UnboundName, Var, grouped
 
 
 class ParseError(LambdaError):
@@ -32,6 +35,12 @@ class ParseError(LambdaError):
         line, col = position
         super().__init__(f"parse error at {line}:{col}: {message}")
         self.position = position
+
+
+class UnknownSequence(LambdaError):
+    def __init__(self, name):
+        super().__init__(f"splice of unknown sequence: {name}")
+        self.name = name
 
 
 _TOKEN_RE = re.compile(
@@ -84,11 +93,14 @@ _ATOM_STARTERS = {"lident", "uident", "hashnum", "lparen", "lambda"}
 
 
 class _Parser:
-    def __init__(self, tokens, env=None):
+    def __init__(self, tokens, env=None, meta=False):
         self.tokens = tokens
         self.i = 0
         self.env = env
+        self.meta = meta  # accept x[1..n] binders and splices
         self.index_var = None  # the single index meta-variable, once seen
+        self.seqs = frozenset()  # names of the sequences in scope
+        self.unknown = None  # the first splice of a sequence not in scope
 
     def peek(self):
         return self.tokens[self.i]
@@ -107,8 +119,6 @@ class _Parser:
     def fail(self, message):
         raise ParseError(self.peek()[2], message)
 
-    # -- plain terms --------------------------------------------------------
-
     def term(self) -> Term:
         if self.peek()[0] == "lambda":
             return self.lam()
@@ -117,12 +127,20 @@ class _Parser:
     def lam(self) -> Term:
         self.expect("lambda")
         binders = []
+        scope = self.seqs
         while self.peek()[0] == "lident":
-            binders.append(self.next()[1])
+            kind, name, pos = self.next()
+            if self.meta and self.peek()[0] == "lbrack":
+                name = SeqBinder(name, self.seq_suffix(pos))
+                self.seqs = self.seqs | {name.name}
+            elif name in self.seqs:
+                self.seqs = self.seqs - {name}
+            binders.append(name)
         if not binders:
             self.fail("expected at least one binder")
         self.expect("dot")
         body = self.term()
+        self.seqs = scope
         for b in reversed(binders):
             body = Lam(b, body)
         return body
@@ -140,6 +158,11 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind == "lident":
             self.next()
+            if self.meta and self.peek()[0] == "lbrack":
+                binder = SeqBinder(text, self.seq_suffix(pos))
+                if text not in self.seqs and self.unknown is None:
+                    self.unknown = text
+                return Splice(binder)
             return Var(text)
         if kind == "uident":
             self.next()
@@ -153,12 +176,12 @@ class _Parser:
             self.next()
             t = self.term()
             self.expect("rparen")
+            if self.meta:
+                t = _group_splice_spine(t) or t
             return t
         if kind == "lambda":
             return self.lam()
-        self.fail(f"expected a term, found {text!r}")
-
-    # -- meta terms ---------------------------------------------------------
+        self.fail(f"expected a {'meta-term' if self.meta else 'term'}, found {text!r}")
 
     def seq_suffix(self, pos):
         """Parse '[1..n]' after an identifier; returns the index variable."""
@@ -175,74 +198,16 @@ class _Parser:
             raise ParseError(pos, f"second index variable {idx!r}; only one is allowed")
         return idx
 
-    def meta_term(self):
-        if self.peek()[0] == "lambda":
-            return self.meta_lam()
-        return self.meta_app()
 
-    def meta_lam(self):
-        from . import meta
-
-        self.expect("lambda")
-        binders = []
-        while self.peek()[0] == "lident":
-            kind, name, pos = self.next()
-            if self.peek()[0] == "lbrack":
-                idx = self.seq_suffix(pos)
-                binders.append(meta.SeqBinder(name, idx))
-            else:
-                binders.append(meta.SingleBinder(name))
-        if not binders:
-            self.fail("expected at least one binder")
-        self.expect("dot")
-        body = self.meta_term()
-        return meta.MLam(binders, body)
-
-    def meta_app(self):
-        from . import meta
-
-        head = self.meta_atom()
-        args = []
-        while self.peek()[0] in _ATOM_STARTERS:
-            if self.peek()[0] == "lambda":
-                args.append(meta.Plain(self.meta_lam()))
-                continue
-            piece = self.meta_atom()
-            if isinstance(piece, meta.Splice):
-                args.append(piece)
-            else:
-                args.append(meta.Plain(piece))
-        if not args:
-            return head
-        return meta.MApp(head, args)
-
-    def meta_atom(self):
-        from . import meta
-
-        kind, text, pos = self.peek()
-        if kind == "lident":
-            self.next()
-            if self.peek()[0] == "lbrack":
-                self.seq_suffix(pos)
-                return meta.Splice(text)
-            return meta.MVar(text)
-        if kind == "uident":
-            self.next()
-            return meta.MConst(text)
-        if kind == "hashnum":
-            self.next()
-            return meta.church_meta(int(text[1:]))
-        if kind == "lparen":
-            self.next()
-            t = self.meta_term()
-            self.expect("rparen")
-            if isinstance(t, meta.Splice):
-                # a parenthesized splice is the chain as a grouped term
-                t = meta.MApp(t, [])
-            return t
-        if kind == "lambda":
-            return self.meta_lam()
-        self.fail(f"expected a meta-term, found {text!r}")
+def _group_splice_spine(t):
+    """A parenthesized spine of bare splices is one term, I at n = 0, not
+    nothing: group its head.  None when t is no such spine."""
+    if t.__class__ is Splice:
+        return None if t.grouped else grouped(t)
+    if t.__class__ is App and t.arg.__class__ is Splice and not t.arg.grouped:
+        fun = _group_splice_spine(t.fun)
+        return None if fun is None else App(fun, t.arg)
+    return None
 
 
 def parse(source: str, env=None) -> Term:
@@ -253,15 +218,14 @@ def parse(source: str, env=None) -> Term:
     return t
 
 
-def parse_meta(source: str):
+def parse_meta(source: str) -> Term:
     """Parse a meta-term with sequence binders and splices."""
-    from . import meta
-
-    p = _Parser(tokenize(source))
-    m = p.meta_term()
+    p = _Parser(tokenize(source), meta=True)
+    t = p.term()
     p.expect("eof")
-    meta.validate(m)
-    return m
+    if p.unknown is not None:
+        raise UnknownSequence(p.unknown)
+    return t
 
 
 def parse_definitions(text: str, env, source: str = "<string>"):

@@ -3,7 +3,8 @@
 Terms are immutable. Every node caches its free-variable set, its size and
 whether it mentions a named constant, so the reducer can skip substitution
 into subterms that do not mention the variable at all (the shared subterm is
-returned as-is).
+returned as-is).  Meta-terms (see ``meta``) are terms too: a sequence binder
+is a ``SeqBinder`` string and a splice a ``Splice`` leaf.
 """
 
 from __future__ import annotations
@@ -97,6 +98,49 @@ class Const(Term):
 
     def __repr__(self):
         return f"Const({self.name!r})"
+
+
+class SeqBinder(str):
+    """The binder of a sequence x[1..n] in a meta-term, used as a Lam binder.
+
+    As a string it reads ``x[1..n]``, which no variable name can equal, so the
+    free sets of Lam and App track where a sequence is in scope and occurs.
+    """
+
+    def __new__(cls, name: str, index: str):
+        self = super().__new__(cls, f"{name}[1..{index}]")
+        self.name = name
+        self.index = index
+        return self
+
+    def __repr__(self):
+        return f"SeqBinder({self.name!r}, {self.index!r})"
+
+
+class Splice(Term):
+    """A sequence x[1..n] spliced into a meta-term as the chain x1 ... xn.
+
+    In argument position an ungrouped splice is n arguments; a grouped one,
+    ``(x[1..n])``, is one argument, the chain (I at n = 0).
+    """
+
+    __slots__ = ("binder", "grouped", "free", "size", "has_const")
+    __match_args__ = ("binder", "grouped")
+
+    def __init__(self, binder: SeqBinder, grouped: bool = False):
+        self.binder = binder
+        self.grouped = grouped
+        self.free = frozenset((binder,))
+        self.size = 1
+        self.has_const = False
+
+    def __repr__(self):
+        return f"Splice({self.binder!r}{', grouped=True' if self.grouped else ''})"
+
+
+def grouped(t: Term) -> Term:
+    """t as one argument: a bare splice becomes grouped, anything else stays."""
+    return Splice(t.binder, True) if t.__class__ is Splice else t
 
 
 def apply(fun: Term, *args: Term) -> Term:

@@ -128,8 +128,10 @@ def _check_law_entry(name, max_n, cfg, env):
 
 
 def _check_makex_entry(name, max_n, cfg, env):
+    # the basis constants, cycled so that every arity gets n terms
     pool = [Const(c) for c in ("K", "S", "B", "C", "I")]
-    return [case for n in range(2, max(max_n, 2) + 1) for case in check_makex(n, pool[:n], cfg, env)]
+    return [case for n in range(2, max(max_n, 2) + 1)
+            for case in check_makex(n, [pool[i % len(pool)] for i in range(n)], cfg, env)]
 
 
 def _check_observational_entry(name, max_n, cfg, env):

@@ -4,7 +4,6 @@ from varlam import meta
 from varlam.bracket import (
     BUILTIN_META_NAMES,
     MixedSequenceUse,
-    extended,
     extended_bound,
     turner,
 )
@@ -59,16 +58,16 @@ def test_turner_purity_and_soundness(env):
 def test_extended_goldens():
     d = parse_meta(r"\x[1..n]. x[1..n] (x[1..n])")
     assert print_term(extended_bound(d)) == r"\n.VarS n (VarI n) (VarI n)"
-    assert print_term(extended(parse_meta(r"\x[1..n]. x[1..n]"))) == "VarI n"
-    assert print_term(extended(parse_meta(r"\x[1..n]. y"))) == "VarK n y"
-    assert print_term(extended(parse_meta(r"\p q x[1..n]. p x[1..n] (q x[1..n])"))) == "VarS n"
-    assert print_term(extended(parse_meta(r"\p q x[1..n]. p (q x[1..n])"))) == "VarB n"
-    assert print_term(extended(parse_meta(r"\p q x[1..n]. p x[1..n] q"))) == "VarC n"
-    assert print_term(extended(parse_meta(r"\p x[1..n]. p"))) == "VarK n"
+    assert print_term(turner(parse_meta(r"\x[1..n]. x[1..n]"))) == "VarI n"
+    assert print_term(turner(parse_meta(r"\x[1..n]. y"))) == "VarK n y"
+    assert print_term(turner(parse_meta(r"\p q x[1..n]. p x[1..n] (q x[1..n])"))) == "VarS n"
+    assert print_term(turner(parse_meta(r"\p q x[1..n]. p (q x[1..n])"))) == "VarB n"
+    assert print_term(turner(parse_meta(r"\p q x[1..n]. p x[1..n] q"))) == "VarC n"
+    assert print_term(turner(parse_meta(r"\p x[1..n]. p"))) == "VarK n"
 
 
 def test_extended_sequence_eta():
-    assert print_term(extended(parse_meta(r"\x[1..n]. f x[1..n]"))) == "f"
+    assert print_term(turner(parse_meta(r"\x[1..n]. f x[1..n]"))) == "f"
 
 
 def test_extended_soundness_builtins(env):
@@ -87,9 +86,18 @@ def test_extended_soundness_parsed_shapes(env):
         r"\a x[1..n]. a x[1..n] (a x[1..n])",
         r"\x[1..n]. y (z x[1..n])",
     ]
-    for src in sources:
+    # a splice that a rule moves into argument position stays one argument
+    pinned = {
+        r"\x[1..n] y[1..n]. x[1..n] (y[1..n])": r"\n.VarC n (VarB n (VarB n) (VarI n)) (VarI n)",
+        r"\x[1..n]. \y. x[1..n]": r"\n.VarB n K (VarI n)",
+        r"\p x[1..n]. (\y. x[1..n]) p": r"\n.VarC n (VarB n K (VarI n))",
+        r"\g y[1..n] x. g x (y[1..n] x)": r"\n.C (B (VarB n) S) (VarI n)",
+    }
+    for src in sources + list(pinned):
         m = parse_meta(src)
         bound = extended_bound(m)
+        if src in pinned:
+            assert print_term(bound) == pinned[src]
         for n in range(4):
             verdict = beta_eta_equal(App(bound, church(n)), meta.expand(m, n), env)
             assert verdict is Verdict.EQUAL, (src, n)
@@ -99,7 +107,7 @@ def test_extended_mixed_sequence_use():
     # a single binder cannot be abstracted over a spine ending in the
     # sequence: the n trailing arguments are not one term
     with pytest.raises(MixedSequenceUse):
-        extended(parse_meta(r"\x[1..n] s. s x[1..n]"))
+        turner(parse_meta(r"\x[1..n] s. s x[1..n]"))
 
 
 def test_size_observation_rows(env):

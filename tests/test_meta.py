@@ -1,48 +1,50 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import varlam
 from varlam import meta
 from varlam import church as church_mod
 from varlam.church import church
 from varlam.engine import ReductionConfig, Status, Verdict, beta_eta_equal, normalize
 from varlam.meta import (
-    FamilyInstance,
     IndexOutOfRange,
-    MApp,
-    MLam,
-    MVar,
-    Plain,
-    SeqBinder,
-    SingleBinder,
-    Splice,
     UnknownFamily,
     UnknownSequence,
     build,
     expand,
-    family,
 )
-from varlam.syntax import ParseError, parse, parse_meta
-from varlam.terms import alpha_eq, apply, free_vars, lams
+from varlam.syntax import ParseError, parse, parse_meta, print_term
+from varlam.terms import App, Lam, SeqBinder, Splice, Var, alpha_eq, apply, free_vars, lams
 
 
 def test_parse_meta_tuple_maker():
     m = parse_meta(r"\x[1..n] s. s x[1..n]")
-    assert m == MLam(
-        [SeqBinder("x", "n"), SingleBinder("s")],
-        MApp(MVar("s"), [Splice("x")]),
-    )
+    x = SeqBinder("x", "n")
+    assert repr(m) == repr(Lam(x, Lam("s", App(Var("s"), Splice(x)))))
+    assert m.free == frozenset()  # the sequence binder binds the splice
 
 
 def test_parse_meta_const_family():
     m = parse_meta(r"\p x[1..n]. p")
-    assert m == MLam([SingleBinder("p"), SeqBinder("x", "n")], MVar("p"))
+    assert repr(m) == repr(Lam("p", Lam(SeqBinder("x", "n"), Var("p"))))
 
 
 def test_parse_meta_self_apply():
     m = parse_meta(r"\x[1..n]. x[1..n] (x[1..n])")
-    assert m == MLam(
-        [SeqBinder("x", "n")],
-        MApp(Splice("x"), [Plain(MApp(Splice("x"), []))]),
-    )
+    x = SeqBinder("x", "n")
+    assert repr(m) == repr(Lam(x, App(Splice(x), Splice(x, grouped=True))))
+
+
+def test_import_varlam_leaves_meta_unloaded():
+    # parse_meta needs only the kernel; the family registry loads on demand
+    code = "import sys, varlam; varlam.parse_meta(r'\\x[1..n]. x[1..n]'); print(sorted(sys.modules))"
+    src = str(Path(varlam.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert "'varlam.syntax'" in out and "'varlam.meta'" not in out
 
 
 def test_parse_meta_rejects_bad_sequences():
@@ -52,6 +54,8 @@ def test_parse_meta_rejects_bad_sequences():
         parse_meta(r"\x[1..n] y[1..m]. x[1..n]")  # a second index variable
     with pytest.raises(UnknownSequence):
         parse_meta(r"\y. x[1..n]")  # splice of a sequence not in scope
+    with pytest.raises(UnknownSequence):
+        parse_meta(r"\x[1..n] x. x[1..n]")  # the single binder x shadows the sequence
 
 
 def test_expand_examples():
@@ -62,6 +66,13 @@ def test_expand_examples():
     d = parse_meta(r"\x[1..n]. x[1..n] (x[1..n])")
     assert alpha_eq(expand(d, 1), parse(r"\x. x x"))
     assert alpha_eq(expand(d, 2), parse(r"\x1 x2. x1 x2 (x1 x2)"))
+    # the variable x is not the sequence x[1..n]
+    assert alpha_eq(expand(parse_meta(r"\x[1..n]. x x[1..n]"), 2), parse(r"\x1 x2. x x1 x2"))
+    # a parenthesized spine of splices alone is one term, I at n = 0; a bare
+    # splice in head position spreads into no arguments
+    assert print_term(expand(parse_meta(r"\q x[1..n]. (x[1..n] x[1..n]) q"), 0)) == r"\q.(\u.u) q"
+    assert print_term(expand(parse_meta(r"\q x[1..n]. (x[1..n]) q"), 0)) == r"\q.(\u.u) q"
+    assert print_term(expand(parse_meta(r"\q x[1..n]. x[1..n] q"), 0)) == r"\q.q"
 
 
 def test_expand_closed():
@@ -97,7 +108,7 @@ def test_family_fixed_point_shapes():
 def test_family_errors():
     assert IndexOutOfRange is church_mod.IndexOutOfRange  # one class for every index error
     with pytest.raises(UnknownFamily):
-        family(FamilyInstance("nope", 2))
+        build("nope", 2)
     with pytest.raises(IndexOutOfRange):
         build("sel", 3, 0)
     with pytest.raises(IndexOutOfRange):

@@ -129,6 +129,13 @@ def test_makex_non_combinator_terms(env):
     assert all_ok(cases)
 
 
+def test_makex_entry_beyond_the_basis(env):
+    # arity 6 packs more terms than the five basis constants: the pool cycles
+    cases = variadic.check_entry("VarMakeX", 6, CFG, env)
+    assert [c.name for c in cases if c.name.startswith("n=6 ")] == [f"n=6 recover E{k}" for k in range(1, 7)]
+    assert all_ok(cases)
+
+
 def test_makex_validates_arguments(env):
     with pytest.raises(ValueError):
         variadic.check_makex(1, [Const("K")], CFG, env)
