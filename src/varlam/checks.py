@@ -194,7 +194,7 @@ def suite_fixpoint(max_n: int = 3, cfg: ReductionConfig = DEFAULT_CONFIG, env=No
     cases = []
     for name in variadic.OBSERVATIONAL:
         cases.extend(variadic.check_entry(name, max_n, cfg, env))
-    cases.extend(variadic.check_boehm(min(max_n, 3), cfg=cfg, env=env))
+    cases.extend(variadic.check_boehm(max_n, cfg=cfg, env=env))
     return cases
 
 

@@ -13,7 +13,8 @@ Expressions come from -e, from a file argument, or from stdin.  When a term
 is certified to have no normal form, or the fuel or size limit stops the
 reducer, normalize, bracket --n and unchurch print "<status> after N steps"
 (no-normal-form, fuel-exhausted or size-exceeded) on stderr and exit 2; the
-REPL prints the same line and reads on.  The env var
+REPL prints the same line and reads on.  A term nested too deeply for the
+recursive kernel is an error ("term too deep"), not a verdict.  The env var
 VARLAM_PRELUDE may point to a directory with alternate prelude.lam /
 variadic.lam files.
 """
@@ -45,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def natural(text: str) -> int:
-    """argparse type of the limits: an int of at least 0."""
+    """argparse type of the limits and indices: an int of at least 0."""
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0: {n}")
@@ -86,16 +87,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bracket", help="bracket-abstract into the combinator basis")
     _add_common(p)
     p.add_argument("--algo", choices=("turner", "variadic"), default="turner")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=natural, default=None,
                    help="variadic only: instantiate at this index and normalize")
 
     p = sub.add_parser("expand", help="expand a meta-term at a concrete index")
     _add_common(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=natural, required=True)
     p.add_argument("--sugar", action="store_true")
 
     p = sub.add_parser("church", help="print the n-th Church numeral")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=natural)
 
     p = sub.add_parser("unchurch", help="print the natural a term denotes")
     _add_common(p)
@@ -148,8 +149,11 @@ def main(argv=None) -> int:
     try:
         return _dispatch(args)
     except LambdaError as exc:
-        print(f"varlam: {exc}", file=sys.stderr)
-        return EQ_ERROR if args.command == "eq" else 1
+        message = str(exc)
+    except RecursionError:
+        message = "term too deep for the recursion limit"
+    print(f"varlam: {message}", file=sys.stderr)
+    return EQ_ERROR if args.command == "eq" else 1
 
 
 def _dispatch(args) -> int:

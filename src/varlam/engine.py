@@ -9,6 +9,10 @@ is alpha-equal to an argument it is still normalizing (see ``_beta_normalize``).
 ``trace`` is an independent, deliberately naive implementation of the same
 strategy (one global leftmost-outermost step at a time); the test suite holds
 the two implementations to the same answers.
+
+``reduces_to`` decides reachability M ->> N by standardization: it follows
+weak-head chains on the same named terms, with ``substitute`` and
+``alpha_eq``, and never branches over all redexes.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .terms import App, Lam, Term, UnexpandedConstant, Var, alpha_eq, expand_consts, substitute
+from .terms import App, Lam, Term, UnexpandedConstant, Var, alpha_eq, expand_consts, fresh_name, substitute
 from .terms import _first_const
 
 
@@ -213,31 +217,14 @@ def beta_eta_equal(a: Term, b: Term, env=None, cfg: ReductionConfig = DEFAULT_CO
     return Verdict.EQUAL
 
 
-def one_step_reducts(t: Term) -> list[Term]:
-    """All single-step beta-reducts of t (every redex position)."""
-    out = []
-    cls = t.__class__
-    if cls is App:
-        if t.fun.__class__ is Lam:
-            out.append(substitute(t.fun.body, t.fun.binder, t.arg))
-        for s in one_step_reducts(t.fun):
-            out.append(App(s, t.arg))
-        for s in one_step_reducts(t.arg):
-            out.append(App(t.fun, s))
-    elif cls is Lam:
-        for s in one_step_reducts(t.body):
-            out.append(Lam(t.binder, s))
-    return out
-
-
 @dataclass
 class ReachResult:
-    """Outcome of a bounded reachability search in the beta-reduction graph.
+    """Outcome of a bounded standard-reduction search (see ``reduces_to``).
 
-    found        -- a term alpha-equal to the target was visited
-    inconclusive -- a cap was hit before the graph was exhausted
-    explored     -- number of distinct terms visited
-    generated    -- one-step reducts generated, summed over the terms expanded
+    found        -- the target is reached
+    inconclusive -- not found, and a cap was hit somewhere in the search
+    explored     -- (term, target) pairs searched
+    generated    -- weak-head steps taken, summed over all chains
     """
 
     found: bool
@@ -249,170 +236,81 @@ class ReachResult:
         return self.found
 
 
-# Key tags of the nodes of a _DeBruijnTable.
-_BOUND, _FREE, _ABS, _APPL = range(4)
-
-
-class _DeBruijnTable:
-    """Hash-consed nameless terms for one reachability search.
-
-    A node is an int id.  Bound variables are de Bruijn indices and free
-    variables keep their names, so alpha-equal terms get the same key and
-    hence the same id.  ``loose[i]`` is one more than the highest loose index
-    of node i (0 if it has none): shifting and substitution return a subterm
-    whose loose indices all lie below the cutoff untouched.  Reducts are cached
-    per id for the life of the table.
-    """
-
-    def __init__(self):
-        self.ids: dict = {}
-        # id -> key: (_BOUND, index) | (_FREE, name) | (_ABS, body) | (_APPL, fun, arg)
-        self.nodes: list = []
-        self.loose: list[int] = []
-        self._reducts: dict[int, list[int]] = {}
-
-    def _node(self, key: tuple, loose: int) -> int:
-        i = self.ids.get(key)
-        if i is None:
-            i = self.ids[key] = len(self.nodes)
-            self.nodes.append(key)
-            self.loose.append(loose)
-        return i
-
-    def bound(self, index: int) -> int:
-        return self._node((_BOUND, index), index + 1)
-
-    def lam(self, body: int) -> int:
-        n = self.loose[body]
-        return self._node((_ABS, body), n - 1 if n else 0)
-
-    def app(self, fun: int, arg: int) -> int:
-        return self._node((_APPL, fun, arg), max(self.loose[fun], self.loose[arg]))
-
-    def intern(self, t: Term) -> int:
-        """Id of a constant-free named term."""
-        scope: dict[str, int] = {}  # binder name -> depth of its innermost binder
-
-        def go(u: Term, depth: int) -> int:
-            cls = u.__class__
-            if cls is Var:
-                level = scope.get(u.name)
-                if level is None:
-                    return self._node((_FREE, u.name), 0)
-                return self.bound(depth - 1 - level)
-            if cls is Lam:
-                outer = scope.get(u.binder)
-                scope[u.binder] = depth
-                body = go(u.body, depth + 1)
-                if outer is None:
-                    del scope[u.binder]
-                else:
-                    scope[u.binder] = outer
-                return self.lam(body)
-            return self.app(go(u.fun, depth), go(u.arg, depth))
-
-        return go(t, 0)
-
-    def contract(self, body: int, arg: int) -> int:
-        """Id of the reduct of the redex (lam. body) arg."""
-        nodes, loose = self.nodes, self.loose
-        shifted: dict = {}
-        substituted: dict = {}
-
-        def shift(t: int, by: int, cutoff: int) -> int:
-            if loose[t] <= cutoff:
-                return t
-            memo = (t, by, cutoff)
-            done = shifted.get(memo)
-            if done is None:
-                key = nodes[t]
-                tag = key[0]
-                if tag == _BOUND:
-                    done = self.bound(key[1] + by)
-                elif tag == _ABS:
-                    done = self.lam(shift(key[1], by, cutoff + 1))
-                else:
-                    done = self.app(shift(key[1], by, cutoff), shift(key[2], by, cutoff))
-                shifted[memo] = done
-            return done
-
-        def subst(t: int, depth: int) -> int:
-            # index `depth` becomes arg (shifted under `depth` binders);
-            # the indices above it lose the binder being contracted
-            if loose[t] <= depth:
-                return t
-            memo = (t, depth)
-            done = substituted.get(memo)
-            if done is None:
-                key = nodes[t]
-                tag = key[0]
-                if tag == _BOUND:
-                    done = shift(arg, depth, 0) if key[1] == depth else self.bound(key[1] - 1)
-                elif tag == _ABS:
-                    done = self.lam(subst(key[1], depth + 1))
-                else:
-                    done = self.app(subst(key[1], depth), subst(key[2], depth))
-                substituted[memo] = done
-            return done
-
-        return subst(body, 0)
-
-    def reducts(self, t: int) -> list[int]:
-        """Ids of the one-step reducts of node t, in ``one_step_reducts`` order."""
-        out = self._reducts.get(t)
-        if out is not None:
-            return out
-        key = self.nodes[t]
-        tag = key[0]
-        if tag == _ABS:
-            out = [self.lam(s) for s in self.reducts(key[1])]
-        elif tag == _APPL:
-            _, f, x = key
-            fun = self.nodes[f]
-            out = [self.contract(fun[1], x)] if fun[0] == _ABS else []
-            out += [self.app(s, x) for s in self.reducts(f)]
-            out += [self.app(f, s) for s in self.reducts(x)]
-        else:
-            out = []
-        self._reducts[t] = out
-        return out
+def _weak_head_step(t: Term):
+    """(reduct, contracted at the top) of t's weak-head redex; None at whnf."""
+    args = []
+    while t.__class__ is App:
+        args.append(t.arg)
+        t = t.fun
+    if t.__class__ is not Lam or not args:
+        return None
+    t = substitute(t.body, t.binder, args.pop())
+    top = not args
+    while args:
+        t = App(t, args.pop())
+    return t, top
 
 
 def reduces_to(a: Term, target: Term, env=None, node_cap: int = 100_000, depth_cap: int = 200) -> ReachResult:
-    """Breadth-first search: does a reduce (in any order) to the target?
+    """Does a reduce (in any order) to the target, up to alpha?
 
-    Terms are compared up to alpha through the ids of a table that lives only
-    for this call.
+    By standardization, m ->> n iff m weak-head reduces to a term with n's top
+    constructor whose parts reduce to n's parts.  So each (term, target) pair
+    follows one weak-head chain, and matches its terms against the target at
+    the start and after each contraction at the top: a match after a step
+    inside the function part is already implied by the match before it.
+    Every part searched is a proper subterm of the target, so no pair is
+    revisited while it is in progress.  A chain ends at a weak-head normal
+    form or at a term alpha-equal to an earlier one of the chain (its matches
+    repeat from there); ``depth_cap`` weak-head steps end it inconclusively,
+    as do ``node_cap`` pairs the whole search.
     """
     a = _prepare(a, env)
     target = _prepare(target, env)
-    table = _DeBruijnTable()
-    start = table.intern(a)
-    goal = table.intern(target)
-    if start == goal:
-        return ReachResult(True, explored=1)
-    seen = {start}
-    frontier = [start]
-    capped = False
-    generated = 0
-    for _ in range(depth_cap):
-        if not frontier:
-            return ReachResult(False, inconclusive=capped, explored=len(seen), generated=generated)
-        nxt = []
-        for t in frontier:
-            reducts = table.reducts(t)
-            generated += len(reducts)
-            for r in reducts:
-                if r in seen:
-                    continue
-                if r == goal:
-                    return ReachResult(True, explored=len(seen) + 1, generated=generated)
-                if len(seen) >= node_cap:
-                    capped = True
-                    continue
-                seen.add(r)
-                nxt.append(r)
-        frontier = nxt
-    return ReachResult(False, inconclusive=capped or bool(frontier), explored=len(seen),
-                       generated=generated)
+    res = ReachResult(False)
 
+    def reach(m: Term, n: Term) -> bool:
+        if res.explored >= node_cap:
+            res.inconclusive = True
+            return False
+        res.explored += 1
+        seen: dict[int, list[Term]] = {}  # size -> chain terms of that size
+        match = True
+        for steps in range(depth_cap + 1):
+            if match:
+                if alpha_eq(m, n):
+                    return True
+                cls = m.__class__
+                if cls is n.__class__:
+                    if cls is Lam:
+                        return reach(*_common_binder(m, n))
+                    if cls is App and reach(m.fun, n.fun) and reach(m.arg, n.arg):
+                        return True
+            same = seen.setdefault(m.size, [])
+            if any(alpha_eq(m, s) for s in same):
+                return False
+            same.append(m)
+            step = _weak_head_step(m)
+            if step is None:
+                return False
+            if steps == depth_cap:
+                res.inconclusive = True
+                return False
+            m, match = step
+            res.generated += 1
+
+    res.found = reach(a, target)
+    if res.found:
+        res.inconclusive = False
+    return res
+
+
+def _common_binder(m: Lam, n: Lam) -> tuple[Term, Term]:
+    """The bodies of m and n with both binders renamed to one name."""
+    x, y = m.binder, n.binder
+    if x == y:
+        return m.body, n.body
+    if y not in m.free:
+        return substitute(m.body, x, Var(y)), n.body
+    z = Var(fresh_name(y, m.body.free | n.body.free))
+    return substitute(m.body, x, z), substitute(n.body, y, z)

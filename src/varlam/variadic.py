@@ -73,9 +73,6 @@ LAW_ENTRIES = (*_LAWS, "VarMakeX")
 _OBSERVED = {"VarPhi": "ycurry", "VarPsi": "yturing", "Ystar": None, "YstarCurried": None}
 OBSERVATIONAL = tuple(_OBSERVED)
 
-# Fuel for the does-it-normalize-after-all probe on observational entries.
-_UPGRADE_FUEL = 20_000
-
 
 @dataclass
 class VariadicEntry:
@@ -172,13 +169,12 @@ def _upgrade_probe(name, max_n, cfg, env):
     compare them directly (the observational classification is then moot).
     Otherwise both sides must be certified to have no normal form."""
     fam = _OBSERVED[name]
-    probe_cfg = ReductionConfig(fuel=_UPGRADE_FUEL, max_term_size=cfg.max_term_size, eta=cfg.eta)
     cases = []
     uncertified = []
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
-            ra = normalize(apply(Const(name), church(k), church(n)), env, probe_cfg)
-            rb = normalize(meta.build(fam, n, k), env, probe_cfg)
+            ra = normalize(apply(Const(name), church(k), church(n)), env, cfg)
+            rb = normalize(meta.build(fam, n, k), env, cfg)
             if ra.status is Status.NORMAL_FORM and rb.status is Status.NORMAL_FORM:
                 ok = alpha_eq(ra.result, rb.result)
                 cases.append(
@@ -193,10 +189,8 @@ def _upgrade_probe(name, max_n, cfg, env):
         cases.append(CaseResult(name, "no-normal-form probe", False,
                                 "not certified: " + ", ".join(uncertified)))
     elif not cases:
-        cases.append(
-            CaseResult(name, "no-normal-form probe", True,
-                       f"no instance normalized within {_UPGRADE_FUEL} steps; observational checks apply")
-        )
+        cases.append(CaseResult(name, "no-normal-form probe", True,
+                                "every instance certified to have no normal form; observational checks apply"))
     return cases
 
 
@@ -249,8 +243,10 @@ def check_boehm(max_n: int = 2, node_cap: int = 100_000, depth_cap: int = 200,
 
     (a) VarM c_1 c_1 normalizes to nf(S I); (b) VarM agrees with its family;
     (c) at the concrete family level the Curry combinators applied to the
-    step terms reduce (in the ->> sense) to the Turing ones; (d) the
-    arity-generic counterpart holds observationally.
+    step terms reduce (in the ->> sense) to the Turing ones, found by the
+    standard-reduction search of ``reduces_to``; (d) the arity-generic
+    counterpart holds observationally (the chain probe).  (b), (c) and (d)
+    are checked at every 1 <= k <= n <= max_n.
     """
     env = env if env is not None else standard_env()
     cases = [_eq_case("boehm", "VarM 1 1 = S I", apply(Const("VarM"), church(1), church(1)),
@@ -260,17 +256,17 @@ def check_boehm(max_n: int = 2, node_cap: int = 100_000, depth_cap: int = 200,
             lhs = apply(Const("VarM"), church(k), church(n))
             cases.append(_eq_case("boehm", f"VarM vs family k={k} n={n}", lhs,
                                   meta.build("boehm", n, k), env, cfg))
-    for n in range(1, min(max_n, 2) + 1):
+    for n in range(1, max_n + 1):
         steps = [meta.build("boehm", n, j) for j in range(1, n + 1)]
         for k in range(1, n + 1):
             lhs = apply(meta.build("ycurry", n, k), *steps)
             res = reduces_to(lhs, meta.build("yturing", n, k), env, node_cap, depth_cap)
-            detail = f"explored {res.explored} terms"
+            detail = f"explored {res.explored} pairs"
             if res.inconclusive:
                 detail += " (cap hit: inconclusive)"
             cases.append(CaseResult("boehm", f"reduces-to k={k} n={n}", res.found, detail,
                                     inconclusive=res.inconclusive))
-    for n in range(1, min(max_n, 2) + 1):
+    for n in range(1, max_n + 1):
         gens = _probe_generators(n)
         msteps = [apply(Const("VarM"), church(j), church(n)) for j in range(1, n + 1)]
         for k in range(1, n + 1):

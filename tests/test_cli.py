@@ -124,13 +124,30 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 64
 
 
-@pytest.mark.parametrize("flag", ["--max-n", "--max-steps", "--max-size"])
-def test_negative_limits_are_usage_errors(capsys, flag):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["check", "--suite", "variadic", flag, "-1"], id=flag)
+    for flag in ("--max-n", "--max-steps", "--max-size")
+] + [
+    pytest.param(["expand", "--n", "-1", "-e", r"\x[1..n]. x[1..n]"], id="expand --n"),
+    pytest.param(["bracket", "--algo", "variadic", "--n", "-1", "-e", r"\x[1..n]. x[1..n]"],
+                 id="bracket --n"),
+    pytest.param(["church", "--", "-1"], id="church"),
+])
+def test_negative_limits_are_usage_errors(capsys, argv):
     # a negative --max-n would check no case and still print PASS
     with pytest.raises(SystemExit) as exc:
-        main(["check", "--suite", "variadic", flag, "-1"])
+        main(argv)
     assert exc.value.code == 64
     assert "must be at least 0" in capsys.readouterr().err
+
+
+def test_too_deep_term_is_an_error(capsys):
+    # the recursion limit is an error, never eq's NOT-EQUAL (exit 1)
+    code, out, err = run(capsys, "eq", "#25000", "#25000")
+    assert code == 3 and out == ""
+    assert err.strip() == "varlam: term too deep for the recursion limit"
+    code, out, err = run(capsys, "church", "25000")
+    assert code == 1 and out == "" and "term too deep" in err
 
 
 def test_no_prelude(capsys):

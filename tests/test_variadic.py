@@ -161,16 +161,22 @@ def test_check_entry_unknown_name(env):
         variadic.check_entry("NotAnEntry", 1, CFG, env)
 
 
-def test_upgrade_probe_needs_certificates(env, monkeypatch):
+def test_upgrade_probe_needs_certificates(env):
     # every instance is certified well within the probe's fuel
     cases = variadic._upgrade_probe("VarPhi", 2, CFG, env)
     assert [(c.name, c.ok) for c in cases] == [("no-normal-form probe", True)]
     # a fuel stop no longer passes for "no normal form": VarPhi c_1 c_1 needs
     # 551 steps, ycurry(1, 1) only 2
-    monkeypatch.setattr(variadic, "_UPGRADE_FUEL", 100)
-    cases = variadic._upgrade_probe("VarPhi", 1, CFG, env)
+    cases = variadic._upgrade_probe("VarPhi", 1, ReductionConfig(fuel=100), env)
     assert [(c.name, c.ok) for c in cases] == [("no-normal-form probe", False)]
     assert cases[0].detail == "not certified: VarPhi k=1 n=1 fuel-exhausted"
+
+
+def test_upgrade_probe_uses_the_callers_fuel(env):
+    # VarPhi c_1 c_6 is certified after 39,836 steps, VarPsi c_1 c_6 after 35,709
+    for name in ("VarPhi", "VarPsi"):
+        cases = variadic._upgrade_probe(name, 6, CFG, env)
+        assert [(c.name, c.ok) for c in cases] == [("no-normal-form probe", True)]
 
 
 def test_eq_case_names_the_stop(env):
