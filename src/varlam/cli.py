@@ -37,6 +37,7 @@ from .terms import App, LambdaError
 
 USAGE_ERROR = 64
 EQ_ERROR = 3  # eq's 1 means NOT-EQUAL, so its errors need a code of their own
+TOO_DEEP = "term too deep for the recursion limit"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,7 +152,7 @@ def main(argv=None) -> int:
     except LambdaError as exc:
         message = str(exc)
     except RecursionError:
-        message = "term too deep for the recursion limit"
+        message = TOO_DEEP
     print(f"varlam: {message}", file=sys.stderr)
     return EQ_ERROR if args.command == "eq" else 1
 
@@ -261,6 +262,8 @@ def _repl(env, cfg) -> int:
                 print(print_term(outcome.result, sugar=True))
         except LambdaError as exc:
             print(f"varlam: {exc}", file=sys.stderr)
+        except RecursionError:
+            print(f"varlam: {TOO_DEEP}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,11 @@
 
 ``normalize`` contracts the leftmost-outermost beta-redex until no redex
 remains, then (by default) erases eta-redexes in a single uncounted post-pass,
-yielding a canonical beta-eta-normal form.  Fuel counts beta-steps only.  It
-stops early with ``NO_NORMAL_FORM`` when an argument it starts to normalize
-is alpha-equal to an argument it is still normalizing (see ``_beta_normalize``).
+yielding a canonical beta-eta-normal form.  Fuel counts beta-steps only: an
+App reached again replays the weak-head reduct recorded in ``App.whnf`` and
+adds the steps it took, so the count is normal order's.  It stops early
+with ``NO_NORMAL_FORM`` when an argument it starts to normalize is
+alpha-equal to an argument it is still normalizing (see ``_beta_normalize``).
 
 ``trace`` is an independent, deliberately naive implementation of the same
 strategy (one global leftmost-outermost step at a time); the test suite holds
@@ -72,6 +74,7 @@ def normalize(t: Term, env=None, cfg: ReductionConfig = DEFAULT_CONFIG) -> Reduc
 
 
 _FUN, _ARGDONE, _LAM = 0, 1, 2
+_CHAIN = 4  # pending Apps per stack depth, each a reduct of the one before
 
 
 def _beta_normalize(t: Term, fuel: int, max_size: int):
@@ -83,10 +86,27 @@ def _beta_normalize(t: Term, fuel: int, max_size: int):
     that start until its ``_ARGDONE`` frame is popped.  If N is alpha-equal to
     an open argument M, NF(M) would contain NF(N) = NF(M) as a proper subterm,
     so neither has a normal form: the regress is certified ``NO_NORMAL_FORM``.
+
+    Weak-head reducts are shared (Wadsworth's graph reduction, on the named
+    terms): an App M entered at stack depth d is pending until its reduct is
+    a lambda at depth d, when M.whnf records that lambda, the steps taken and
+    the peak of M's reduct sizes; a variable head drops every pending App.
+    M's weak-head reduction neither depends on its context nor starts an
+    argument, so reaching M again (a copy of a duplicated argument) adds the
+    recorded steps and resumes at the lambda, unless fuel or size would run
+    out on the way: then M is reduced for real, to stop where normal order
+    does.  Steps, stops and results are normal order's.  Not recorded: a
+    reduct substitute has just built, which nothing else can reach, and an
+    App at a depth that already has ``_CHAIN`` pending (a head loop would
+    otherwise keep one App per step).
     """
     stack: list = []
     open_args: dict[int, list[Term]] = {}  # size -> open arguments of that size
     open_sizes: list[int] = []  # sizes of the open arguments, innermost last
+    pending: list = []  # [App, depth, steps, context size, peak], innermost last
+    top = -1  # stack depth of the innermost pending App
+    peak = 0  # largest total since the innermost pending App was entered
+    built = None  # the reduct substitute has just built: nothing else holds it
     total = t.size
     steps = 0
     down = True
@@ -94,23 +114,60 @@ def _beta_normalize(t: Term, fuel: int, max_size: int):
         cls = t.__class__
         if down:
             if cls is App:
+                shared = t.whnf
+                if shared is None:
+                    depth = len(stack)
+                    if t is not built and (len(pending) < _CHAIN or pending[-_CHAIN][1] != depth):
+                        if pending:
+                            pending[-1][4] = peak
+                        pending.append([t, depth, steps, total - t.size, 0])
+                        top = depth
+                        peak = total
+                else:
+                    lam, k, rise = shared
+                    context = total - t.size
+                    if steps + k <= fuel and context + rise <= max_size:
+                        steps += k
+                        total = context + lam.size
+                        if context + rise > peak:
+                            peak = context + rise
+                        t = lam
+                        continue
                 stack.append((_FUN, t.arg))
                 t = t.fun
             elif cls is Lam:
+                depth = len(stack)
+                while top == depth:  # t is the weak-head normal form of these Apps
+                    node, _, start, context, _ = pending.pop()
+                    node.whnf = (t, steps - start, peak - context)
+                    if pending:
+                        below = pending[-1]
+                        top = below[1]
+                        if below[4] > peak:
+                            peak = below[4]
+                    else:
+                        top = -1
                 if stack and stack[-1][0] == _FUN:
                     if steps >= fuel:
                         return Status.FUEL_EXHAUSTED, _rebuild(t, stack), steps
                     _, arg = stack.pop()
                     total -= 1 + t.size + arg.size  # the redex App(t, arg)
-                    t = substitute(t.body, t.binder, arg)
+                    body = t.body
+                    t = substitute(body, t.binder, arg)
+                    built = t if t is not body and t is not arg else None
                     total += t.size
                     steps += 1
                     if total > max_size:
                         return Status.SIZE_EXCEEDED, _rebuild(t, stack), steps
+                    if total > peak:
+                        peak = total
                 else:
                     stack.append((_LAM, t.binder))
                     t = t.body
             else:
+                if pending:  # a variable head: no pending App reduces to a lambda
+                    pending.clear()
+                    top = -1
                 down = False
         else:
             if not stack:

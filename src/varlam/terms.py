@@ -3,8 +3,10 @@
 Terms are immutable. Every node caches its free-variable set, its size and
 whether it mentions a named constant, so the reducer can skip substitution
 into subterms that do not mention the variable at all (the shared subterm is
-returned as-is).  Meta-terms (see ``meta``) are terms too: a sequence binder
-is a ``SeqBinder`` string and a splice a ``Splice`` leaf.
+returned as-is).  An App also has one cache slot, ``whnf``, which the reducer
+fills with the lambda the App weak-head reduces to (see
+``engine._beta_normalize``).  Meta-terms (see ``meta``) are terms too: a
+sequence binder is a ``SeqBinder`` string and a splice a ``Splice`` leaf.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class Lam(Term):
 
 
 class App(Term):
-    __slots__ = ("fun", "arg", "free", "size", "has_const")
+    __slots__ = ("fun", "arg", "free", "size", "has_const", "whnf")
     __match_args__ = ("fun", "arg")
 
     def __init__(self, fun: Term, arg: Term):
@@ -79,6 +81,7 @@ class App(Term):
         self.free = fun.free | arg.free
         self.size = 1 + fun.size + arg.size
         self.has_const = fun.has_const or arg.has_const
+        self.whnf = None  # (lambda, beta-steps, peak size) once reduced; see engine
 
     def __repr__(self):
         return f"App({self.fun!r}, {self.arg!r})"

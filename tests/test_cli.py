@@ -200,3 +200,14 @@ def test_repl_session(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines() == ["#5", "EQUAL"]
+
+
+def test_repl_reads_on_after_a_too_deep_line(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("#25000\nK\n"))
+    code = main(["repl"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert err.strip() == "varlam: term too deep for the recursion limit"
+    assert out.splitlines() == [r"\x y.x"]

@@ -16,8 +16,9 @@ from varlam.engine import (
     step_once,
     trace,
 )
+from varlam import engine
 from varlam.meta import build
-from varlam.syntax import parse
+from varlam.syntax import parse, print_term
 from varlam.terms import App, Const, Lam, Term, Var, alpha_eq, apply, expand_consts, substitute
 
 OMEGA = r"(\x.x x) (\x.x x)"
@@ -399,16 +400,18 @@ mixed_terms = st.recursive(
 )
 
 
-def _reference_normal_form(t: Term, fuel: int, max_size: int):
-    """(normal form, steps) by step_once, the step of trace; None past fuel or size."""
+def _reference_run(t: Term, fuel: int, max_size: int):
+    """(term, steps, status) where normalize (eta off) must stop, by step_once,
+    the step of trace."""
     for steps in range(fuel + 1):
-        if t.size > max_size:
-            return None
+        if steps and t.size > max_size:
+            return t, steps, Status.SIZE_EXCEEDED
         nxt = step_once(t)
         if nxt is None:
-            return t, steps
+            return t, steps, Status.NORMAL_FORM
+        if steps == fuel:
+            return t, steps, Status.FUEL_EXHAUSTED
         t = nxt
-    return None
 
 
 @settings(max_examples=300)
@@ -416,10 +419,96 @@ def _reference_normal_form(t: Term, fuel: int, max_size: int):
 def test_certificate_never_fires_on_a_normalizing_term(t):
     fuel, max_size = 200, 2_000
     out = normalize(t, None, ReductionConfig(fuel=fuel, max_term_size=max_size, eta=False))
-    ref = _reference_normal_form(t, fuel, max_size)
-    if ref is not None:
+    ref, steps, status = _reference_run(t, fuel, max_size)
+    if status is Status.NORMAL_FORM:
         assert out.status is Status.NORMAL_FORM
-        assert out.steps == ref[1]
-        assert alpha_eq(out.result, ref[0])
+        assert out.steps == steps
+        assert alpha_eq(out.result, ref)
     else:
         assert out.status is not Status.NORMAL_FORM
+
+
+# Normal order copies these unevaluated arguments; normalize reduces each copy
+# once (App.whnf), trace contracts every copy.
+SHARING_TERMS = (
+    r"#6 (\x. Pair x x) I", "VarS #5", "VarTup #4", "Iota #4",
+    r"Catenate #2 (\z. z a1 a2) #2 (\z. z b1 b2)",
+)
+
+
+def _assert_stops_match_trace(t: Term):
+    """At every fuel cutoff and every size limit along t's trace, normalize
+    (eta off) and trace agree on status and steps, and the stopped term
+    prints the same, binder names included."""
+    steps = trace(t)
+    printed = [print_term(s) for s in steps]
+    sizes = [s.size for s in steps]
+    last = len(steps) - 1
+    for fuel in range(last + 1):
+        out = normalize(t, None, ReductionConfig(fuel=fuel, eta=False))
+        status = Status.NORMAL_FORM if fuel == last else Status.FUEL_EXHAUSTED
+        assert (out.status, out.steps) == (status, fuel), fuel
+        assert print_term(out.result) == printed[fuel], fuel
+    for limit in sorted(set(sizes)):
+        out = normalize(t, None, ReductionConfig(max_term_size=limit, eta=False))
+        first = next((k for k in range(1, last + 1) if sizes[k] > limit), None)
+        expected = (Status.NORMAL_FORM, last) if first is None else (Status.SIZE_EXCEEDED, first)
+        assert (out.status, out.steps) == expected, limit
+        assert print_term(out.result) == printed[out.steps], limit
+
+
+def test_shared_reducts_stop_where_trace_does(env):
+    for source in SHARING_TERMS:
+        t = expand_consts(parse(source, env), env)
+        normalize(t)  # the cutoffs below meet every reduct recorded here
+        _assert_stops_match_trace(t)
+
+
+def test_shared_reducts_keep_normal_order_counts(env, monkeypatch):
+    # VarS iterates a pair, so normal order reduces 2^n copies of it; each
+    # step is still counted, but far fewer substitutions are performed
+    # (substitute is counted where the reducer looks it up, as perfbench does)
+    contractions = 0
+    real = engine.substitute
+
+    def counting(*args):
+        nonlocal contractions
+        contractions += 1
+        return real(*args)
+
+    monkeypatch.setattr(engine, "substitute", counting)
+    for n, steps in ((6, 2639), (8, 10869)):
+        t = expand_consts(parse(f"VarS #{n}", env), env)
+        contractions = 0
+        out = normalize(t)
+        assert (out.status, out.steps) == (Status.NORMAL_FORM, steps)
+        assert contractions * 5 < steps, (n, contractions)
+        again = normalize(t)  # now every App on the way has its reduct recorded
+        assert (again.status, again.steps) == (out.status, out.steps)
+        assert print_term(again.result) == print_term(out.result)
+
+
+def test_replayed_reduct_raises_the_enclosing_peak():
+    # M swells before it shrinks to a lambda.  Recorded on its own first, M
+    # is replayed inside E = I M, so E's recorded peak must include M's: at a
+    # size limit below that peak, E reduces for real and stops where trace does.
+    m = parse(r"(\x. (\a b. b) (x x x x) (\y. y)) (\u. u u u)")
+    e = App(parse(r"\z. z"), m)
+    normalize(m)
+    normalize(e)
+    _assert_stops_match_trace(e)
+
+
+@settings(max_examples=300)
+@given(mixed_terms, st.integers(0, 60), st.integers(1, 300))
+def test_shared_reducts_match_trace_exactly(t, fuel, max_size):
+    normalize(t, None, ReductionConfig(fuel=200, max_term_size=2_000))  # record reducts first
+    out = normalize(t, None, ReductionConfig(fuel=fuel, max_term_size=max_size, eta=False))
+    ref, steps, status = _reference_run(t, fuel, max_size)
+    if out.status is Status.NO_NORMAL_FORM:
+        # the certificate may stop earlier, never on a term that normalizes
+        assert status is not Status.NORMAL_FORM and out.steps <= steps
+        ref = trace(t, None, ReductionConfig(fuel=out.steps))[-1]
+    else:
+        assert (out.status, out.steps) == (status, steps)
+    assert print_term(out.result) == print_term(ref)
