@@ -14,8 +14,11 @@ is certified to have no normal form, or the fuel or size limit stops the
 reducer, normalize, bracket --n and unchurch print "<status> after N steps"
 (no-normal-form, fuel-exhausted or size-exceeded) on stderr and exit 2; the
 REPL prints the same line and reads on.  A term nested too deeply for the
-recursive kernel is an error ("term too deep"), not a verdict.  The env var
-VARLAM_PRELUDE may point to a directory with alternate prelude.lam /
+recursive kernel is an error ("term too deep"), not a verdict.  A file that
+cannot be read prints "varlam: <reason>: <path>" and exits 1 (3 for eq); a
+REPL line's error is reported the same way, and the REPL reads on.  A closed
+stdout (varlam check | head) prints "varlam: Broken pipe" and exits 1.  The
+env var VARLAM_PRELUDE may point to a directory with alternate prelude.lam /
 variadic.lam files.
 """
 
@@ -110,7 +113,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("repl", help="interactive loop (:def, :eq, :quit)")
     _add_common(p, expr=False)
-    p.add_argument("--sugar", action="store_true", default=True)
 
     return top
 
@@ -137,97 +139,98 @@ def _read_expr(args) -> str:
     return sys.stdin.read()
 
 
-def _stopped(outcome) -> bool:
-    """Report an outcome without a normal form on stderr; True if it has none."""
-    if outcome.status is Status.NORMAL_FORM:
-        return False
-    print(f"varlam: {outcome.status.value} after {outcome.steps} steps", file=sys.stderr)
-    return True
+def _print_normal_form(t, env, cfg, render) -> int:
+    """Print render(normal form of t), if render; without a normal form print
+    "<status> after N steps" on stderr and return 2."""
+    outcome = normalize(t, env, cfg)
+    if outcome.status is not Status.NORMAL_FORM:
+        print(f"varlam: {outcome.status.value} after {outcome.steps} steps", file=sys.stderr)
+        return 2
+    if render is not None:
+        print(render(outcome.result))
+    return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    return _guarded(lambda: _dispatch(args), EQ_ERROR if args.command == "eq" else 1)
+
+
+def _guarded(action, error_code: int) -> int:
+    """The error boundary of a command and of each REPL line: run action and
+    flush stdout; an error becomes a "varlam: ..." line on stderr and
+    error_code.  A closed stdout ends the process with exit 1."""
     try:
-        return _dispatch(args)
+        code = action()
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return code
     except LambdaError as exc:
         message = str(exc)
     except RecursionError:
         message = TOO_DEEP
+    except BrokenPipeError as exc:  # stdout is closed: nothing more can be shown
+        print(f"varlam: {exc.strerror}", file=sys.stderr)
+        # the interpreter flushes stdout again at exit: let that go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(1) from None
+    except OSError as exc:  # a file that cannot be read
+        message = exc.strerror if exc.filename is None else f"{exc.strerror}: {exc.filename}"
     print(f"varlam: {message}", file=sys.stderr)
-    return EQ_ERROR if args.command == "eq" else 1
+    return error_code
 
 
 def _dispatch(args) -> int:
     cmd = args.command
-
     if cmd == "church":
         print(print_term(church(args.n)))
         return 0
 
+    env = _make_env(args)
+    cfg = _make_cfg(args)
     if cmd == "check":
-        env = _make_env(args)
-        cfg = _make_cfg(args)
         cases = run_suites([args.suite], max_n=args.max_n, cfg=cfg, env=env)
         print(format_report(cases))
         return 0 if all_ok(cases) else 1
-
     if cmd == "repl":
-        return _repl(_make_env(args), _make_cfg(args))
-
+        return _repl(env, cfg)
     if cmd == "eq":
-        env = _make_env(args)
-        cfg = _make_cfg(args)
-        verdict = beta_eta_equal(parse(args.lhs, env), parse(args.rhs, env), env, cfg)
-        print(verdict.value)
-        return {Verdict.EQUAL: 0, Verdict.NOT_EQUAL: 1, Verdict.UNKNOWN: 2}[verdict]
+        return _eq(args.lhs, args.rhs, env, cfg)
 
-    env = _make_env(args)
-    cfg = _make_cfg(args)
     source = _read_expr(args)
-
     if cmd == "parse":
         print(print_term(parse(source, env), sugar=args.sugar))
         return 0
-
     if cmd == "normalize":
-        t = parse(source, env)
-        if args.trace:
-            for step in trace(t, env, cfg):
-                print(print_term(step, sugar=args.sugar))
-        outcome = normalize(t, env, cfg)
-        if _stopped(outcome):
-            return 2
-        if not args.trace:
-            print(print_term(outcome.result, sugar=args.sugar))
-        return 0
-
+        return _normalize(source, env, cfg, args.sugar, args.trace)
     if cmd == "unchurch":
-        outcome = normalize(parse(source, env), env, cfg)
-        if _stopped(outcome):
-            return 2
-        print(unchurch(outcome.result, env, cfg))
-        return 0
-
+        return _print_normal_form(parse(source, env), env, cfg, lambda nf: unchurch(nf, env, cfg))
     if cmd == "bracket":
         if args.algo == "turner":
             print(print_term(bracket_mod.turner(parse(source, env))))
             return 0
-        m = parse_meta(source)
-        bound = bracket_mod.extended_bound(m)
+        bound = bracket_mod.extended_bound(parse_meta(source))
         if args.n is None:
             print(print_term(bound))
             return 0
-        outcome = normalize(App(bound, church(args.n)), env, cfg)
-        if _stopped(outcome):
-            return 2
-        print(print_term(outcome.result))
-        return 0
-
+        return _print_normal_form(App(bound, church(args.n)), env, cfg, print_term)
     if cmd == "expand":
         print(print_term(expand(parse_meta(source), args.n), sugar=args.sugar))
         return 0
-
     raise AssertionError(f"unhandled command {cmd}")
+
+
+def _eq(lhs: str, rhs: str, env, cfg) -> int:
+    verdict = beta_eta_equal(parse(lhs, env), parse(rhs, env), env, cfg)
+    print(verdict.value)
+    return {Verdict.EQUAL: 0, Verdict.NOT_EQUAL: 1, Verdict.UNKNOWN: 2}[verdict]
+
+
+def _normalize(source: str, env, cfg, sugar: bool, traced: bool = False) -> int:
+    t = parse(source, env)
+    if traced:
+        for step in trace(t, env, cfg):
+            print(print_term(step, sugar=sugar))
+    return _print_normal_form(t, env, cfg, None if traced else lambda nf: print_term(nf, sugar=sugar))
 
 
 def _repl(env, cfg) -> int:
@@ -237,33 +240,25 @@ def _repl(env, cfg) -> int:
             sys.stdout.write("> ")
             sys.stdout.flush()
         line = sys.stdin.readline()
-        if not line:
+        command = line.strip()
+        if not line or command == ":quit":
             return 0
-        line = line.strip()
-        if not line or line.startswith("--"):
-            continue
-        try:
-            if line == ":quit":
-                return 0
-            if line.startswith(":def "):
-                body = line[len(":def "):].strip().rstrip(";").rstrip()
-                env.load_text(body + " ;", "<repl>")
-                continue
-            if line.startswith(":eq "):
-                lhs, _, rhs = line[len(":eq "):].partition("=")
-                if not rhs:
-                    print("usage: :eq TERM = TERM", file=sys.stderr)
-                    continue
-                verdict = beta_eta_equal(parse(lhs, env), parse(rhs, env), env, cfg)
-                print(verdict.value)
-                continue
-            outcome = normalize(parse(line, env), env, cfg)
-            if not _stopped(outcome):
-                print(print_term(outcome.result, sugar=True))
-        except LambdaError as exc:
-            print(f"varlam: {exc}", file=sys.stderr)
-        except RecursionError:
-            print(f"varlam: {TOO_DEEP}", file=sys.stderr)
+        if command and not command.startswith("--"):
+            _guarded(lambda: _repl_line(command, env, cfg), 1)
+
+
+def _repl_line(line: str, env, cfg) -> None:
+    if line.startswith(":def "):
+        body = line[len(":def "):].strip().rstrip(";").rstrip()
+        env.load_text(body + " ;", "<repl>")
+    elif line.startswith(":eq "):
+        lhs, _, rhs = line[len(":eq "):].partition("=")
+        if rhs:
+            _eq(lhs, rhs, env, cfg)
+        else:
+            print("usage: :eq TERM = TERM", file=sys.stderr)
+    else:
+        _normalize(line, env, cfg, sugar=True)
 
 
 if __name__ == "__main__":

@@ -111,8 +111,8 @@ def _beta_normalize(t: Term, fuel: int, max_size: int):
     steps = 0
     down = True
     while True:
-        cls = t.__class__
         if down:
+            cls = t.__class__
             if cls is App:
                 shared = t.whnf
                 if shared is None:
@@ -173,11 +173,7 @@ def _beta_normalize(t: Term, fuel: int, max_size: int):
             if not stack:
                 return Status.NORMAL_FORM, t, steps
             tag, payload = stack.pop()
-            if tag == _FUN:
-                if cls is Lam:  # normalized function turned out to be a redex
-                    stack.append((_FUN, payload))
-                    down = True
-                    continue
+            if tag == _FUN:  # t is no lambda: the down pass contracts those
                 stack.append((_ARGDONE, t))
                 size = payload.size
                 same = open_args.setdefault(size, [])
@@ -294,18 +290,17 @@ class ReachResult:
 
 
 def _weak_head_step(t: Term):
-    """(reduct, contracted at the top) of t's weak-head redex; None at whnf."""
-    args = []
-    while t.__class__ is App:
-        args.append(t.arg)
-        t = t.fun
-    if t.__class__ is not Lam or not args:
+    """(reduct, contracted at the top) of t's weak-head redex; None at whnf.
+
+    Off whnf the leftmost-outermost redex is the head redex, so this is
+    ``step_once``.
+    """
+    head = t
+    while head.__class__ is App:
+        head = head.fun
+    if head.__class__ is not Lam or head is t:
         return None
-    t = substitute(t.body, t.binder, args.pop())
-    top = not args
-    while args:
-        t = App(t, args.pop())
-    return t, top
+    return step_once(t), t.fun is head
 
 
 def reduces_to(a: Term, target: Term, env=None, node_cap: int = 100_000, depth_cap: int = 200) -> ReachResult:

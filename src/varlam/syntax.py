@@ -2,10 +2,9 @@
 
 Term grammar:
 
-    term  := lam | app
-    lam   := ('\\' | 'λ') binder+ '.' term
-    app   := atom+                      -- applications associate left
-    atom  := lowerIdent | UpperIdent | '#' digits | '(' term ')'
+    term  := atom+                      -- applications associate left
+    atom  := lowerIdent | UpperIdent | '#' digits | '(' term ')' | lam
+    lam   := ('\\' | 'λ') binder+ '.' term   -- the body extends rightmost
 
 Lowercase identifiers are variables, uppercase ones reference named
 definitions, ``#n`` expands to the n-th Church numeral at parse time.
@@ -31,10 +30,13 @@ from .terms import App, Const, Lam, LambdaError, SeqBinder, Splice, Term, Unboun
 
 
 class ParseError(LambdaError):
-    def __init__(self, position, message):
-        line, col = position
+    """A syntax error at an offset of the source, reported as line:col."""
+
+    def __init__(self, source, offset, message):
+        line = source.count("\n", 0, offset) + 1
+        col = offset - source.rfind("\n", 0, offset)
         super().__init__(f"parse error at {line}:{col}: {message}")
-        self.position = position
+        self.offset = offset
 
 
 class UnknownSequence(LambdaError):
@@ -65,27 +67,19 @@ _TOKEN_RE = re.compile(
 
 
 def tokenize(source: str):
-    """Yield (kind, text, (line, col)) triples; raises ParseError on junk."""
+    """Return the (kind, text, offset) triples of source; raises ParseError on junk."""
     tokens = []
     pos = 0
-    line, col = 1, 1
     n = len(source)
     while pos < n:
         m = _TOKEN_RE.match(source, pos)
         if m is None:
-            raise ParseError((line, col), f"unexpected character {source[pos]!r}")
+            raise ParseError(source, pos, f"unexpected character {source[pos]!r}")
         kind = m.lastgroup
-        text = m.group()
         if kind != "ws":
-            tokens.append((kind, text, (line, col)))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
+            tokens.append((kind, m.group(), pos))
         pos = m.end()
-    tokens.append(("eof", "", (line, col)))
+    tokens.append(("eof", "", n))
     return tokens
 
 
@@ -93,8 +87,9 @@ _ATOM_STARTERS = {"lident", "uident", "hashnum", "lparen", "lambda"}
 
 
 class _Parser:
-    def __init__(self, tokens, env=None, meta=False):
-        self.tokens = tokens
+    def __init__(self, source, env=None, meta=False):
+        self.source = source
+        self.tokens = tokenize(source)
         self.i = 0
         self.env = env
         self.meta = meta  # accept x[1..n] binders and splices
@@ -110,22 +105,17 @@ class _Parser:
         self.i += 1
         return tok
 
+    def error(self, offset, message):
+        return ParseError(self.source, offset, message)
+
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(tok[2], f"expected {kind}, found {tok[1]!r}")
+            raise self.error(tok[2], f"expected {kind}, found {tok[1]!r}")
         return tok
 
-    def fail(self, message):
-        raise ParseError(self.peek()[2], message)
-
-    def term(self) -> Term:
-        if self.peek()[0] == "lambda":
-            return self.lam()
-        return self.app()
-
     def lam(self) -> Term:
-        self.expect("lambda")
+        """The rest of a lambda after its lambda sign: binders, '.', the body."""
         binders = []
         scope = self.seqs
         while self.peek()[0] == "lident":
@@ -137,7 +127,7 @@ class _Parser:
                 self.seqs = self.seqs - {name}
             binders.append(name)
         if not binders:
-            self.fail("expected at least one binder")
+            raise self.error(self.peek()[2], "expected at least one binder")
         self.expect("dot")
         body = self.term()
         self.seqs = scope
@@ -145,19 +135,15 @@ class _Parser:
             body = Lam(b, body)
         return body
 
-    def app(self) -> Term:
+    def term(self) -> Term:
         t = self.atom()
         while self.peek()[0] in _ATOM_STARTERS:
-            if self.peek()[0] == "lambda":
-                t = App(t, self.lam())
-            else:
-                t = App(t, self.atom())
+            t = App(t, self.atom())
         return t
 
     def atom(self) -> Term:
-        kind, text, pos = self.peek()
+        kind, text, pos = self.next()
         if kind == "lident":
-            self.next()
             if self.meta and self.peek()[0] == "lbrack":
                 binder = SeqBinder(text, self.seq_suffix(pos))
                 if text not in self.seqs and self.unknown is None:
@@ -165,15 +151,12 @@ class _Parser:
                 return Splice(binder)
             return Var(text)
         if kind == "uident":
-            self.next()
             if self.env is not None and text not in self.env:
                 raise UnboundName(text)
             return Const(text)
         if kind == "hashnum":
-            self.next()
             return church(int(text[1:]))
         if kind == "lparen":
-            self.next()
             t = self.term()
             self.expect("rparen")
             if self.meta:
@@ -181,21 +164,21 @@ class _Parser:
             return t
         if kind == "lambda":
             return self.lam()
-        self.fail(f"expected a {'meta-term' if self.meta else 'term'}, found {text!r}")
+        raise self.error(pos, f"expected a {'meta-term' if self.meta else 'term'}, found {text!r}")
 
     def seq_suffix(self, pos):
         """Parse '[1..n]' after an identifier; returns the index variable."""
         self.expect("lbrack")
         low = self.expect("num")
         if low[1] != "1":
-            raise ParseError(low[2], "sequence ranges must start at 1")
+            raise self.error(low[2], "sequence ranges must start at 1")
         self.expect("dotdot")
         idx = self.expect("lident")[1]
         self.expect("rbrack")
         if self.index_var is None:
             self.index_var = idx
         elif idx != self.index_var:
-            raise ParseError(pos, f"second index variable {idx!r}; only one is allowed")
+            raise self.error(pos, f"second index variable {idx!r}; only one is allowed")
         return idx
 
 
@@ -212,7 +195,7 @@ def _group_splice_spine(t):
 
 def parse(source: str, env=None) -> Term:
     """Parse a term.  With an env, uppercase names must resolve in it."""
-    p = _Parser(tokenize(source), env=env)
+    p = _Parser(source, env=env)
     t = p.term()
     p.expect("eof")
     return t
@@ -220,7 +203,7 @@ def parse(source: str, env=None) -> Term:
 
 def parse_meta(source: str) -> Term:
     """Parse a meta-term with sequence binders and splices."""
-    p = _Parser(tokenize(source), meta=True)
+    p = _Parser(source, meta=True)
     t = p.term()
     p.expect("eof")
     if p.unknown is not None:
@@ -230,8 +213,7 @@ def parse_meta(source: str) -> Term:
 
 def parse_definitions(text: str, env, source: str = "<string>"):
     """Parse 'Name := term ;' entries into env, in order."""
-    tokens = tokenize(text)
-    p = _Parser(tokens, env=env)
+    p = _Parser(text, env=env)
     while p.peek()[0] != "eof":
         name = p.expect("uident")[1]
         p.expect("define")

@@ -28,22 +28,22 @@ from .syntax import parse
 from .terms import Const, Term, Var, alpha_eq, apply, lams
 
 # Entries whose identity (VarX c_n [c_k]) = X_n is decided by normalizing
-# both sides, keyed to the oracle family (second component: takes k).
+# both sides, keyed to the oracle family (whether it takes k: meta._FAMILIES).
 FAMILY_ORACLES = {
-    "VarI": ("I", False),
-    "VarK": ("K", False),
-    "VarS": ("S", False),
-    "VarB": ("B", False),
-    "VarBalt": ("B", False),
-    "VarC": ("C", False),
-    "VarCalt": ("C", False),
-    "VarSel": ("sel", True),
-    "VarProj": ("proj", True),
-    "VarTup": ("tup", False),
-    "VarRightApp": ("rightapp", False),
-    "VarRev": ("rev", False),
-    "VarMap": ("map", False),
-    "VarM": ("boehm", True),
+    "VarI": "I",
+    "VarK": "K",
+    "VarS": "S",
+    "VarB": "B",
+    "VarBalt": "B",
+    "VarC": "C",
+    "VarCalt": "C",
+    "VarSel": "sel",
+    "VarProj": "proj",
+    "VarTup": "tup",
+    "VarRightApp": "rightapp",
+    "VarRev": "rev",
+    "VarMap": "map",
+    "VarM": "boehm",
 }
 
 # Entries checked against equational laws (both sides normalize): entry ->
@@ -102,7 +102,8 @@ def _probe_generators(n: int) -> list[Term]:
 
 
 def _check_family_entry(name, max_n, cfg, env):
-    fam, has_k = FAMILY_ORACLES[name]
+    fam = FAMILY_ORACLES[name]
+    has_k = meta._FAMILIES[fam][0]
     cases = []
     for n in range(max_n + 1):
         if has_k:
@@ -140,8 +141,9 @@ def _check_observational_entry(name, max_n, cfg, env):
 
 # The registry: entry -> (oracle, check mode, checker).
 _REGISTRY = {
-    **{name: (f"family {fam}({'k, n' if has_k else 'n'})", "Normalizing", _check_family_entry)
-       for name, (fam, has_k) in FAMILY_ORACLES.items()},
+    **{name: (f"family {fam}({'k, n' if meta._FAMILIES[fam][0] else 'n'})", "Normalizing",
+              _check_family_entry)
+       for name, fam in FAMILY_ORACLES.items()},
     **{name: ("equational laws", "Normalizing", _check_law_entry) for name in _LAWS},
     "VarMakeX": ("equational laws", "Normalizing", _check_makex_entry),
     **{name: ("probe suite", "Observational", _check_observational_entry) for name in OBSERVATIONAL},
@@ -237,16 +239,15 @@ def _even_odd_probes(name, fix, cfg, env):
     return cases
 
 
-def check_boehm(max_n: int = 2, node_cap: int = 100_000, depth_cap: int = 200,
-                cfg: ReductionConfig = DEFAULT_CONFIG, env=None) -> list[CaseResult]:
+def check_boehm(max_n: int = 2, cfg: ReductionConfig = DEFAULT_CONFIG, env=None) -> list[CaseResult]:
     """The relation between the Curry- and Turing-style fixed points.
 
     (a) VarM c_1 c_1 normalizes to nf(S I); (b) VarM agrees with its family;
     (c) at the concrete family level the Curry combinators applied to the
     step terms reduce (in the ->> sense) to the Turing ones, found by the
-    standard-reduction search of ``reduces_to``; (d) the arity-generic
-    counterpart holds observationally (the chain probe).  (b), (c) and (d)
-    are checked at every 1 <= k <= n <= max_n.
+    standard-reduction search of ``reduces_to`` within its default caps;
+    (d) the arity-generic counterpart holds observationally (the chain
+    probe).  (b), (c) and (d) are checked at every 1 <= k <= n <= max_n.
     """
     env = env if env is not None else standard_env()
     cases = [_eq_case("boehm", "VarM 1 1 = S I", apply(Const("VarM"), church(1), church(1)),
@@ -260,7 +261,7 @@ def check_boehm(max_n: int = 2, node_cap: int = 100_000, depth_cap: int = 200,
         steps = [meta.build("boehm", n, j) for j in range(1, n + 1)]
         for k in range(1, n + 1):
             lhs = apply(meta.build("ycurry", n, k), *steps)
-            res = reduces_to(lhs, meta.build("yturing", n, k), env, node_cap, depth_cap)
+            res = reduces_to(lhs, meta.build("yturing", n, k), env)
             detail = f"explored {res.explored} pairs"
             if res.inconclusive:
                 detail += " (cap hit: inconclusive)"

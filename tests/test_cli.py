@@ -1,6 +1,12 @@
+import contextlib
+import io
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varlam.cli import main
 
@@ -211,3 +217,96 @@ def test_repl_reads_on_after_a_too_deep_line(capsys, monkeypatch):
     assert code == 0
     assert err.strip() == "varlam: term too deep for the recursion limit"
     assert out.splitlines() == [r"\x y.x"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["normalize", "nosuch.lam"], 1),
+    (["normalize", "--defs", "nosuch.lam", "-e", "K"], 1),
+    (["eq", "--defs", "nosuch.lam", "K", "K"], 3),
+])
+def test_missing_file_is_an_error(capsys, tmp_path, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (code, "", "varlam: No such file or directory: nosuch.lam\n")
+
+
+def test_missing_prelude_directory_is_an_error(capsys, tmp_path, monkeypatch):
+    missing = tmp_path / "nonexistent"
+    monkeypatch.setenv("VARLAM_PRELUDE", str(missing))
+    code, out, err = run(capsys, "parse", "-e", "K")
+    assert (code, out) == (1, "")
+    assert err == f"varlam: No such file or directory: {missing / 'prelude.lam'}\n"
+
+
+def test_repl_reads_on_after_a_file_error(capsys, monkeypatch):
+    from varlam.env import Env
+
+    load_text = Env.load_text
+
+    def unreadable_in_repl(self, text, source):
+        if source == "<repl>":
+            raise FileNotFoundError(2, "No such file or directory", "gone.lam")
+        load_text(self, text, source)
+
+    monkeypatch.setattr(Env, "load_text", unreadable_in_repl)
+    monkeypatch.setattr("sys.stdin", io.StringIO(":def A := \\x.x\n(\nK\n"))
+    code = main(["repl"])
+    out, err = capsys.readouterr()
+    assert code == 0 and out.splitlines() == [r"\x y.x"]
+    assert err.splitlines() == ["varlam: No such file or directory: gone.lam",
+                                "varlam: parse error at 1:2: expected a term, found ''"]
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["church", "3"], ""),
+    (["check", "--suite", "kernel", "--max-n", "0"], ""),
+    (["repl"], "K\nS\n"),
+], ids=["church", "check", "repl"])
+def test_closed_stdout_exits_1_without_traceback(argv, stdin):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen([sys.executable, "-m", "varlam.cli", *argv], env={"PYTHONPATH": src},
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    proc.stdout.close()  # before the program has written anything
+    _, err = proc.communicate(stdin)
+    assert proc.returncode == 1
+    assert err == "varlam: Broken pipe\n"
+
+
+# -- the CLI contract: any argv ends in a documented exit code ----------------
+
+_LEAVES = st.sampled_from(["x", "y", "f", "K", "S", "I", "Succ", "Plus", "Y", "NoSuch"]) \
+    | st.integers(0, 20).map(lambda n: f"#{n}")
+_TERM = st.recursive(_LEAVES, lambda sub: st.one_of(
+    st.tuples(sub, sub).map(" ".join),
+    sub.map(lambda t: f"({t})"),
+    st.tuples(st.sampled_from(["x", "y", "f"]), sub).map(lambda p: f"\\{p[0]}. {p[1]}"),
+), max_leaves=8)
+_JUNK = st.text(alphabet="()\\.#[]:=;$é- \n", max_size=3)
+_TEXT = st.tuples(_TERM, _JUNK, st.booleans()).map(lambda p: p[0] + p[1] if p[2] else p[0])
+_LIMIT = st.sampled_from(["-1", "0", "5", "200"])
+_LIMITS = st.tuples(_LIMIT, _LIMIT).map(lambda p: ["--max-steps", p[0], "--max-size", p[1]])
+_INDEX = st.integers(-1, 5).map(str)
+_SOURCE = _TEXT.map(lambda t: ["-e", t]) | st.just(["no/such/file.lam"])
+_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["parse", "normalize", "unchurch"]), _LIMITS, _SOURCE)
+      .map(lambda p: [p[0], *p[1], *p[2]]),
+    st.tuples(_LIMITS, _TEXT, _TEXT).map(lambda p: ["eq", *p[0], "--", p[1], p[2]]),
+    st.tuples(st.sampled_from(["turner", "variadic"]), _LIMITS, _SOURCE)
+      .map(lambda p: ["bracket", "--algo", p[0], *p[1], *p[2]]),
+    st.tuples(_INDEX, _LIMITS, _SOURCE).map(lambda p: ["expand", "--n", p[0], *p[1], *p[2]]),
+    _INDEX.map(lambda n: ["church", "--", n]),
+)
+
+
+@settings(max_examples=120)
+@given(_ARGV)
+def test_cli_contract(argv):
+    """Nothing escapes main but argparse's usage exit, and every exit code is
+    documented: 0, 1 (error, NOT-EQUAL), 2 (no verdict), 3 (eq error), 64."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 64, argv
+            return
+    assert code in (0, 1, 2, 3), argv

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from varlam.church import church
 from varlam.env import Env, standard_env
-from varlam.syntax import ParseError, parse, parse_definitions, print_term
+from varlam.syntax import ParseError, parse, parse_definitions, parse_meta, print_term
 from varlam.terms import (
     App,
     Const,
@@ -59,6 +59,51 @@ def test_parse_errors():
         parse(r"\.x")
     with pytest.raises(ParseError):
         parse("a ? b")
+
+
+# (parser, source, message): positions are line:col, 1-based, of the token
+# (or character) at fault; comments and blank lines count as lines.
+PARSE_ERRORS = [
+    ('parse', '(a b', "parse error at 1:5: expected rparen, found ''"),
+    ('parse', 'a b)', "parse error at 1:4: expected eof, found ')'"),
+    ('parse', '\\. x', 'parse error at 1:2: expected at least one binder'),
+    ('parse', '\\x y x', "parse error at 1:7: expected dot, found ''"),
+    ('parse', '', "parse error at 1:1: expected a term, found ''"),
+    ('parse', 'x $ y', "parse error at 1:3: unexpected character '$'"),
+    ('parse', 'x\n  -- a comment\n  (y z', "parse error at 3:7: expected rparen, found ''"),
+    ('parse', '-- only a comment\n', "parse error at 2:1: expected a term, found ''"),
+    ('parse', '\\x.\n\n   @', "parse error at 3:4: unexpected character '@'"),
+    ('parse', 'λx. x ;', "parse error at 1:7: expected eof, found ';'"),
+    ('parse', 'f x[1..n]', "parse error at 1:4: expected eof, found '['"),
+    ('parse', 'a\r\nb )', "parse error at 2:3: expected eof, found ')'"),
+    ('parse', '#', "parse error at 1:1: unexpected character '#'"),
+    ('parse', 'x := y', "parse error at 1:3: expected eof, found ':='"),
+    ('parse', '( )', "parse error at 1:3: expected a term, found ')'"),
+    ('parse_meta', '\\x[2..n]. x[1..n]', 'parse error at 1:4: sequence ranges must start at 1'),
+    ('parse_meta', '\\x[1..n] y[1..m]. x[1..n]', "parse error at 1:10: second index variable 'm'; only one is allowed"),
+    ('parse_meta', '\\x[1..n]. x[1..n', "parse error at 1:17: expected rbrack, found ''"),
+    ('parse_meta', '\\x[1 n]. x', "parse error at 1:6: expected dotdot, found 'n'"),
+    ('parse_meta', 'x[1..N]', "parse error at 1:6: expected lident, found 'N'"),
+    ('parse_meta', '-- spread\n\\x[1..n].\n  x[1..n] )', "parse error at 3:11: expected eof, found ')'"),
+    ('parse_meta', '\\x[1..n].\n  x[1..m]', "parse error at 2:3: second index variable 'm'; only one is allowed"),
+    ('parse_meta', '\\. x', 'parse error at 1:2: expected at least one binder'),
+    ('parse_meta', 'x[', "parse error at 1:3: expected num, found ''"),
+    ('defs', 'A := \\x.x ;\nB := A A', "parse error at 2:9: expected semi, found ''"),
+    ('defs', 'A = \\x.x ;', "parse error at 1:3: unexpected character '='"),
+    ('defs', 'a := \\x.x ;', "parse error at 1:1: expected uident, found 'a'"),
+    ('defs', '-- header\nA := \\x.x ;\n-- more\nB := \\y. ( y ;', "parse error at 4:14: expected rparen, found ';'"),
+    ('defs', 'A := ;', "parse error at 1:6: expected a term, found ';'"),
+    ('defs', 'A := \\x.x ;\n\n  B := \\y.y ;;', "parse error at 3:14: expected uident, found ';'"),
+]
+_PARSERS = {"parse": parse, "parse_meta": parse_meta,
+            "defs": lambda text: parse_definitions(text, Env())}
+
+
+@pytest.mark.parametrize("parser, source, message", PARSE_ERRORS)
+def test_parse_error_messages(parser, source, message):
+    with pytest.raises(ParseError) as exc:
+        _PARSERS[parser](source)
+    assert str(exc.value) == message
 
 
 def test_unbound_const_rejected(env):
