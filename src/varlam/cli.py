@@ -14,12 +14,13 @@ is certified to have no normal form, or the fuel or size limit stops the
 reducer, normalize, bracket --n and unchurch print "<status> after N steps"
 (no-normal-form, fuel-exhausted or size-exceeded) on stderr and exit 2; the
 REPL prints the same line and reads on.  A term nested too deeply for the
-recursive kernel is an error ("term too deep"), not a verdict.  A file that
-cannot be read prints "varlam: <reason>: <path>" and exits 1 (3 for eq); a
-REPL line's error is reported the same way, and the REPL reads on.  A closed
-stdout (varlam check | head) prints "varlam: Broken pipe" and exits 1.  The
-env var VARLAM_PRELUDE may point to a directory with alternate prelude.lam /
-variadic.lam files.
+recursive kernel is an error ("term too deep"), not a verdict.  normalize
+--trace prints each step up to where normalize stops.  A file that cannot be
+read, or is not UTF-8, prints "varlam: <reason>: <path>" and exits 1 (3 for
+eq); a REPL line's error is reported the same way, and the REPL reads on.  A
+closed stdout (varlam check | head) prints "varlam: Broken pipe" and exits 1.
+The env var VARLAM_PRELUDE may point to a directory with alternate
+prelude.lam / variadic.lam files.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import bracket as bracket_mod
 from .checks import run_suites
 from .church import church, unchurch
 from .engine import ReductionConfig, Status, Verdict, beta_eta_equal, normalize, trace
-from .env import standard_env
+from .env import read_source, standard_env
 from .meta import expand
 from .report import all_ok, format_report
 from .syntax import parse, parse_meta, print_term
@@ -134,15 +136,13 @@ def _read_expr(args) -> str:
     if args.expr is not None:
         return args.expr
     if args.file:
-        with open(args.file, encoding="utf-8") as f:
-            return f.read()
+        return read_source(args.file)
     return sys.stdin.read()
 
 
-def _print_normal_form(t, env, cfg, render) -> int:
-    """Print render(normal form of t), if render; without a normal form print
+def _print_outcome(outcome, render) -> int:
+    """Print render(normal form), if render; without a normal form print
     "<status> after N steps" on stderr and return 2."""
-    outcome = normalize(t, env, cfg)
     if outcome.status is not Status.NORMAL_FORM:
         print(f"varlam: {outcome.status.value} after {outcome.steps} steps", file=sys.stderr)
         return 2
@@ -173,7 +173,7 @@ def _guarded(action, error_code: int) -> int:
         # the interpreter flushes stdout again at exit: let that go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise SystemExit(1) from None
-    except OSError as exc:  # a file that cannot be read
+    except OSError as exc:  # a file that cannot be read or is not UTF-8 (env.read_source)
         message = exc.strerror if exc.filename is None else f"{exc.strerror}: {exc.filename}"
     print(f"varlam: {message}", file=sys.stderr)
     return error_code
@@ -203,7 +203,7 @@ def _dispatch(args) -> int:
     if cmd == "normalize":
         return _normalize(source, env, cfg, args.sugar, args.trace)
     if cmd == "unchurch":
-        return _print_normal_form(parse(source, env), env, cfg, lambda nf: unchurch(nf, env, cfg))
+        return _print_outcome(normalize(parse(source, env), env, cfg), lambda nf: unchurch(nf, env, cfg))
     if cmd == "bracket":
         if args.algo == "turner":
             print(print_term(bracket_mod.turner(parse(source, env))))
@@ -212,7 +212,7 @@ def _dispatch(args) -> int:
         if args.n is None:
             print(print_term(bound))
             return 0
-        return _print_normal_form(App(bound, church(args.n)), env, cfg, print_term)
+        return _print_outcome(normalize(App(bound, church(args.n)), env, cfg), print_term)
     if cmd == "expand":
         print(print_term(expand(parse_meta(source), args.n), sugar=args.sugar))
         return 0
@@ -227,10 +227,13 @@ def _eq(lhs: str, rhs: str, env, cfg) -> int:
 
 def _normalize(source: str, env, cfg, sugar: bool, traced: bool = False) -> int:
     t = parse(source, env)
-    if traced:
-        for step in trace(t, env, cfg):
-            print(print_term(step, sugar=sugar))
-    return _print_normal_form(t, env, cfg, None if traced else lambda nf: print_term(nf, sugar=sugar))
+    outcome = normalize(t, env, cfg)
+    if not traced:
+        return _print_outcome(outcome, lambda nf: print_term(nf, sugar=sugar))
+    # the trace ends where normalize stopped, a certified no-normal-form too
+    for step in trace(t, env, replace(cfg, fuel=outcome.steps)):
+        print(print_term(step, sugar=sugar))
+    return _print_outcome(outcome, None)
 
 
 def _repl(env, cfg) -> int:

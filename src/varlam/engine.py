@@ -4,7 +4,8 @@
 remains, then (by default) erases eta-redexes in a single uncounted post-pass,
 yielding a canonical beta-eta-normal form.  Fuel counts beta-steps only: an
 App reached again replays the weak-head reduct recorded in ``App.whnf`` and
-adds the steps it took, so the count is normal order's.  It stops early
+adds the steps it took, and a contraction met again within one call reuses
+its reduct, so the count is normal order's.  It stops early
 with ``NO_NORMAL_FORM`` when an argument it starts to normalize is
 alpha-equal to an argument it is still normalizing (see ``_beta_normalize``).
 
@@ -75,6 +76,10 @@ def normalize(t: Term, env=None, cfg: ReductionConfig = DEFAULT_CONFIG) -> Reduc
 
 _FUN, _ARGDONE, _LAM = 0, 1, 2
 _CHAIN = 4  # pending Apps per stack depth, each a reduct of the one before
+# Contractions memoized per call before the memo starts afresh: a reduction
+# that never repeats a contraction would otherwise hold every reduct it made.
+# The largest memo of `check --max-n 10` holds 8,785.
+_MEMO_CAP = 1 << 16
 
 
 def _beta_normalize(t: Term, fuel: int, max_size: int):
@@ -96,17 +101,29 @@ def _beta_normalize(t: Term, fuel: int, max_size: int):
     recorded steps and resumes at the lambda, unless fuel or size would run
     out on the way: then M is reduced for real, to stop where normal order
     does.  Steps, stops and results are normal order's.  Not recorded: a
-    reduct substitute has just built, which nothing else can reach, and an
-    App at a depth that already has ``_CHAIN`` pending (a head loop would
+    reduct substitute has just built, which nothing else can reach yet, and
+    an App at a depth that already has ``_CHAIN`` pending (a head loop would
     otherwise keep one App per step).
+
+    Contractions are shared too: normal order applies the same lambda object
+    to the same argument object again and again (a duplicated closure is
+    read back once per copy), and ``substitute`` is a pure function of its
+    three objects.  So ``contracted``, local to this call, maps
+    ``id(lam) << 64 | id(arg)`` (an int key allocates no tuple) to the
+    reduct, and a hit reuses it.  Every step is still counted and checked
+    against fuel and size.  ``keep`` holds each keyed lambda and argument
+    alive, so no id is reused while its key is in the memo.  Both are
+    emptied at ``_MEMO_CAP`` entries, and both die on return.
     """
     stack: list = []
     open_args: dict[int, list[Term]] = {}  # size -> open arguments of that size
     open_sizes: list[int] = []  # sizes of the open arguments, innermost last
     pending: list = []  # [App, depth, steps, context size, peak], innermost last
+    contracted: dict[int, Term] = {}  # id(lam) << 64 | id(arg) -> the redex's reduct
+    keep: list[Term] = []  # every keyed lam and arg, so that no id is reused
     top = -1  # stack depth of the innermost pending App
     peak = 0  # largest total since the innermost pending App was entered
-    built = None  # the reduct substitute has just built: nothing else holds it
+    built = None  # the reduct substitute has just built: nothing else reaches it yet
     total = t.size
     steps = 0
     down = True
@@ -152,9 +169,21 @@ def _beta_normalize(t: Term, fuel: int, max_size: int):
                         return Status.FUEL_EXHAUSTED, _rebuild(t, stack), steps
                     _, arg = stack.pop()
                     total -= 1 + t.size + arg.size  # the redex App(t, arg)
-                    body = t.body
-                    t = substitute(body, t.binder, arg)
-                    built = t if t is not body and t is not arg else None
+                    key = id(t) << 64 | id(arg)
+                    reduct = contracted.get(key)
+                    if reduct is None:
+                        body = t.body
+                        reduct = substitute(body, t.binder, arg)
+                        if len(contracted) == _MEMO_CAP:
+                            contracted.clear()
+                            keep.clear()
+                        contracted[key] = reduct
+                        keep.append(t)
+                        keep.append(arg)
+                        built = reduct if reduct is not body and reduct is not arg else None
+                    else:
+                        built = None
+                    t = reduct
                     total += t.size
                     steps += 1
                     if total > max_size:
@@ -238,7 +267,9 @@ def step_once(t: Term) -> Term | None:
 
 
 def trace(t: Term, env=None, cfg: ReductionConfig = DEFAULT_CONFIG) -> list[Term]:
-    """The normal-order reduction sequence from t, up to normal form or fuel."""
+    """The normal-order reduction sequence from t, up to normal form, fuel, or
+    the first reduct larger than the size limit (the last term, as in
+    ``normalize``)."""
     t = _prepare(t, env)
     out = [t]
     for _ in range(cfg.fuel):
@@ -247,6 +278,8 @@ def trace(t: Term, env=None, cfg: ReductionConfig = DEFAULT_CONFIG) -> list[Term
             break
         t = nxt
         out.append(t)
+        if t.size > cfg.max_term_size:
+            break
     return out
 
 

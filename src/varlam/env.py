@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import importlib.resources
 from pathlib import Path
 
@@ -57,8 +58,17 @@ class Env:
         parse_definitions(text, self, source)
 
     def load_file(self, path) -> None:
-        path = Path(path)
-        self.load_text(path.read_text(encoding="utf-8"), str(path))
+        self.load_text(read_source(path), str(path))
+
+
+def read_source(path) -> str:
+    """The text of a file, read as UTF-8.  A file that is not UTF-8 raises an
+    OSError that names it, as a file that cannot be read does."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 ({exc.reason} at byte {exc.start})"
+        raise OSError(errno.EILSEQ, reason, str(path)) from None
 
 
 def _data_text(filename: str) -> str:

@@ -3,10 +3,12 @@
 Terms are immutable. Every node caches its free-variable set, its size and
 whether it mentions a named constant, so the reducer can skip substitution
 into subterms that do not mention the variable at all (the shared subterm is
-returned as-is).  An App also has one cache slot, ``whnf``, which the reducer
-fills with the lambda the App weak-head reduces to (see
-``engine._beta_normalize``).  Meta-terms (see ``meta``) are terms too: a
-sequence binder is a ``SeqBinder`` string and a splice a ``Splice`` leaf.
+returned as-is).  A node reuses a child's free set (or the empty one) when its
+own is equal to it, so most nodes allocate no set of their own.  An App also
+has one cache slot, ``whnf``, which the reducer fills with the lambda the App
+weak-head reduces to (see ``engine._beta_normalize``).  Meta-terms (see
+``meta``) are terms too: a sequence binder is a ``SeqBinder`` string and a
+splice a ``Splice`` leaf.
 """
 
 from __future__ import annotations
@@ -63,7 +65,9 @@ class Lam(Term):
         self.binder = binder
         self.body = body
         bf = body.free
-        self.free = bf - {binder} if binder in bf else bf
+        if binder in bf:
+            bf = _EMPTY if len(bf) == 1 else bf - {binder}
+        self.free = bf
         self.size = 1 + body.size
         self.has_const = body.has_const
 
@@ -78,7 +82,9 @@ class App(Term):
     def __init__(self, fun: Term, arg: Term):
         self.fun = fun
         self.arg = arg
-        self.free = fun.free | arg.free
+        ff = fun.free
+        af = arg.free
+        self.free = ff if af <= ff else af if ff <= af else ff | af
         self.size = 1 + fun.size + arg.size
         self.has_const = fun.has_const or arg.has_const
         self.whnf = None  # (lambda, beta-steps, peak size) once reduced; see engine

@@ -46,6 +46,15 @@ def test_normalize_trace(capsys):
     assert code == 0 and out.splitlines() == [r"(\x.x) y", "y"]
 
 
+def test_normalize_trace_stops_where_normalize_does(capsys):
+    # at the size limit, and at a certified no-normal-form
+    code, out, err = run(capsys, "normalize", "--trace", "--max-steps", "12", "--max-size", "30",
+                         "-e", r"(\x. x x x) (\x. x x x)")
+    assert (code, len(out.splitlines()), err) == (2, 4, "varlam: size-exceeded after 3 steps\n")
+    code, out, err = run(capsys, "normalize", "--trace", "-e", "VarPhi #1 #1")
+    assert (code, len(out.splitlines()), err) == (2, 552, "varlam: no-normal-form after 551 steps\n")
+
+
 def test_eq_exit_codes(capsys):
     assert run(capsys, "eq", "Plus #1 #2", "#3")[0] == 0
     code, out, _ = run(capsys, "eq", "K", "S")
@@ -229,6 +238,18 @@ def test_missing_file_is_an_error(capsys, tmp_path, monkeypatch, argv, code):
     assert run(capsys, *argv) == (code, "", "varlam: No such file or directory: nosuch.lam\n")
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["normalize", "bad.lam"], 1),
+    (["normalize", "--defs", "bad.lam", "-e", "K"], 1),
+    (["eq", "--defs", "bad.lam", "K", "K"], 3),
+])
+def test_file_not_utf8_is_an_error(capsys, tmp_path, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.lam").write_bytes(b"\xff\xfe K")
+    assert run(capsys, *argv) == (
+        code, "", "varlam: not UTF-8 (invalid start byte at byte 0): bad.lam\n")
+
+
 def test_missing_prelude_directory_is_an_error(capsys, tmp_path, monkeypatch):
     missing = tmp_path / "nonexistent"
     monkeypatch.setenv("VARLAM_PRELUDE", str(missing))
@@ -290,6 +311,7 @@ _SOURCE = _TEXT.map(lambda t: ["-e", t]) | st.just(["no/such/file.lam"])
 _ARGV = st.one_of(
     st.tuples(st.sampled_from(["parse", "normalize", "unchurch"]), _LIMITS, _SOURCE)
       .map(lambda p: [p[0], *p[1], *p[2]]),
+    st.tuples(_LIMITS, _SOURCE).map(lambda p: ["normalize", "--trace", *p[0], *p[1]]),
     st.tuples(_LIMITS, _TEXT, _TEXT).map(lambda p: ["eq", *p[0], "--", p[1], p[2]]),
     st.tuples(st.sampled_from(["turner", "variadic"]), _LIMITS, _SOURCE)
       .map(lambda p: ["bracket", "--algo", p[0], *p[1], *p[2]]),

@@ -101,6 +101,17 @@ def test_trace_examples(env):
     assert all(alpha_eq(s, steps[0]) for s in steps)
 
 
+def test_trace_stops_at_the_size_limit():
+    # the first reduct over the limit ends the trace, as it stops normalize
+    t = parse(r"(\x. x x x) (\x. x x x)")
+    cfg = ReductionConfig(fuel=12, max_term_size=30)
+    steps = trace(t, None, cfg)
+    out = normalize(t, None, cfg)
+    assert (out.status, out.steps, len(steps) - 1) == (Status.SIZE_EXCEEDED, 3, 3)
+    assert steps[-1].size > 30 >= steps[-2].size
+    assert alpha_eq(steps[-1], out.result)
+
+
 def test_trace_agrees_with_normalize(env):
     # the naive global stepper and the zipper machine are independent
     # implementations of the same strategy
@@ -433,28 +444,49 @@ def test_certificate_never_fires_on_a_normalizing_term(t):
 SHARING_TERMS = (
     r"#6 (\x. Pair x x) I", "VarS #5", "VarTup #4", "Iota #4",
     r"Catenate #2 (\z. z a1 a2) #2 (\z. z b1 b2)",
+    r"Catenate #3 (\z. z a1 a2 a3) #3 (\z. z b1 b2 b3)",
 )
+
+
+def _identical(a: Term, b: Term) -> bool:
+    """The same tree, binder names included (what print_term shows)."""
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if a is b:
+            continue
+        cls = a.__class__
+        if cls is not b.__class__:
+            return False
+        if cls is App:
+            pairs += ((a.arg, b.arg), (a.fun, b.fun))
+        elif cls is Lam:
+            if a.binder != b.binder:
+                return False
+            pairs.append((a.body, b.body))
+        elif a.name != b.name:
+            return False
+    return True
 
 
 def _assert_stops_match_trace(t: Term):
     """At every fuel cutoff and every size limit along t's trace, normalize
-    (eta off) and trace agree on status and steps, and the stopped term
-    prints the same, binder names included."""
+    (eta off) and trace agree on status and steps, and the stopped term is
+    the same, binder names included."""
     steps = trace(t)
-    printed = [print_term(s) for s in steps]
     sizes = [s.size for s in steps]
     last = len(steps) - 1
     for fuel in range(last + 1):
         out = normalize(t, None, ReductionConfig(fuel=fuel, eta=False))
         status = Status.NORMAL_FORM if fuel == last else Status.FUEL_EXHAUSTED
         assert (out.status, out.steps) == (status, fuel), fuel
-        assert print_term(out.result) == printed[fuel], fuel
+        assert _identical(out.result, steps[fuel]), fuel
     for limit in sorted(set(sizes)):
         out = normalize(t, None, ReductionConfig(max_term_size=limit, eta=False))
         first = next((k for k in range(1, last + 1) if sizes[k] > limit), None)
         expected = (Status.NORMAL_FORM, last) if first is None else (Status.SIZE_EXCEEDED, first)
         assert (out.status, out.steps) == expected, limit
-        assert print_term(out.result) == printed[out.steps], limit
+        assert _identical(out.result, steps[out.steps]), limit
 
 
 def test_shared_reducts_stop_where_trace_does(env):
@@ -464,28 +496,51 @@ def test_shared_reducts_stop_where_trace_does(env):
         _assert_stops_match_trace(t)
 
 
-def test_shared_reducts_keep_normal_order_counts(env, monkeypatch):
-    # VarS iterates a pair, so normal order reduces 2^n copies of it; each
-    # step is still counted, but far fewer substitutions are performed
-    # (substitute is counted where the reducer looks it up, as perfbench does)
-    contractions = 0
+def _count_substitutions(monkeypatch) -> list[int]:
+    """A one-item list that counts the reducer's calls of substitute (counted
+    where the reducer looks it up, as perfbench does)."""
+    calls = [0]
     real = engine.substitute
 
     def counting(*args):
-        nonlocal contractions
-        contractions += 1
+        calls[0] += 1
         return real(*args)
 
     monkeypatch.setattr(engine, "substitute", counting)
+    return calls
+
+
+def test_shared_reducts_keep_normal_order_counts(env, monkeypatch):
+    # VarS iterates a pair, so normal order reduces 2^n copies of it; each
+    # step is still counted, but far fewer substitutions are performed
+    contractions = _count_substitutions(monkeypatch)
     for n, steps in ((6, 2639), (8, 10869)):
         t = expand_consts(parse(f"VarS #{n}", env), env)
-        contractions = 0
+        contractions[0] = 0
         out = normalize(t)
         assert (out.status, out.steps) == (Status.NORMAL_FORM, steps)
-        assert contractions * 5 < steps, (n, contractions)
+        assert contractions[0] * 5 < steps, (n, contractions[0])
         again = normalize(t)  # now every App on the way has its reduct recorded
         assert (again.status, again.steps) == (out.status, out.steps)
         assert print_term(again.result) == print_term(out.result)
+
+
+def test_each_redex_is_contracted_once_per_call(env, monkeypatch):
+    # normal order meets the same lambda applied to the same argument again
+    # and again; one call of normalize substitutes for each such redex once
+    contractions = _count_substitutions(monkeypatch)
+    t = expand_consts(parse("VarS #16", env), env)
+    out = normalize(t, None, ReductionConfig(fuel=3_000_000))
+    assert (out.status, out.steps) == (Status.NORMAL_FORM, 2_817_805)
+    assert contractions[0] < 5_000, contractions[0]
+    assert alpha_eq(out.result, build("S", 16))
+
+
+def test_memo_started_afresh_keeps_steps_and_results(env, monkeypatch):
+    # a memo emptied every few contractions loses reuse, never a step
+    monkeypatch.setattr(engine, "_MEMO_CAP", 3)
+    for source in ("VarS #5", r"Catenate #2 (\z. z a1 a2) #2 (\z. z b1 b2)"):
+        _assert_stops_match_trace(expand_consts(parse(source, env), env))
 
 
 def test_replayed_reduct_raises_the_enclosing_peak():
