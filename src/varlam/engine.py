@@ -20,10 +20,11 @@ weak-head chains on the same named terms, with ``substitute`` and
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from enum import Enum
 
-from .terms import App, Lam, Term, UnexpandedConstant, Var, alpha_eq, expand_consts, fresh_name, substitute
+from .terms import App, Lam, Term, UnexpandedConstant, Var, alpha_eq, expand_consts, fresh_name, gc_paused, substitute
 from .terms import _first_const
 
 
@@ -65,6 +66,7 @@ def _prepare(t: Term, env) -> Term:
     return expand_consts(t, env)
 
 
+@gc_paused
 def normalize(t: Term, env=None, cfg: ReductionConfig = DEFAULT_CONFIG) -> ReductionOutcome:
     """Reduce to beta(eta)-normal form, or stop on fuel / term-size limits."""
     t = _prepare(t, env)
@@ -80,6 +82,9 @@ _CHAIN = 4  # pending Apps per stack depth, each a reduct of the one before
 # that never repeats a contraction would otherwise hold every reduct it made.
 # The largest memo of `check --max-n 10` holds 8,785.
 _MEMO_CAP = 1 << 16
+# A memo reset collects only once more objects than this were built since
+# the last collection: a full collection walks every live object.
+_KNOT_SWEEP = 1 << 16
 
 
 def _beta_normalize(t: Term, fuel: int, max_size: int):
@@ -113,7 +118,12 @@ def _beta_normalize(t: Term, fuel: int, max_size: int):
     reduct, and a hit reuses it.  Every step is still counted and checked
     against fuel and size.  ``keep`` holds each keyed lambda and argument
     alive, so no id is reused while its key is in the memo.  Both are
-    emptied at ``_MEMO_CAP`` entries, and both die on return.
+    emptied at ``_MEMO_CAP`` entries, and both die on return.  Every term
+    this call builds is a reduct in the memo or inside one, so the memo
+    holds each ``whnf`` knot alive until it is emptied.  The collector is
+    paused (``terms.gc_paused``), so a reset runs a full collection to free
+    the knots that died, once ``_KNOT_SWEEP`` objects were built since the
+    last one.
     """
     stack: list = []
     open_args: dict[int, list[Term]] = {}  # size -> open arguments of that size
@@ -177,6 +187,8 @@ def _beta_normalize(t: Term, fuel: int, max_size: int):
                         if len(contracted) == _MEMO_CAP:
                             contracted.clear()
                             keep.clear()
+                            if gc.get_count()[0] > _KNOT_SWEEP:
+                                gc.collect()
                         contracted[key] = reduct
                         keep.append(t)
                         keep.append(arg)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 
 from .church import church
-from .terms import App, Const, Lam, LambdaError, SeqBinder, Splice, Term, UnboundName, Var, grouped
+from .terms import App, Const, Lam, LambdaError, SeqBinder, Splice, Term, UnboundName, Var, gc_paused, grouped
 
 
 class ParseError(LambdaError):
@@ -193,6 +193,7 @@ def _group_splice_spine(t):
     return None
 
 
+@gc_paused
 def parse(source: str, env=None) -> Term:
     """Parse a term.  With an env, uppercase names must resolve in it."""
     p = _Parser(source, env=env)

@@ -9,10 +9,19 @@ has one cache slot, ``whnf``, which the reducer fills with the lambda the App
 weak-head reduces to (see ``engine._beta_normalize``).  Meta-terms (see
 ``meta``) are terms too: a sequence binder is a ``SeqBinder`` string and a
 splice a ``Splice`` leaf.
+
+A term is built from children that already exist, so its ``fun``, ``arg``
+and ``body`` edges never form a cycle and reference counting frees every
+term.  The one exception is the ``whnf`` slot: a recorded lambda may contain
+the App that records it, a knot that only the cycle collector frees.
+``engine.normalize`` and ``syntax.parse`` run with that collector paused
+(``gc_paused``).
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import sys
 
 # Reduction and substitution recurse on term depth; intermediate terms in the
@@ -34,6 +43,45 @@ class UnexpandedConstant(LambdaError):
     def __init__(self, name: str):
         super().__init__(f"term contains unexpanded constant: {name}")
         self.name = name
+
+
+def gc_paused(fn):
+    """Run fn with the cycle collector paused, and restore it on every exit.
+
+    A reduction or a parse allocates hundreds of thousands of nodes, nearly
+    all freed by reference counting, yet the collector walks the live ones
+    again at every collection: about 14% of a perfbench ``normalize`` pass
+    and 20% of a ``syntax`` pass.  Pausing it for the call is sound because
+    terms cannot form cycles by their ``fun``, ``arg`` and ``body`` edges:
+    they are immutable and built child-first.  The one cycle is an
+    ``App.whnf`` knot.  The redex memo of ``engine._beta_normalize`` can
+    return a reduct that contains the very App being recorded, as in
+    ``(W W)`` -> ``f (W W)``, so the App reaches itself through its recorded
+    lambda.  Only fixed points tie such knots (about 18k objects in a
+    perfbench ``normalize`` pass, all from its fixed-point probes).  The memo
+    holds each knot alive until it is emptied, at ``_MEMO_CAP`` distinct
+    contractions, and a full collection there (once ``_KNOT_SWEEP`` objects
+    were built since the last) frees the knots that died, so a long call
+    does not pile them up; the first collection after the call frees the
+    rest.
+
+    A call that finds the collector paused leaves it paused, so paused calls
+    nest and a caller that pauses the collector itself keeps it paused.  The
+    collector is process-wide: another thread is not collected until the
+    call returns.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 _EMPTY = frozenset()

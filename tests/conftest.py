@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -14,3 +16,15 @@ settings.load_profile("varlam")
 @pytest.fixture(scope="session")
 def env():
     return standard_env()
+
+
+@pytest.fixture
+def collector():
+    """Start with the cycle collector on; leave it as it was, whatever the test does."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    if was:
+        gc.enable()
+    else:
+        gc.disable()

@@ -1,8 +1,10 @@
 import contextlib
+import gc
 import io
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -317,18 +319,28 @@ _ARGV = st.one_of(
       .map(lambda p: ["bracket", "--algo", p[0], *p[1], *p[2]]),
     st.tuples(_INDEX, _LIMITS, _SOURCE).map(lambda p: ["expand", "--n", p[0], *p[1], *p[2]]),
     _INDEX.map(lambda n: ["church", "--", n]),
+    st.tuples(st.sampled_from(["kernel", "bracket"]), st.integers(0, 2), _LIMITS)
+      .map(lambda p: ["check", "--suite", p[0], "--max-n", str(p[1]), *p[2]]),
+    _LIMITS.map(lambda p: ["repl", *p]),
 )
+# what the REPL reads: term lines and :eq lines
+_STDIN = st.lists(_TEXT | st.tuples(_TEXT, _TEXT).map(lambda p: f":eq {p[0]} = {p[1]}"),
+                  max_size=4).map("\n".join)
 
 
 @settings(max_examples=120)
-@given(_ARGV)
-def test_cli_contract(argv):
-    """Nothing escapes main but argparse's usage exit, and every exit code is
-    documented: 0, 1 (error, NOT-EQUAL), 2 (no verdict), 3 (eq error), 64."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+@given(_ARGV, _STDIN)
+def test_cli_contract(argv, stdin):
+    """Nothing escapes main but argparse's usage exit, every exit code is
+    documented: 0, 1 (error, NOT-EQUAL), 2 (no verdict), 3 (eq error), 64,
+    and every exit leaves the cycle collector on."""
+    assert gc.isenabled()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+            mock.patch("sys.stdin", io.StringIO(stdin)):
         try:
             code = main(argv)
         except SystemExit as exc:
             assert exc.code == 64, argv
-            return
-    assert code in (0, 1, 2, 3), argv
+            code = None
+    assert gc.isenabled(), argv
+    assert code in (None, 0, 1, 2, 3), argv

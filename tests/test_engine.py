@@ -1,5 +1,7 @@
+import gc
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -567,3 +569,69 @@ def test_shared_reducts_match_trace_exactly(t, fuel, max_size):
     else:
         assert (out.status, out.steps) == (status, steps)
     assert print_term(out.result) == print_term(ref)
+
+
+# -- the cycle collector is paused for one kernel call, and restored ---------
+
+
+def _record_collector(monkeypatch) -> list[bool]:
+    """gc.isenabled() at each of the reducer's calls of substitute."""
+    seen = []
+    real = engine.substitute
+
+    def recording(*args):
+        seen.append(gc.isenabled())
+        return real(*args)
+
+    monkeypatch.setattr(engine, "substitute", recording)
+    return seen
+
+
+@pytest.mark.parametrize("source, cfg, status", [
+    ("Succ #2", ReductionConfig(), Status.NORMAL_FORM),
+    (OMEGA, ReductionConfig(fuel=100), Status.FUEL_EXHAUSTED),
+    ("#9 #9", ReductionConfig(max_term_size=5000), Status.SIZE_EXCEEDED),
+    (r"\f.(\x.f (x x)) (\x.f (x x))", ReductionConfig(), Status.NO_NORMAL_FORM),
+], ids=["normal-form", "fuel-exhausted", "size-exceeded", "no-normal-form"])
+def test_collector_paused_in_the_beta_loop(env, monkeypatch, collector, source, cfg, status):
+    seen = _record_collector(monkeypatch)
+    out = normalize(parse(source, env), env, cfg)
+    assert out.status is status
+    assert seen and not any(seen)
+    assert gc.isenabled()
+
+
+def test_collector_restored_after_an_error_in_the_loop(monkeypatch, collector):
+    seen = []
+
+    def failing(*args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("substitute failed")
+
+    monkeypatch.setattr(engine, "substitute", failing)
+    with pytest.raises(RuntimeError):
+        normalize(parse(OMEGA))
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_collector_left_off_when_the_caller_paused_it(env, collector):
+    gc.disable()
+    assert normalize(parse("Succ #2", env), env).status is Status.NORMAL_FORM
+    assert beta_eta_equal(parse("Plus #1 #2", env), parse("#3", env), env) is Verdict.EQUAL
+    assert not gc.isenabled()
+
+
+def test_knots_freed_when_the_memo_starts_afresh(env, monkeypatch, collector):
+    """A long paused call leaves no more whnf-knot garbage than one memo holds:
+    each of the 800 fixed points below ties a knot, about 12,300 objects that
+    only the cycle collector frees, and all would be left without the
+    collection at each memo reset."""
+    monkeypatch.setattr(engine, "_MEMO_CAP", 1024)
+    monkeypatch.setattr(engine, "_KNOT_SWEEP", 0)
+    t = parse(r"#800 (\x. VarPsi #1 #1 (\r m. Zero m x (r (Pred m))) #3) #0", env)
+    gc.collect()
+    out = normalize(t, env, ReductionConfig(max_term_size=10**9))
+    left = gc.collect()  # before any allocation can start a collection itself
+    assert out.status is Status.FUEL_EXHAUSTED
+    assert left < 2000

@@ -1,8 +1,11 @@
+import gc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from varlam.church import church
+from varlam import syntax
 from varlam.env import Env, standard_env
 from varlam.syntax import ParseError, parse, parse_definitions, parse_meta, print_term
 from varlam.terms import (
@@ -100,10 +103,30 @@ _PARSERS = {"parse": parse, "parse_meta": parse_meta,
 
 
 @pytest.mark.parametrize("parser, source, message", PARSE_ERRORS)
-def test_parse_error_messages(parser, source, message):
+def test_parse_error_messages(collector, parser, source, message):
     with pytest.raises(ParseError) as exc:
         _PARSERS[parser](source)
     assert str(exc.value) == message
+    assert gc.isenabled()
+
+
+def test_collector_paused_in_the_parser(monkeypatch, collector):
+    seen = []  # gc.isenabled() each time parse builds a numeral
+    real = syntax.church
+
+    def recording(n):
+        seen.append(gc.isenabled())
+        return real(n)
+
+    monkeypatch.setattr(syntax, "church", recording)
+    parse("#2 x")
+    with pytest.raises(ParseError):
+        parse("#4 )")
+    assert seen == [False] * 2
+    assert gc.isenabled()
+    gc.disable()
+    parse("#2 x")
+    assert not gc.isenabled()
 
 
 def test_unbound_const_rejected(env):
