@@ -11,11 +11,12 @@ five-combinator basis, abstracting one variable at a time:
     [x](P Q)        = S ([x]P) ([x]Q) x free in both
 
 The same function abstracts a meta-term (see ``meta``).  A sequence binder
-x[1..n] is abstracted as a block, with the rules above lifted to
-VarI/VarK/VarB/VarC/VarS applied to the index variable n, plus the
-sequence-eta rule [xs](P xs) = P when the sequence does not occur in P.
-A bare splice that a rule moves into argument position becomes grouped, so
-it stays one argument.  ``extended_bound`` binds the index variable.
+x[1..n] is abstracted as a block by the same rules over another basis,
+VarI/VarK/VarB/VarC/VarS applied to the index variable n: there x stands for
+a splice of x[1..n], and the second rule is sequence-eta, [xs](P xs) = P,
+for a bare splice only.  A bare splice that a rule moves into argument
+position becomes grouped, so it stays one argument.  ``extended_bound``
+binds the index variable.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ class MixedSequenceUse(LambdaError):
 
 # -- Turner's algorithm -------------------------------------------------------
 
+_BASIS = tuple(Const(c) for c in ("I", "K", "S", "C", "B"))
+_SEQ_BASIS = ("VarI", "VarK", "VarS", "VarC", "VarB")
+
 
 def turner(t: Term) -> Term:
     """Translate t into the {I,K,B,C,S} basis; constants are opaque heads.
@@ -40,57 +44,38 @@ def turner(t: Term) -> Term:
     if c is App:
         return App(turner(t.fun), turner(t.arg))
     if c is Lam:
-        if t.binder.__class__ is SeqBinder:
-            return _abstract_seq(t.binder, turner(t.body))
-        return _abstract(t.binder, turner(t.body))
+        x = t.binder
+        if x.__class__ is SeqBinder:
+            n = Var(x.index)
+            return _abstract(x, turner(t.body), [App(Const(name), n) for name in _SEQ_BASIS])
+        return _abstract(x, turner(t.body), _BASIS)
     return t
 
 
-def _abstract(x: str, b: Term) -> Term:
-    if b.__class__ is Var and b.name == x:
-        return Const("I")
+def _abstract(x: str, b: Term, basis) -> Term:
+    """[x]b by Turner's rules over basis, the I, K, S, C and B of x's kind."""
     if x not in b.free:
-        return App(Const("K"), grouped(b))
+        return App(basis[1], grouped(b))
+    if b.size == 1:  # x itself, or a splice of it
+        return basis[0]
     # b is an application: after the body was bracketed there are no lambdas
     # left, and the two cases above dispose of variables, constants and splices.
     p, q = b.fun, b.arg
-    if q.__class__ is Splice and not q.grouped:
-        # lam x.(P x1...xn) with x free in P: the trailing splice is n
-        # separate arguments, which no single-variable rule can absorb.
-        raise MixedSequenceUse(
-            f"cannot abstract {x!r} over a spine ending in the sequence {q.binder.name!r}"
-        )
-    if q.__class__ is Var and q.name == x and x not in p.free:
+    cq = q.__class__
+    if cq is Splice and not q.grouped:
+        # n separate arguments, which only sequence-eta can absorb
+        if q.binder != x or x in p.free:
+            raise MixedSequenceUse(f"cannot abstract {x} over a spine ending in the sequence {q.binder}")
+        return grouped(p)
+    if cq is Var and q.name == x and x not in p.free:
         return grouped(p)
     in_p = x in p.free
     in_q = x in q.free
     if in_p and in_q:
-        return App(App(Const("S"), _abstract(x, p)), _abstract(x, q))
+        return App(App(basis[2], _abstract(x, p, basis)), _abstract(x, q, basis))
     if in_p:
-        return App(App(Const("C"), _abstract(x, p)), q)
-    return App(App(Const("B"), grouped(p)), _abstract(x, q))
-
-
-def _abstract_seq(xs: SeqBinder, b: Term) -> Term:
-    n = Var(xs.index)
-    if b.__class__ is Splice and b.binder == xs:
-        return App(Const("VarI"), n)
-    if xs not in b.free:
-        return App(App(Const("VarK"), n), grouped(b))
-    p, q = b.fun, b.arg
-    if q.__class__ is Splice and not q.grouped:
-        if q.binder == xs and xs not in p.free:
-            return grouped(p)  # sequence-eta
-        raise MixedSequenceUse(
-            f"sequence {xs.name!r} spread over a spine it cannot be blocked out of"
-        )
-    in_p = xs in p.free
-    in_q = xs in q.free
-    if in_p and in_q:
-        return App(App(App(Const("VarS"), n), _abstract_seq(xs, p)), _abstract_seq(xs, q))
-    if in_p:
-        return App(App(App(Const("VarC"), n), _abstract_seq(xs, p)), q)
-    return App(App(App(Const("VarB"), n), grouped(p)), _abstract_seq(xs, q))
+        return App(App(basis[3], _abstract(x, p, basis)), q)
+    return App(App(basis[4], grouped(p)), _abstract(x, q, basis))
 
 
 # -- meta-terms -----------------------------------------------------------------

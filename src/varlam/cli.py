@@ -253,7 +253,7 @@ def _repl(env, cfg) -> int:
 def _repl_line(line: str, env, cfg) -> None:
     if line.startswith(":def "):
         body = line[len(":def "):].strip().rstrip(";").rstrip()
-        env.load_text(body + " ;", "<repl>")
+        env.load_text(body + " ;")
     elif line.startswith(":eq "):
         lhs, _, rhs = line[len(":eq "):].partition("=")
         if rhs:

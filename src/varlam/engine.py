@@ -113,24 +113,22 @@ def _beta_normalize(t: Term, fuel: int, max_size: int):
     Contractions are shared too: normal order applies the same lambda object
     to the same argument object again and again (a duplicated closure is
     read back once per copy), and ``substitute`` is a pure function of its
-    three objects.  So ``contracted``, local to this call, maps
-    ``id(lam) << 64 | id(arg)`` (an int key allocates no tuple) to the
-    reduct, and a hit reuses it.  Every step is still counted and checked
-    against fuel and size.  ``keep`` holds each keyed lambda and argument
-    alive, so no id is reused while its key is in the memo.  Both are
-    emptied at ``_MEMO_CAP`` entries, and both die on return.  Every term
-    this call builds is a reduct in the memo or inside one, so the memo
-    holds each ``whnf`` knot alive until it is emptied.  The collector is
-    paused (``terms.gc_paused``), so a reset runs a full collection to free
-    the knots that died, once ``_KNOT_SWEEP`` objects were built since the
-    last one.
+    three objects.  So ``contracted``, local to this call, maps the pair
+    ``(lam, arg)`` to the reduct, and a hit reuses it.  Terms define no
+    ``__eq__``, so the pair hashes and compares by identity, and it holds
+    both objects alive while it is a key.  Every step is still counted and
+    checked against fuel and size.  The memo is emptied at ``_MEMO_CAP``
+    entries and dies on return.  Every term this call builds is a reduct in
+    the memo or inside one, so the memo holds each ``whnf`` knot alive until
+    it is emptied.  The collector is paused (``terms.gc_paused``), so a reset
+    runs a full collection to free the knots that died, once ``_KNOT_SWEEP``
+    objects were built since the last one.
     """
     stack: list = []
     open_args: dict[int, list[Term]] = {}  # size -> open arguments of that size
     open_sizes: list[int] = []  # sizes of the open arguments, innermost last
     pending: list = []  # [App, depth, steps, context size, peak], innermost last
-    contracted: dict[int, Term] = {}  # id(lam) << 64 | id(arg) -> the redex's reduct
-    keep: list[Term] = []  # every keyed lam and arg, so that no id is reused
+    contracted: dict[tuple, Term] = {}  # (lam, arg) -> the redex's reduct
     top = -1  # stack depth of the innermost pending App
     peak = 0  # largest total since the innermost pending App was entered
     built = None  # the reduct substitute has just built: nothing else reaches it yet
@@ -179,19 +177,16 @@ def _beta_normalize(t: Term, fuel: int, max_size: int):
                         return Status.FUEL_EXHAUSTED, _rebuild(t, stack), steps
                     _, arg = stack.pop()
                     total -= 1 + t.size + arg.size  # the redex App(t, arg)
-                    key = id(t) << 64 | id(arg)
+                    key = (t, arg)
                     reduct = contracted.get(key)
                     if reduct is None:
                         body = t.body
                         reduct = substitute(body, t.binder, arg)
                         if len(contracted) == _MEMO_CAP:
                             contracted.clear()
-                            keep.clear()
                             if gc.get_count()[0] > _KNOT_SWEEP:
                                 gc.collect()
                         contracted[key] = reduct
-                        keep.append(t)
-                        keep.append(arg)
                         built = reduct if reduct is not body and reduct is not arg else None
                     else:
                         built = None

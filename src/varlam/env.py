@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import errno
-import importlib.resources
 from pathlib import Path
 
 from .syntax import parse_definitions
 from .terms import LambdaError, Term, UnboundName, expand_consts, free_vars
+
+_DATA = Path(__file__).parent / "data"
 
 
 class BadDefinition(LambdaError):
@@ -15,50 +16,38 @@ class BadDefinition(LambdaError):
 
 
 class Env:
-    """Ordered map from names to closed terms, with per-name provenance.
+    """Ordered map from names to closed terms.
 
     Definitions may only reference earlier names, so the table is acyclic by
-    construction; each entry also stores its fully constant-free expansion.
+    construction; each entry stores its fully constant-free expansion.
     """
 
     def __init__(self):
-        self._raw: dict[str, Term] = {}
         self._expanded: dict[str, Term] = {}
-        self.provenance: dict[str, str] = {}
 
     def __contains__(self, name: str) -> bool:
-        return name in self._raw
-
-    def __iter__(self):
-        return iter(self._raw)
+        return name in self._expanded
 
     def names(self):
-        return list(self._raw)
-
-    def raw(self, name: str) -> Term:
-        if name not in self._raw:
-            raise UnboundName(name)
-        return self._raw[name]
+        return list(self._expanded)
 
     def expanded(self, name: str) -> Term:
         if name not in self._expanded:
             raise UnboundName(name)
         return self._expanded[name]
 
-    def define(self, name: str, term: Term, source: str = "<interactive>") -> None:
+    def define(self, name: str, term: Term) -> None:
         expanded = expand_consts(term, self)  # raises UnboundName on forward refs
         fv = free_vars(expanded)
         if fv:
             raise BadDefinition(f"{name} is not closed; free: {', '.join(sorted(fv))}")
-        self._raw[name] = term
         self._expanded[name] = expanded
-        self.provenance[name] = source
 
-    def load_text(self, text: str, source: str = "<string>") -> None:
-        parse_definitions(text, self, source)
+    def load_text(self, text: str) -> None:
+        parse_definitions(text, self)
 
     def load_file(self, path) -> None:
-        self.load_text(read_source(path), str(path))
+        self.load_text(read_source(path))
 
 
 def read_source(path) -> str:
@@ -71,26 +60,18 @@ def read_source(path) -> str:
         raise OSError(errno.EILSEQ, reason, str(path)) from None
 
 
-def _data_text(filename: str) -> str:
-    return (importlib.resources.files("varlam") / "data" / filename).read_text("utf-8")
-
-
 def standard_env(prelude: bool = True, directory=None) -> Env:
     """The default environment: prelude names plus the variadic library.
 
-    With a directory, prelude.lam and variadic.lam are read from there
-    instead of the packaged copies.
+    prelude.lam and variadic.lam are read from the directory, else from the
+    packaged copies; a directory without variadic.lam gives the prelude alone.
     """
     env = Env()
     if not prelude:
         return env
-    if directory is not None:
-        base = Path(directory)
-        env.load_file(base / "prelude.lam")
-        variadic = base / "variadic.lam"
-        if variadic.exists():
-            env.load_file(variadic)
-    else:
-        env.load_text(_data_text("prelude.lam"), "<prelude>")
-        env.load_text(_data_text("variadic.lam"), "<variadic>")
+    base = _DATA if directory is None else Path(directory)
+    env.load_file(base / "prelude.lam")
+    variadic = base / "variadic.lam"
+    if variadic.exists():
+        env.load_file(variadic)
     return env

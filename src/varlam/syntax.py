@@ -212,7 +212,7 @@ def parse_meta(source: str) -> Term:
     return t
 
 
-def parse_definitions(text: str, env, source: str = "<string>"):
+def parse_definitions(text: str, env):
     """Parse 'Name := term ;' entries into env, in order."""
     p = _Parser(text, env=env)
     while p.peek()[0] != "eof":
@@ -220,7 +220,7 @@ def parse_definitions(text: str, env, source: str = "<string>"):
         p.expect("define")
         term = p.term()
         p.expect("semi")
-        env.define(name, term, source)
+        env.define(name, term)
 
 
 # -- printing ---------------------------------------------------------------
@@ -262,7 +262,7 @@ def _fmt(t: Term, ctx: str, sugar: bool) -> str:
         if n is not None:
             return f"#{n}"
     c = t.__class__
-    if c is Var or c is Const:
+    if c is Var:
         return t.name
     if c is Lam:
         binders = []
@@ -271,6 +271,10 @@ def _fmt(t: Term, ctx: str, sugar: bool) -> str:
             t = t.body
         s = "\\" + " ".join(binders) + "." + _fmt(t, "top", sugar)
         return f"({s})" if ctx != "top" else s
+    if c is not App:
+        if c is Const:
+            return t.name
+        return f"({t.binder})" if t.grouped else t.binder  # a splice
     # application: function position keeps bare apps, arguments get parens
     fun = _fmt(t.fun, "fun", sugar)
     arg = _fmt(t.arg, "arg", sugar)

@@ -255,7 +255,8 @@ def fresh_name(base: str, avoid) -> str:
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    """Identity up to consistent renaming of binders.  Const compares by name."""
+    """Identity up to consistent renaming of binders.  Const compares by name,
+    a splice by its (renamed) sequence and whether it is grouped."""
     if a is b:
         return True
     return _alpha(a, b, {}, {}, 0)
@@ -275,7 +276,9 @@ def _alpha(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:
         ea2[a.binder] = depth
         eb2[b.binder] = depth
         return _alpha(a.body, b.body, ea2, eb2, depth + 1)
-    return a.name == b.name  # Const
+    if ca is Const:
+        return a.name == b.name
+    return ea.get(a.binder, a.binder) == eb.get(b.binder, b.binder) and a.grouped == b.grouped  # Splice
 
 
 def substitute(t: Term, name: str, repl: Term) -> Term:

@@ -1,15 +1,15 @@
 """The arity-generic term library and its verification harness.
 
 Every library entry lives in variadic.lam; this module registers each entry
-with its oracle and checks the identity (VarX c_n) = X_n against terms the
-oracle builds syntactically.  Entries without a normal form (the fixed-point
-combinators) are checked observationally instead: applied to probe
-generators whose fixed points the reducer can actually compute.
+with the checker of its oracle and checks the identity (VarX c_n) = X_n
+against terms the oracle builds syntactically.  Entries without a normal
+form (the fixed-point combinators) are checked observationally instead:
+applied to probe generators whose fixed points the reducer can actually
+compute.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from . import meta
@@ -74,14 +74,6 @@ _OBSERVED = {"VarPhi": "ycurry", "VarPsi": "yturing", "Ystar": None, "YstarCurri
 OBSERVATIONAL = tuple(_OBSERVED)
 
 
-@dataclass
-class VariadicEntry:
-    name: str
-    term: Term
-    oracle: str
-    check_mode: str  # "Normalizing" | "Observational"
-
-
 def _eq_case(suite, label, lhs, rhs, env, cfg) -> CaseResult:
     ra = normalize(lhs, env, cfg)
     rb = normalize(rhs, env, cfg)
@@ -139,31 +131,20 @@ def _check_observational_entry(name, max_n, cfg, env):
     return upgrade + _constant_probes(name, fix, max_n, cfg, env) + _even_odd_probes(name, fix, cfg, env)
 
 
-# The registry: entry -> (oracle, check mode, checker).
+# The registry: entry -> its checker.
 _REGISTRY = {
-    **{name: (f"family {fam}({'k, n' if meta._FAMILIES[fam][0] else 'n'})", "Normalizing",
-              _check_family_entry)
-       for name, fam in FAMILY_ORACLES.items()},
-    **{name: ("equational laws", "Normalizing", _check_law_entry) for name in _LAWS},
-    "VarMakeX": ("equational laws", "Normalizing", _check_makex_entry),
-    **{name: ("probe suite", "Observational", _check_observational_entry) for name in OBSERVATIONAL},
+    **dict.fromkeys(FAMILY_ORACLES, _check_family_entry),
+    **dict.fromkeys(_LAWS, _check_law_entry),
+    "VarMakeX": _check_makex_entry,
+    **dict.fromkeys(OBSERVATIONAL, _check_observational_entry),
 }
-
-ENTRY_NAMES = tuple(_REGISTRY)
-
-
-def library(env=None) -> dict[str, VariadicEntry]:
-    """All registered entries, with their terms from the loaded library file."""
-    env = env if env is not None else standard_env()
-    return {name: VariadicEntry(name, env.raw(name), oracle, mode)
-            for name, (oracle, mode, _) in _REGISTRY.items()}
 
 
 def check_entry(name: str, max_n: int = 3, cfg: ReductionConfig = DEFAULT_CONFIG, env=None) -> list[CaseResult]:
     """Check one entry against its oracle for all indices up to max_n."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown library entry: {name}")
-    return _REGISTRY[name][2](name, max_n, cfg, env if env is not None else standard_env())
+    return _REGISTRY[name](name, max_n, cfg, env if env is not None else standard_env())
 
 
 def _upgrade_probe(name, max_n, cfg, env):

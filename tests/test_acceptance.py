@@ -5,6 +5,7 @@ criterion.
 """
 
 import time
+from itertools import product
 
 import pytest
 
@@ -82,19 +83,18 @@ def test_criterion_4_library_laws(env):
     def eq(a, b):
         return beta_eta_equal(a, b, env, CFG) is Verdict.EQUAL
 
+    # Iota, VarExtend, Catenate and Apply: the laws check_entry holds them to
+    ok = True
+    for indices, lhs, rhs in variadic._LAWS.values():
+        for vs in product(range(MAX_N + 1), repeat=len(indices)):
+            ok &= eq(lhs(*vs), rhs(*vs))
     es = [Var("e1"), Var("e2"), Var("e3")]
-    fs = [Var("f1"), Var("f2")]
     four = es + [Var("e4")]
-    ok = eq(apply(Const("Iota"), church(3)), tuple_of([church(0), church(1), church(2)]))
     ok &= eq(apply(Const("VarRev"), church(3), *es), tuple_of(list(reversed(es))))
     ok &= eq(apply(tuple_of(four), apply(Const("VarRev"), church(4))),
              tuple_of(list(reversed(four))))
     ok &= eq(apply(Const("VarMap"), church(2), Const("Succ"), tuple_of([church(1), church(2)])),
              tuple_of([church(2), church(3)]))
-    ok &= eq(apply(Const("VarExtend"), church(2), tuple_of(es[:2]), es[2]), tuple_of(es))
-    ok &= eq(apply(Const("Catenate"), church(3), tuple_of(es), church(2), tuple_of(fs)),
-             tuple_of(es + fs))
-    ok &= eq(apply(Const("Apply"), Var("f"), tuple_of(es)), apply(Var("f"), *es))
     _report(4, "library laws", started, 10.0, ok)
 
 

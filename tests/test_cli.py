@@ -265,10 +265,10 @@ def test_repl_reads_on_after_a_file_error(capsys, monkeypatch):
 
     load_text = Env.load_text
 
-    def unreadable_in_repl(self, text, source):
-        if source == "<repl>":
+    def unreadable_in_repl(self, text):
+        if text == "A := \\x.x ;":  # the REPL's :def line
             raise FileNotFoundError(2, "No such file or directory", "gone.lam")
-        load_text(self, text, source)
+        load_text(self, text)
 
     monkeypatch.setattr(Env, "load_text", unreadable_in_repl)
     monkeypatch.setattr("sys.stdin", io.StringIO(":def A := \\x.x\n(\nK\n"))

@@ -75,6 +75,30 @@ def test_expand_examples():
     assert print_term(expand(parse_meta(r"\q x[1..n]. x[1..n] q"), 0)) == r"\q.q"
 
 
+# the grouping shapes of test_expand_examples
+_GROUPING_SHAPES = [
+    r"\x[1..n]. x x[1..n]",
+    r"\q x[1..n]. (x[1..n] x[1..n]) q",
+    r"\q x[1..n]. (x[1..n]) q",
+    r"\q x[1..n]. x[1..n] q",
+]
+
+
+@pytest.mark.parametrize("source", [*meta._META_SOURCES.values(), *_GROUPING_SHAPES])
+def test_meta_terms_print_and_compare(source):
+    m = parse_meta(source)
+    back = parse_meta(print_term(m))
+    assert alpha_eq(back, m) and repr(back) == repr(m)
+
+
+def test_alpha_eq_on_splices():
+    assert alpha_eq(parse_meta(r"\x[1..n]. x[1..n]"), parse_meta(r"\y[1..n]. y[1..n]"))
+    assert alpha_eq(parse_meta(r"\p x[1..n]. p x[1..n] (x[1..n])"),
+                    parse_meta(r"\q y[1..n]. q y[1..n] (y[1..n])"))
+    assert not alpha_eq(parse_meta(r"\f x[1..n]. f (x[1..n])"), parse_meta(r"\f x[1..n]. f x[1..n]"))
+    assert not alpha_eq(parse_meta(r"\x[1..n] y[1..n]. x[1..n]"), parse_meta(r"\x[1..n] y[1..n]. y[1..n]"))
+
+
 def test_expand_closed():
     for name in meta._META_SOURCES:
         m = meta.builtin_meta(name)
