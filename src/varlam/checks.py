@@ -6,15 +6,7 @@ import random
 
 from . import bracket, meta, variadic
 from .church import church, unchurch
-from .engine import (
-    DEFAULT_CONFIG,
-    ReductionConfig,
-    Status,
-    Verdict,
-    beta_eta_equal,
-    normalize,
-)
-from .env import standard_env
+from .engine import ReductionConfig, Status, Verdict, beta_eta_equal, normalize
 from .report import CaseResult
 from .syntax import parse, print_term
 from .terms import App, Const, Lam, Term, Var, alpha_eq, apply, expand_consts
@@ -65,8 +57,7 @@ _ROUNDTRIP_SOURCES = [
 ]
 
 
-def suite_kernel(max_n: int = 3, cfg: ReductionConfig = DEFAULT_CONFIG, env=None) -> list[CaseResult]:
-    env = env if env is not None else standard_env()
+def suite_kernel(max_n: int, cfg: ReductionConfig, env) -> list[CaseResult]:
     cases = []
     for src in _ROUNDTRIP_SOURCES:
         t = parse(src)
@@ -105,8 +96,7 @@ def suite_kernel(max_n: int = 3, cfg: ReductionConfig = DEFAULT_CONFIG, env=None
 _SUCC_SOURCE = r"\a b c. b (a b c)"
 
 
-def suite_bracket(max_n: int = 3, cfg: ReductionConfig = DEFAULT_CONFIG, env=None) -> list[CaseResult]:
-    env = env if env is not None else standard_env()
+def suite_bracket(max_n: int, cfg: ReductionConfig, env) -> list[CaseResult]:
     cases = []
     for label, src, want in [
         ("succ", _SUCC_SOURCE, "S B"),
@@ -137,7 +127,7 @@ def suite_bracket(max_n: int = 3, cfg: ReductionConfig = DEFAULT_CONFIG, env=Non
                                     verdict is Verdict.EQUAL, "", 0,
                                     verdict is Verdict.UNKNOWN))
 
-    cases.extend(size_observation(corpus, env))
+    cases.extend(size_observation(corpus))
     return cases
 
 
@@ -150,7 +140,7 @@ def _lam_free(t: Term) -> bool:
     return True
 
 
-def size_observation(corpus: list[Term], env=None) -> list[CaseResult]:
+def size_observation(corpus: list[Term]) -> list[CaseResult]:
     """Measured |turner(t)| vs |t| with every basis constant a single leaf.
 
     The succ golden must satisfy the bound; elsewhere the comparison depends
@@ -174,8 +164,7 @@ def size_observation(corpus: list[Term], env=None) -> list[CaseResult]:
 
 # -- variadic / fixpoint suites ---------------------------------------------------
 
-def suite_variadic(max_n: int = 3, cfg: ReductionConfig = DEFAULT_CONFIG, env=None) -> list[CaseResult]:
-    env = env if env is not None else standard_env()
+def suite_variadic(max_n: int, cfg: ReductionConfig, env) -> list[CaseResult]:
     cases = []
     for name in variadic.FAMILY_ORACLES:
         cases.extend(variadic.check_entry(name, max_n, cfg, env))
@@ -189,12 +178,11 @@ def suite_variadic(max_n: int = 3, cfg: ReductionConfig = DEFAULT_CONFIG, env=No
     return cases
 
 
-def suite_fixpoint(max_n: int = 3, cfg: ReductionConfig = DEFAULT_CONFIG, env=None) -> list[CaseResult]:
-    env = env if env is not None else standard_env()
+def suite_fixpoint(max_n: int, cfg: ReductionConfig, env) -> list[CaseResult]:
     cases = []
     for name in variadic.OBSERVATIONAL:
         cases.extend(variadic.check_entry(name, max_n, cfg, env))
-    cases.extend(variadic.check_boehm(max_n, cfg=cfg, env=env))
+    cases.extend(variadic.check_boehm(max_n, cfg, env))
     return cases
 
 
@@ -206,8 +194,7 @@ SUITES = {
 }
 
 
-def run_suites(names, max_n: int = 3, cfg: ReductionConfig = DEFAULT_CONFIG, env=None) -> list[CaseResult]:
-    env = env if env is not None else standard_env()
+def run_suites(names, max_n: int, cfg: ReductionConfig, env) -> list[CaseResult]:
     if "all" in names:
         names = list(SUITES)
     cases = []

@@ -24,8 +24,7 @@ import gc
 from dataclasses import dataclass
 from enum import Enum
 
-from .terms import App, Lam, Term, UnexpandedConstant, Var, alpha_eq, expand_consts, fresh_name, gc_paused, substitute
-from .terms import _first_const
+from .terms import App, Lam, Term, Var, alpha_eq, expand_consts, fresh_name, gc_paused, substitute
 
 
 class Status(Enum):
@@ -58,18 +57,10 @@ class Verdict(Enum):
     UNKNOWN = "UNKNOWN"
 
 
-def _prepare(t: Term, env) -> Term:
-    if not t.has_const:
-        return t
-    if env is None:
-        raise UnexpandedConstant(_first_const(t))
-    return expand_consts(t, env)
-
-
 @gc_paused
 def normalize(t: Term, env=None, cfg: ReductionConfig = DEFAULT_CONFIG) -> ReductionOutcome:
     """Reduce to beta(eta)-normal form, or stop on fuel / term-size limits."""
-    t = _prepare(t, env)
+    t = expand_consts(t, env)
     status, result, steps = _beta_normalize(t, cfg.fuel, cfg.max_term_size)
     if status is Status.NORMAL_FORM and cfg.eta:
         result = eta_normalize(result)
@@ -106,9 +97,12 @@ def _beta_normalize(t: Term, fuel: int, max_size: int):
     recorded steps and resumes at the lambda, unless fuel or size would run
     out on the way: then M is reduced for real, to stop where normal order
     does.  Steps, stops and results are normal order's.  Not recorded: a
-    reduct substitute has just built, which nothing else can reach yet, and
-    an App at a depth that already has ``_CHAIN`` pending (a head loop would
-    otherwise keep one App per step).
+    reduct substitute has just built, and an App at a depth that already has
+    ``_CHAIN`` pending (a head loop would otherwise keep one App per step).
+    The memo can hand a fresh reduct out again, so skipping it is a measured
+    choice, not a necessity: recording it too made a perfbench ``normalize``
+    run slower in 7 of 11 alternating pairs of 5 s runs, median ``wall_cal``
+    800 against 787 (2 vCPUs, Python 3.11).
 
     Contractions are shared too: normal order applies the same lambda object
     to the same argument object again and again (a duplicated closure is
@@ -131,7 +125,7 @@ def _beta_normalize(t: Term, fuel: int, max_size: int):
     contracted: dict[tuple, Term] = {}  # (lam, arg) -> the redex's reduct
     top = -1  # stack depth of the innermost pending App
     peak = 0  # largest total since the innermost pending App was entered
-    built = None  # the reduct substitute has just built: nothing else reaches it yet
+    built = None  # the reduct substitute has just built: not recorded (see above)
     total = t.size
     steps = 0
     down = True
@@ -242,7 +236,9 @@ def eta_normalize(t: Term) -> Term:
     """Erase every eta-redex lam x.(P x) with x not free in P (post-order)."""
     cls = t.__class__
     if cls is App:
-        return App(eta_normalize(t.fun), eta_normalize(t.arg))
+        fun = eta_normalize(t.fun)
+        arg = eta_normalize(t.arg)
+        return t if fun is t.fun and arg is t.arg else App(fun, arg)
     if cls is Lam:
         body = eta_normalize(t.body)
         if (
@@ -277,7 +273,7 @@ def trace(t: Term, env=None, cfg: ReductionConfig = DEFAULT_CONFIG) -> list[Term
     """The normal-order reduction sequence from t, up to normal form, fuel, or
     the first reduct larger than the size limit (the last term, as in
     ``normalize``)."""
-    t = _prepare(t, env)
+    t = expand_consts(t, env)
     out = [t]
     for _ in range(cfg.fuel):
         nxt = step_once(t)
@@ -325,9 +321,6 @@ class ReachResult:
     explored: int = 0
     generated: int = 0
 
-    def __bool__(self):
-        return self.found
-
 
 def _weak_head_step(t: Term):
     """(reduct, contracted at the top) of t's weak-head redex; None at whnf.
@@ -357,8 +350,8 @@ def reduces_to(a: Term, target: Term, env=None, node_cap: int = 100_000, depth_c
     repeat from there); ``depth_cap`` weak-head steps end it inconclusively,
     as do ``node_cap`` pairs the whole search.
     """
-    a = _prepare(a, env)
-    target = _prepare(target, env)
+    a = expand_consts(a, env)
+    target = expand_consts(target, env)
     res = ReachResult(False)
 
     def reach(m: Term, n: Term) -> bool:

@@ -13,6 +13,8 @@ Selectors and projections are the builders of ``church``.
 
 from __future__ import annotations
 
+import functools
+
 from .church import IndexOutOfRange, projection, selector
 from .syntax import UnknownSequence, parse_meta  # parse_meta raises UnknownSequence
 from .terms import App, Lam, LambdaError, SeqBinder, Splice, Term, Var, apply, lams
@@ -83,16 +85,13 @@ _META_SOURCES = {
     "selfapp": r"\x[1..n]. x[1..n] (x[1..n])",
 }
 
-_meta_cache: dict = {}
 
-
+@functools.cache
 def builtin_meta(name: str):
     """The registry meta-term of a singly-indexed family, parsed once."""
     if name not in _META_SOURCES:
         raise UnknownFamily(name)
-    if name not in _meta_cache:
-        _meta_cache[name] = parse_meta(_META_SOURCES[name])
-    return _meta_cache[name]
+    return parse_meta(_META_SOURCES[name])
 
 
 def _xs(n: int, base: str = "x"):
@@ -104,10 +103,7 @@ def _vars(names):
 
 
 def _fam_identity(n: int) -> Term:
-    if n == 0:
-        return Lam("u", Var("u"))
-    xs = _xs(n)
-    return lams(xs, apply(*_vars(xs)))
+    return lams(_xs(n), _chain(_vars(_xs(n))))
 
 
 def _fam_const(n: int) -> Term:
@@ -133,10 +129,8 @@ def _fam_flip(n: int) -> Term:
 
 
 def _fam_selfapply(n: int) -> Term:
-    if n == 0:
-        return Lam("u", Var("u"))
     xs = _vars(_xs(n))
-    return lams(_xs(n), App(apply(*xs), apply(*xs)))
+    return lams(_xs(n), _chain(xs + [_chain(xs)]))
 
 
 def _fam_tuple_maker(n: int) -> Term:

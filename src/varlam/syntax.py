@@ -61,6 +61,7 @@ _TOKEN_RE = re.compile(
     | (?P<num>[0-9]+)
     | (?P<lident>[a-z][A-Za-z0-9_']*)
     | (?P<uident>[A-Z][A-Za-z0-9_']*)
+    | (?P<junk>.)
     """,
     re.VERBOSE,
 )
@@ -68,18 +69,12 @@ _TOKEN_RE = re.compile(
 
 def tokenize(source: str):
     """Return the (kind, text, offset) triples of source; raises ParseError on junk."""
-    tokens = []
-    pos = 0
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(source, pos, f"unexpected character {source[pos]!r}")
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("eof", "", n))
+    tokens = [(kind, m.group(), m.start())
+              for m in _TOKEN_RE.finditer(source) if (kind := m.lastgroup) != "ws"]
+    for kind, text, pos in tokens:
+        if kind == "junk":
+            raise ParseError(source, pos, f"unexpected character {text!r}")
+    tokens.append(("eof", "", len(source)))
     return tokens
 
 

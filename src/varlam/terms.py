@@ -222,28 +222,10 @@ def free_vars(t: Term) -> set[str]:
 def size(t: Term) -> int:
     """|v| = 1, |lam v.P| = 1 + |P|, |(P Q)| = 1 + |P| + |Q|.
 
-    Defined on constant-free terms only; expand constants first.
+    Defined on constant-free terms only: a constant raises
+    ``UnexpandedConstant``, as ``expand_consts(t, None)`` does.
     """
-    if t.has_const:
-        raise UnexpandedConstant(_first_const(t))
-    return t.size
-
-
-def _first_const(t: Term) -> str:
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        c = u.__class__
-        if c is Const:
-            return u.name
-        if c is App:
-            if u.arg.has_const:
-                stack.append(u.arg)
-            if u.fun.has_const:
-                stack.append(u.fun)
-        elif c is Lam:
-            stack.append(u.body)
-    raise AssertionError("has_const set but no Const found")
+    return expand_consts(t, None).size
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -301,13 +283,18 @@ def substitute(t: Term, name: str, repl: Term) -> Term:
 
 
 def expand_consts(t: Term, env) -> Term:
-    """Replace every Const by its (already closed) definition from env."""
+    """Replace every Const by its (already closed) definition from env.
+
+    Without an env (None) the first constant met, leftmost first, raises
+    ``UnexpandedConstant``; a constant-free term is returned as it is.
+    """
     if not t.has_const:
         return t
     c = t.__class__
     if c is Const:
+        if env is None:
+            raise UnexpandedConstant(t.name)
         return env.expanded(t.name)
     if c is App:
         return App(expand_consts(t.fun, env), expand_consts(t.arg, env))
     return Lam(t.binder, expand_consts(t.body, env))
-

@@ -14,14 +14,7 @@ from itertools import product
 
 from . import meta
 from .church import church, tuple_of
-from .engine import (
-    DEFAULT_CONFIG,
-    ReductionConfig,
-    Status,
-    normalize,
-    reduces_to,
-)
-from .env import standard_env
+from .engine import ReductionConfig, Status, normalize, reduces_to
 from .meta import _vars, _xs
 from .report import CaseResult
 from .syntax import parse
@@ -140,11 +133,11 @@ _REGISTRY = {
 }
 
 
-def check_entry(name: str, max_n: int = 3, cfg: ReductionConfig = DEFAULT_CONFIG, env=None) -> list[CaseResult]:
+def check_entry(name: str, max_n: int, cfg: ReductionConfig, env) -> list[CaseResult]:
     """Check one entry against its oracle for all indices up to max_n."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown library entry: {name}")
-    return _REGISTRY[name](name, max_n, cfg, env if env is not None else standard_env())
+    return _REGISTRY[name](name, max_n, cfg, env)
 
 
 def _upgrade_probe(name, max_n, cfg, env):
@@ -220,7 +213,7 @@ def _even_odd_probes(name, fix, cfg, env):
     return cases
 
 
-def check_boehm(max_n: int = 2, cfg: ReductionConfig = DEFAULT_CONFIG, env=None) -> list[CaseResult]:
+def check_boehm(max_n: int, cfg: ReductionConfig, env) -> list[CaseResult]:
     """The relation between the Curry- and Turing-style fixed points.
 
     (a) VarM c_1 c_1 normalizes to nf(S I); (b) VarM agrees with its family;
@@ -230,7 +223,6 @@ def check_boehm(max_n: int = 2, cfg: ReductionConfig = DEFAULT_CONFIG, env=None)
     (d) the arity-generic counterpart holds observationally (the chain
     probe).  (b), (c) and (d) are checked at every 1 <= k <= n <= max_n.
     """
-    env = env if env is not None else standard_env()
     cases = [_eq_case("boehm", "VarM 1 1 = S I", apply(Const("VarM"), church(1), church(1)),
                       parse("S I", env), env, cfg)]
     for n in range(1, max_n + 1):
@@ -258,11 +250,10 @@ def check_boehm(max_n: int = 2, cfg: ReductionConfig = DEFAULT_CONFIG, env=None)
     return cases
 
 
-def check_makex(n: int, terms: list[Term], cfg: ReductionConfig = DEFAULT_CONFIG, env=None) -> list[CaseResult]:
+def check_makex(n: int, terms: list[Term], cfg: ReductionConfig, env) -> list[CaseResult]:
     """X = VarMakeX c_n E1...En satisfies X (X ... X) = E_k (k+1 X's inside)."""
     if n != len(terms) or n < 2:
         raise ValueError("need n = len(terms) >= 2")
-    env = env if env is not None else standard_env()
     x = apply(Const("VarMakeX"), church(n), *terms)
     cases = []
     for k in range(1, n + 1):

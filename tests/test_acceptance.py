@@ -125,9 +125,9 @@ def test_criterion_7_one_point_basis(env):
     _report(7, "one-point basis", started, 30.0, ok)
 
 
-def test_criterion_8_size_observation(env):
+def test_criterion_8_size_observation():
     started = time.perf_counter()
-    rows = size_observation(random_closed_terms(count=50, seed=2024), env)
+    rows = size_observation(random_closed_terms(count=50, seed=2024))
     by_name = {c.name: c for c in rows}
     succ = by_name["size succ"]
     ok = succ.ok and "3" in succ.detail and "10" in succ.detail

@@ -110,8 +110,8 @@ def test_extended_mixed_sequence_use():
         turner(parse_meta(r"\x[1..n] s. s x[1..n]"))
 
 
-def test_size_observation_rows(env):
-    rows = {c.name: c for c in size_observation(random_closed_terms(count=20, seed=5), env)}
+def test_size_observation_rows():
+    rows = {c.name: c for c in size_observation(random_closed_terms(count=20, seed=5))}
     assert rows["size succ"].ok  # |S B| = 3 <= |succ| = 10
     assert "3" in rows["size succ"].detail and "10" in rows["size succ"].detail
     assert rows["size self-apply"].ok  # reported, never failed

@@ -21,7 +21,19 @@ from varlam.engine import (
 from varlam import engine
 from varlam.meta import build
 from varlam.syntax import parse, print_term
-from varlam.terms import App, Const, Lam, Term, Var, alpha_eq, apply, expand_consts, substitute
+from varlam.terms import (
+    App,
+    Const,
+    Lam,
+    Term,
+    UnexpandedConstant,
+    Var,
+    alpha_eq,
+    apply,
+    expand_consts,
+    size,
+    substitute,
+)
 
 OMEGA = r"(\x.x x) (\x.x x)"
 
@@ -68,6 +80,26 @@ def test_eta_postpass():
 
 def test_eta_only_when_not_free():
     assert alpha_eq(nf(parse(r"\x. x x")), parse(r"\x. x x"))
+
+
+def test_eta_normalize_returns_unchanged_parts_themselves():
+    t = parse(r"\f x. f (f x)")
+    assert eta_normalize(t) is t
+    u = parse(r"(\x. g x) (f (f y))")
+    assert eta_normalize(u).arg is u.arg
+
+
+@pytest.mark.parametrize("source, name", [("x (K y) S", "K"), (r"\x. x (I (K x))", "I")])
+def test_every_entry_point_names_the_leftmost_constant(source, name):
+    t = parse(source)
+    calls = (normalize, trace, size,
+             lambda t: reduces_to(t, Var("x")), lambda t: reduces_to(Var("x"), t),
+             lambda t: beta_eta_equal(t, Var("x")), lambda t: beta_eta_equal(Var("x"), t))
+    for call in calls:
+        with pytest.raises(UnexpandedConstant) as err:
+            call(t)
+        assert err.value.name == name
+        assert str(err.value) == f"term contains unexpanded constant: {name}"
 
 
 def test_beta_eta_equal_examples(env):
@@ -381,8 +413,13 @@ FIXPOINT_STEPS = {
     "ycurry": {(1, 1): 2, (1, 2): 4, (2, 2): 4, (1, 3): 6, (2, 3): 6, (3, 3): 6},
     "yturing": {(1, 1): 3, (1, 2): 6, (2, 2): 6, (1, 3): 9, (2, 3): 9, (3, 3): 9},
 }
-# beta-steps to the certificate of Ystar c_n and YstarCurried c_n, n = 1, 2, 3
-YSTAR_STEPS = {"Ystar": (66, 182, 446), "YstarCurried": (382, 1059, 2586)}
+# beta-steps to the certificate of Ystar c_n and YstarCurried c_n from n = 1,
+# for every n certified under the default fuel of 1M steps; YstarCurried #12
+# exhausts it
+YSTAR_STEPS = {
+    "Ystar": (66, 182, 446, 1016, 2208, 4654, 9618, 19628, 39740, 80066, 160830, 322480),
+    "YstarCurried": (382, 1059, 2586, 5853, 12640, 26507, 54574, 111081, 224508, 451815, 906922),
+}
 
 
 def test_fixed_point_combinators_are_certified(env):
@@ -398,6 +435,8 @@ def test_fixed_point_combinators_are_certified(env):
         for n, steps in enumerate(table, start=1):
             out = normalize(App(Const(name), church(n)), env)
             assert (out.status, out.steps) == (Status.NO_NORMAL_FORM, steps), (name, n)
+    out = normalize(App(Const("YstarCurried"), church(12)), env)
+    assert (out.status, out.steps) == (Status.FUEL_EXHAUSTED, ReductionConfig().fuel)
 
 
 # Random terms mixing free variables with self-application, fixed-point and
