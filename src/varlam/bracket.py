@@ -21,7 +21,7 @@ binds the index variable.
 
 from __future__ import annotations
 
-from .terms import App, Const, Lam, LambdaError, SeqBinder, Splice, Term, Var, grouped
+from .terms import App, Const, Lam, LambdaError, SeqBinder, Splice, Term, Var, fresh_name, grouped
 
 
 class MixedSequenceUse(LambdaError):
@@ -86,20 +86,33 @@ BUILTIN_META_NAMES = ("I", "K", "S", "B", "C", "selfapp")
 def extended_bound(m: Term) -> Term:
     """turner(m) with the index variable bound by an outer abstraction.
 
-    Apply it to a Church numeral c_n to obtain the n-th instance.
+    Apply it to a Church numeral c_n to obtain the n-th instance.  The outer
+    binder must not capture a variable of m: without a sequence binder it is
+    a name not free in m, and an index variable that m also uses as a term
+    variable, free or bound, raises ``MixedSequenceUse``.
     """
-    return Lam(index_var_of(m) or "n", turner(m))
+    index, binders = _index_and_binders(m)
+    if index is None:
+        return Lam(fresh_name("n", m.free) if "n" in m.free else "n", turner(m))
+    if index in m.free or index in binders:
+        raise MixedSequenceUse(f"the index variable {index} is also a term variable")
+    return Lam(index, turner(m))
 
 
-def index_var_of(m: Term) -> str | None:
-    """The index variable of the meta-term's sequence binders, if any."""
+def _index_and_binders(m: Term):
+    """The index variable of m's sequence binders (None if it has none) and
+    the names of its other binders."""
+    index = None
+    binders = set()
     stack = [m]
     while stack:
         u = stack.pop()
         if u.__class__ is Lam:
             if u.binder.__class__ is SeqBinder:
-                return u.binder.index
+                index = u.binder.index
+            else:
+                binders.add(u.binder)
             stack.append(u.body)
         elif u.__class__ is App:
             stack += (u.arg, u.fun)
-    return None
+    return index, binders

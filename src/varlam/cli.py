@@ -31,12 +31,11 @@ import sys
 from dataclasses import replace
 
 from . import bracket as bracket_mod
-from .checks import run_suites
+from .checks import all_ok, format_report, run_suites
 from .church import church, unchurch
 from .engine import ReductionConfig, Status, Verdict, beta_eta_equal, normalize, trace
 from .env import read_source, standard_env
 from .meta import expand
-from .report import all_ok, format_report
 from .syntax import parse, parse_meta, print_term
 from .terms import App, LambdaError
 

@@ -19,6 +19,10 @@ both as a binder (a sequence of n binders, a ``SeqBinder``) and as an atom (a
 argument position).  A parenthesized splice, or a parenthesized spine of
 splices alone, is one grouped term.  One index variable per meta-term; every
 splice must name a sequence binder in scope (else ``UnknownSequence``).
+Within the scope of x[1..n], shadowed or not, no variable or binder may be
+named x followed by digits (x1, x12, a sequence x1[1..n]), and no sequence
+binder x[1..n] may open within the scope of such a sequence x1[1..n]: the
+expansion would capture it (a ``ParseError``).
 """
 
 from __future__ import annotations
@@ -90,6 +94,7 @@ class _Parser:
         self.meta = meta  # accept x[1..n] binders and splices
         self.index_var = None  # the single index meta-variable, once seen
         self.seqs = frozenset()  # names of the sequences in scope
+        self.outer = frozenset()  # names of the enclosing sequence binders, shadowed ones too
         self.unknown = None  # the first splice of a sequence not in scope
 
     def peek(self):
@@ -112,12 +117,15 @@ class _Parser:
     def lam(self) -> Term:
         """The rest of a lambda after its lambda sign: binders, '.', the body."""
         binders = []
-        scope = self.seqs
+        scope, outer = self.seqs, self.outer
         while self.peek()[0] == "lident":
             kind, name, pos = self.next()
+            if self.outer:
+                self.check_clash(name, pos)
             if self.meta and self.peek()[0] == "lbrack":
                 name = SeqBinder(name, self.seq_suffix(pos))
                 self.seqs = self.seqs | {name.name}
+                self.outer = self.outer | {name.name}
             elif name in self.seqs:
                 self.seqs = self.seqs - {name}
             binders.append(name)
@@ -125,7 +133,7 @@ class _Parser:
             raise self.error(self.peek()[2], "expected at least one binder")
         self.expect("dot")
         body = self.term()
-        self.seqs = scope
+        self.seqs, self.outer = scope, outer
         for b in reversed(binders):
             body = Lam(b, body)
         return body
@@ -144,6 +152,8 @@ class _Parser:
                 if text not in self.seqs and self.unknown is None:
                     self.unknown = text
                 return Splice(binder)
+            if self.outer:
+                self.check_clash(text, pos)
             return Var(text)
         if kind == "uident":
             if self.env is not None and text not in self.env:
@@ -161,6 +171,15 @@ class _Parser:
             return self.lam()
         raise self.error(pos, f"expected a {'meta-term' if self.meta else 'term'}, found {text!r}")
 
+    def check_clash(self, name, pos):
+        """Raise if the expansion of an enclosing sequence binder could capture
+        name (x1 under x[1..n]) or, when name starts a sequence binder, the
+        expansion of that binder could capture the enclosing one's (x[1..n]
+        under x1[1..n])."""
+        for seq in self.outer:
+            if _numbered(name, seq) or (_numbered(seq, name) and self.peek()[0] == "lbrack"):
+                raise self.error(pos, f"{name!r} clashes with the names of the enclosing sequence {seq!r}")
+
     def seq_suffix(self, pos):
         """Parse '[1..n]' after an identifier; returns the index variable."""
         self.expect("lbrack")
@@ -175,6 +194,11 @@ class _Parser:
         elif idx != self.index_var:
             raise self.error(pos, f"second index variable {idx!r}; only one is allowed")
         return idx
+
+
+def _numbered(name, base):
+    """Whether name is base followed by digits, as x12 is for x."""
+    return name.startswith(base) and name[len(base):].isdigit()
 
 
 def _group_splice_spine(t):

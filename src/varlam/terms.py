@@ -93,7 +93,6 @@ class Term:
 
 class Var(Term):
     __slots__ = ("name", "free", "size", "has_const")
-    __match_args__ = ("name",)
 
     def __init__(self, name: str):
         self.name = name
@@ -107,7 +106,6 @@ class Var(Term):
 
 class Lam(Term):
     __slots__ = ("binder", "body", "free", "size", "has_const")
-    __match_args__ = ("binder", "body")
 
     def __init__(self, binder: str, body: Term):
         self.binder = binder
@@ -125,7 +123,6 @@ class Lam(Term):
 
 class App(Term):
     __slots__ = ("fun", "arg", "free", "size", "has_const", "whnf")
-    __match_args__ = ("fun", "arg")
 
     def __init__(self, fun: Term, arg: Term):
         self.fun = fun
@@ -145,7 +142,6 @@ class Const(Term):
     """A reference to a named definition in an Env (e.g. K, Succ, VarPhi)."""
 
     __slots__ = ("name", "free", "size", "has_const")
-    __match_args__ = ("name",)
 
     def __init__(self, name: str):
         self.name = name
@@ -182,7 +178,6 @@ class Splice(Term):
     """
 
     __slots__ = ("binder", "grouped", "free", "size", "has_const")
-    __match_args__ = ("binder", "grouped")
 
     def __init__(self, binder: SeqBinder, grouped: bool = False):
         self.binder = binder

@@ -9,13 +9,12 @@ from itertools import product
 
 import pytest
 
-from varlam import meta, variadic
+from varlam import checks, meta
 from varlam.bracket import BUILTIN_META_NAMES, extended_bound, turner
-from varlam.checks import random_closed_terms, size_observation
+from varlam.checks import all_ok, random_closed_terms, size_observation
 from varlam.church import church, tuple_of
 from varlam.engine import ReductionConfig, Verdict, beta_eta_equal, reduces_to
 from varlam.env import standard_env
-from varlam.report import all_ok
 from varlam.syntax import parse, print_term
 from varlam.terms import App, Const, Var, apply, expand_consts
 
@@ -48,8 +47,8 @@ def test_criterion_1_turner_goldens():
 def test_criterion_2_basis_family_equivalence(env):
     started = time.perf_counter()
     cases = []
-    for name in variadic.FAMILY_ORACLES:
-        cases.extend(variadic.check_entry(name, MAX_N, CFG, env))
+    for name in checks.FAMILY_ORACLES:
+        cases.extend(checks.check_entry(name, MAX_N, CFG, env))
     ok = all_ok(cases)
     # the boundary identities, stated directly
     for varname, single in (("VarK", "K"), ("VarS", "S"), ("VarB", "B"), ("VarC", "C")):
@@ -85,7 +84,7 @@ def test_criterion_4_library_laws(env):
 
     # Iota, VarExtend, Catenate and Apply: the laws check_entry holds them to
     ok = True
-    for indices, lhs, rhs in variadic._LAWS.values():
+    for indices, lhs, rhs in checks._LAWS.values():
         for vs in product(range(MAX_N + 1), repeat=len(indices)):
             ok &= eq(lhs(*vs), rhs(*vs))
     es = [Var("e1"), Var("e2"), Var("e3")]
@@ -100,7 +99,7 @@ def test_criterion_4_library_laws(env):
 
 def test_criterion_5_fixed_points(env):
     started = time.perf_counter()
-    cases = [c for name in variadic.OBSERVATIONAL for c in variadic.check_entry(name, MAX_N, CFG, env)]
+    cases = [c for name in checks.OBSERVATIONAL for c in checks.check_entry(name, MAX_N, CFG, env)]
     _report(5, "fixed points", started, 120.0, all_ok(cases))
 
 
@@ -120,8 +119,8 @@ def test_criterion_6_boehm_relation(env):
 
 def test_criterion_7_one_point_basis(env):
     started = time.perf_counter()
-    ok = all_ok(variadic.check_makex(2, [Const("K"), Const("S")], CFG, env))
-    ok &= all_ok(variadic.check_makex(3, [Const("I"), Const("K"), Const("S")], CFG, env))
+    ok = all_ok(checks.check_makex(2, [Const("K"), Const("S")], CFG, env))
+    ok &= all_ok(checks.check_makex(3, [Const("I"), Const("K"), Const("S")], CFG, env))
     _report(7, "one-point basis", started, 30.0, ok)
 
 

@@ -110,6 +110,23 @@ def test_extended_mixed_sequence_use():
         turner(parse_meta(r"\x[1..n] s. s x[1..n]"))
 
 
+def test_extended_bound_captures_no_free_variable(env):
+    # without a sequence binder the outer binder avoids the free names
+    for src, want in ((r"\x. n x", r"\n'.n"), (r"\y. y n", r"\n'.C I n"), (r"\x. x", r"\n.I")):
+        m = parse_meta(src)
+        bound = extended_bound(m)
+        assert print_term(bound) == want
+        for n in range(3):
+            assert beta_eta_equal(App(bound, church(n)), meta.expand(m, n), env) is Verdict.EQUAL, (src, n)
+
+
+def test_extended_bound_rejects_the_index_as_a_term_variable():
+    # the binder of the index variable would capture these uses of n
+    for src in (r"\x[1..n]. n x[1..n]", r"\n x[1..n]. x[1..n]"):
+        with pytest.raises(MixedSequenceUse, match="index variable n"):
+            extended_bound(parse_meta(src))
+
+
 def test_size_observation_rows():
     rows = {c.name: c for c in size_observation(random_closed_terms(count=20, seed=5))}
     assert rows["size succ"].ok  # |S B| = 3 <= |succ| = 10

@@ -93,6 +93,11 @@ PARSE_ERRORS = [
     ('parse_meta', '\\x[1..n].\n  x[1..m]', "parse error at 2:3: second index variable 'm'; only one is allowed"),
     ('parse_meta', '\\. x', 'parse error at 1:2: expected at least one binder'),
     ('parse_meta', 'x[', "parse error at 1:3: expected num, found ''"),
+    ('parse_meta', '\\x[1..n] y. x1 y', "parse error at 1:13: 'x1' clashes with the names of the enclosing sequence 'x'"),
+    ('parse_meta', '\\x[1..n]. \\x1. x[1..n]', "parse error at 1:12: 'x1' clashes with the names of the enclosing sequence 'x'"),
+    ('parse_meta', '\\x[1..n] x. x12', "parse error at 1:13: 'x12' clashes with the names of the enclosing sequence 'x'"),
+    ('parse_meta', '\\x[1..n] x1[1..n]. x[1..n]', "parse error at 1:10: 'x1' clashes with the names of the enclosing sequence 'x'"),
+    ('parse_meta', '\\x1[1..n] x[1..n]. x1[1..n]', "parse error at 1:11: 'x' clashes with the names of the enclosing sequence 'x1'"),
     ('defs', 'A := \\x.x ;\nB := A A', "parse error at 2:9: expected semi, found ''"),
     ('defs', 'A = \\x.x ;', "parse error at 1:3: unexpected character '='"),
     ('defs', 'a := \\x.x ;', "parse error at 1:1: expected uident, found 'a'"),

@@ -58,6 +58,13 @@ def test_parse_meta_rejects_bad_sequences():
         parse_meta(r"\x[1..n] x. x[1..n]")  # the single binder x shadows the sequence
 
 
+def test_parse_meta_names_outside_the_sequence_scope():
+    # x1 is free outside the scope of x[1..n], and x or x1 shadow nothing there
+    assert print_term(expand(parse_meta(r"(\x[1..n]. x[1..n]) x1"), 2)) == r"(\x1 x2.x1 x2) x1"
+    assert print_term(expand(parse_meta(r"\x1 x[1..n]. x[1..n]"), 2)) == r"\x1 x1 x2.x1 x2"
+    assert print_term(expand(parse_meta(r"\x1[1..n]. \x. x x1[1..n]"), 1)) == r"\x11 x.x x11"
+
+
 def test_expand_examples():
     tup = parse_meta(r"\x[1..n] s. s x[1..n]")
     assert alpha_eq(expand(tup, 2), parse(r"\x1 x2 s. s x1 x2"))

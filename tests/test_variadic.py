@@ -1,9 +1,9 @@
 import pytest
 
-from varlam import variadic
+from varlam import checks
+from varlam.checks import all_ok
 from varlam.church import church, tuple_of
 from varlam.engine import ReductionConfig, Verdict, beta_eta_equal
-from varlam.report import all_ok
 from varlam.syntax import parse
 from varlam.terms import Const, Var, apply, free_vars
 
@@ -15,7 +15,7 @@ def eq(a, b, env):
 
 
 def test_library_registry(env):
-    for name in (*variadic.FAMILY_ORACLES, *variadic.LAW_ENTRIES, *variadic.OBSERVATIONAL):
+    for name in (*checks.FAMILY_ORACLES, *checks.LAW_ENTRIES, *checks.OBSERVATIONAL):
         assert name in env
         assert not free_vars(env.expanded(name))
 
@@ -24,7 +24,7 @@ def test_basis_entries_against_families(env):
     for name in ("VarI", "VarK", "VarS", "VarB", "VarC", "VarBalt", "VarCalt",
                  "VarSel", "VarProj", "VarTup", "VarRightApp", "VarRev",
                  "VarMap", "VarM"):
-        assert all_ok(variadic.check_entry(name, 2, CFG, env)), name
+        assert all_ok(checks.check_entry(name, 2, CFG, env)), name
 
 
 def test_boundary_identities(env):
@@ -89,42 +89,42 @@ def test_right_applicator(env):
 
 
 def test_constant_fixed_point_probes(env):
-    for name in variadic.OBSERVATIONAL:
-        cases = variadic.check_entry(name, 2, CFG, env)
+    for name in checks.OBSERVATIONAL:
+        cases = checks.check_entry(name, 2, CFG, env)
         assert any(c.name.startswith("constant-probe") for c in cases), name
         assert all_ok(cases), name
 
 
 def test_makex_pair(env):
-    cases = variadic.check_makex(2, [Const("K"), Const("S")], CFG, env)
+    cases = checks.check_makex(2, [Const("K"), Const("S")], CFG, env)
     assert len(cases) == 2 and all_ok(cases)
 
 
 def test_makex_triple(env):
-    cases = variadic.check_makex(3, [Const("I"), Const("K"), Const("S")], CFG, env)
+    cases = checks.check_makex(3, [Const("I"), Const("K"), Const("S")], CFG, env)
     assert len(cases) == 3 and all_ok(cases)
 
 
 def test_makex_non_combinator_terms(env):
     # the packed terms need not be closed
-    cases = variadic.check_makex(2, [Var("u"), parse(r"\x. x u")], CFG, env)
+    cases = checks.check_makex(2, [Var("u"), parse(r"\x. x u")], CFG, env)
     assert all_ok(cases)
 
 
 def test_makex_entry_beyond_the_basis(env):
     # arity 6 packs more terms than the five basis constants: the pool cycles
-    cases = variadic.check_entry("VarMakeX", 6, CFG, env)
+    cases = checks.check_entry("VarMakeX", 6, CFG, env)
     assert [c.name for c in cases if c.name.startswith("n=6 ")] == [f"n=6 recover E{k}" for k in range(1, 7)]
     assert all_ok(cases)
 
 
 def test_makex_validates_arguments(env):
     with pytest.raises(ValueError):
-        variadic.check_makex(1, [Const("K")], CFG, env)
+        checks.check_makex(1, [Const("K")], CFG, env)
 
 
 def test_boehm_report(env):
-    cases = variadic.check_boehm(1, cfg=CFG, env=env)
+    cases = checks.check_boehm(1, cfg=CFG, env=env)
     assert all_ok(cases)
     labels = [c.name for c in cases]
     assert "VarM 1 1 = S I" in labels
@@ -132,7 +132,7 @@ def test_boehm_report(env):
 
 
 def test_check_entry_observational_names(env):
-    cases = variadic.check_entry("VarPhi", 1, CFG, env)
+    cases = checks.check_entry("VarPhi", 1, CFG, env)
     assert all_ok(cases)
     assert any("constant-probe" in c.name for c in cases)
     assert any("no-normal-form" in c.name or "upgraded" in c.name for c in cases)
@@ -140,16 +140,16 @@ def test_check_entry_observational_names(env):
 
 def test_check_entry_unknown_name(env):
     with pytest.raises(KeyError):
-        variadic.check_entry("NotAnEntry", 1, CFG, env)
+        checks.check_entry("NotAnEntry", 1, CFG, env)
 
 
 def test_upgrade_probe_needs_certificates(env):
     # every instance is certified well within the probe's fuel
-    cases = variadic._upgrade_probe("VarPhi", 2, CFG, env)
+    cases = checks._upgrade_probe("VarPhi", 2, CFG, env)
     assert [(c.name, c.ok) for c in cases] == [("no-normal-form probe", True)]
     # a fuel stop no longer passes for "no normal form": VarPhi c_1 c_1 needs
     # 551 steps, ycurry(1, 1) only 2
-    cases = variadic._upgrade_probe("VarPhi", 1, ReductionConfig(fuel=100), env)
+    cases = checks._upgrade_probe("VarPhi", 1, ReductionConfig(fuel=100), env)
     assert [(c.name, c.ok) for c in cases] == [("no-normal-form probe", False)]
     assert cases[0].detail == "not certified: VarPhi k=1 n=1 fuel-exhausted"
 
@@ -157,16 +157,24 @@ def test_upgrade_probe_needs_certificates(env):
 def test_upgrade_probe_uses_the_callers_fuel(env):
     # VarPhi c_1 c_6 is certified after 39,836 steps, VarPsi c_1 c_6 after 35,709
     for name in ("VarPhi", "VarPsi"):
-        cases = variadic._upgrade_probe(name, 6, CFG, env)
+        cases = checks._upgrade_probe(name, 6, CFG, env)
         assert [(c.name, c.ok) for c in cases] == [("no-normal-form probe", True)]
 
 
 def test_eq_case_names_the_stop(env):
     omega = parse(r"(\x.x x) (\x.x x)")
-    case = variadic._eq_case("t", "omega", omega, Const("I"), env, ReductionConfig(fuel=100))
+    case = checks._eq_case("t", "omega", omega, Const("I"), env, ReductionConfig(fuel=100))
     assert (case.ok, case.detail, case.inconclusive) == (False, "fuel-exhausted after 100 steps", True)
     # a certificate is a definite failure, not an inconclusive one
     phi = parse("VarPhi #1 #1", env)
-    case = variadic._eq_case("t", "phi", phi, Const("I"), env, CFG)
+    case = checks._eq_case("t", "phi", phi, Const("I"), env, CFG)
     assert (case.ok, case.detail, case.inconclusive) == (False, "no-normal-form after 551 steps", False)
     assert case.steps == 551
+
+
+def test_eq_case_two_certificates_are_inconclusive(env):
+    # neither side has a normal form, and two such terms may still be equal
+    phi, psi = parse("VarPhi #1 #1", env), parse("VarPsi #1 #1", env)
+    case = checks._eq_case("t", "phi-psi", phi, psi, env, CFG)
+    assert (case.ok, case.detail, case.inconclusive) == (False, "no-normal-form after 551 steps", True)
+    assert case.steps == 1243
