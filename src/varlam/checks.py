@@ -1,9 +1,11 @@
 """Verification suites behind the `check` command (and the acceptance tests).
 
 Each library entry of variadic.lam is registered with a generator of its
-(label, lhs, rhs) instances, from the oracles of ``meta``; ``_eq_cases``
-decides them by normalizing both sides.  The fixed-point combinators, which
-have no normal form, are checked on probes whose fixed points are computable.
+(label, lhs, rhs) instances, from the oracles of ``meta``, and so are the
+kernel arithmetic and the bracket encodings; ``_eq_cases`` normalizes both
+sides and ``engine.verdict`` rules on the two outcomes.  The fixed-point
+combinators, which have no normal form, are checked on probes whose fixed
+points are computable.
 """
 
 from __future__ import annotations
@@ -14,14 +16,14 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import bracket, meta
-from .church import church, tuple_of, unchurch
-from .engine import ReductionConfig, Status, Verdict, beta_eta_equal, normalize, reduces_to
+from .church import church, tuple_of
+from .engine import ReductionConfig, Status, Verdict, normalize, reduces_to, verdict
 from .meta import _vars, _xs
 from .syntax import parse, print_term
-from .terms import App, Const, Lam, Term, Var, alpha_eq, apply, expand_consts, lams
+from .terms import App, Const, Lam, Term, Var, alpha_eq, apply, lams
 
 
-# -- case records, the report and the equality rule ---------------------------
+# -- case records, the report and equality cases ------------------------------
 
 @dataclass
 class CaseResult:
@@ -60,17 +62,11 @@ def all_ok(cases: list[CaseResult]) -> bool:
 
 def _compared(suite, label, ra, rb) -> CaseResult:
     """The case lhs = rhs, from the normalize outcomes ra and rb of its sides."""
-    steps = ra.steps + rb.steps
-    stopped = [r for r in (ra, rb) if r.status is not Status.NORMAL_FORM]
-    if stopped:
-        # definite only when one side has a normal form and the other is
-        # certified to have none: two terms without one may still be equal,
-        # and a fuel or size stop certifies nothing
-        inconclusive = len(stopped) == 2 or stopped[0].status is not Status.NO_NORMAL_FORM
-        detail = f"{stopped[0].status.value} after {stopped[0].steps} steps"
-        return CaseResult(suite, label, False, detail, steps, inconclusive)
-    ok = alpha_eq(ra.result, rb.result)
-    return CaseResult(suite, label, ok, "" if ok else "normal forms differ", steps)
+    v = verdict(ra, rb)
+    stop = next((r for r in (ra, rb) if r.status is not Status.NORMAL_FORM), None)
+    detail = "" if v is Verdict.EQUAL else str(stop) if stop else "normal forms differ"
+    return CaseResult(suite, label, v is Verdict.EQUAL, detail, ra.steps + rb.steps,
+                      v is Verdict.UNKNOWN)
 
 
 def _eq_case(suite, label, lhs, rhs, env, cfg) -> CaseResult:
@@ -128,32 +124,30 @@ _ROUNDTRIP_SOURCES = [
 
 
 def suite_kernel(max_n: int, cfg: ReductionConfig, env) -> list[CaseResult]:
-    cases = []
-    for src in _ROUNDTRIP_SOURCES:
-        t = parse(src)
-        ok = alpha_eq(parse(print_term(t)), t)
-        cases.append(CaseResult("kernel", f"roundtrip {src!r}", ok))
-    for name in env.names():
-        t = env.expanded(name)
-        ok = alpha_eq(parse(print_term(t)), t)
-        cases.append(CaseResult("kernel", f"roundtrip def {name}", ok))
-    # label, library constant, the arithmetic it must compute on 0..8
+    terms = [*((repr(src), parse(src)) for src in _ROUNDTRIP_SOURCES),
+             *((f"def {name}", env.expanded(name)) for name in env.names())]
+    cases = [CaseResult("kernel", f"roundtrip {label}", alpha_eq(parse(print_term(t)), t))
+             for label, t in terms]
+    return cases + _eq_cases("kernel", _kernel_instances(env), cfg, env)
+
+
+def _kernel_instances(env):
+    """Each arithmetic row is one equality of n-tuples: for plus a=2,
+    <Plus c_2 c_0, ..., Plus c_2 c_8> = <c_2, ..., c_10>."""
     for label, constant, oracle in (("plus", "Plus", operator.add),
                                     ("monus", "Monus", lambda a, b: max(a - b, 0))):
         for a in range(9):
-            ok = all(unchurch(apply(Const(constant), church(a), church(b)), env, cfg) == oracle(a, b)
-                     for b in range(9))
-            cases.append(CaseResult("kernel", f"{label} a={a}", ok))
-    zero0 = normalize(apply(Const("Zero"), church(0)), env, cfg).result
-    zero3 = normalize(apply(Const("Zero"), church(3)), env, cfg).result
-    cases.append(CaseResult("kernel", "zero-predicate 0", alpha_eq(zero0, env.expanded("True"))))
-    cases.append(CaseResult("kernel", "zero-predicate 3", alpha_eq(zero3, env.expanded("False"))))
+            yield (f"{label} a={a}",
+                   tuple_of(apply(Const(constant), church(a), church(b)) for b in range(9)),
+                   tuple_of(church(oracle(a, b)) for b in range(9)))
+    yield "zero-predicate 0", apply(Const("Zero"), church(0)), Const("True")
+    yield "zero-predicate 3", apply(Const("Zero"), church(3)), Const("False")
     # the ellipsis-elimination demo: R = lam n.(n Succ) iterates the successor
     r = parse(r"\n. n Succ", env)
     for k in range(6):
-        ok = all(unchurch(apply(r, church(k), church(m)), env, cfg) == k + m for m in range(6))
-        cases.append(CaseResult("kernel", f"iterated-succ k={k}", ok))
-    return cases
+        yield (f"iterated-succ k={k}",
+               tuple_of(apply(r, church(k), church(m)) for m in range(6)),
+               tuple_of(church(k + m) for m in range(6)))
 
 
 # -- bracket suite ---------------------------------------------------------------
@@ -175,22 +169,17 @@ def suite_bracket(max_n: int, cfg: ReductionConfig, env) -> list[CaseResult]:
     pure = sum(1 for t in corpus if _lam_free(bracket.turner(t)))
     cases.append(CaseResult("bracket", "turner purity",
                             pure == len(corpus), f"{pure}/{len(corpus)} outputs lambda-free"))
-    sound = 0
-    for t in corpus:
-        enc = expand_consts(bracket.turner(t), env)
-        if beta_eta_equal(enc, t, env, cfg) is Verdict.EQUAL:
-            sound += 1
+    soundness = _eq_cases("bracket", (("", bracket.turner(t), t) for t in corpus), cfg, env)
+    sound = sum(1 for c in soundness if c.ok)
     cases.append(CaseResult("bracket", "turner soundness",
                             sound == len(corpus), f"{sound}/{len(corpus)} encodings beta-eta-equal"))
-
+    extended = []
     for name in bracket.BUILTIN_META_NAMES:
         m = meta.builtin_meta(name)
         bound = bracket.extended_bound(m)
-        for n in range(max_n + 1):
-            verdict = beta_eta_equal(App(bound, church(n)), meta.expand(m, n), env, cfg)
-            cases.append(CaseResult("bracket", f"extended {name} n={n}",
-                                    verdict is Verdict.EQUAL, "", 0,
-                                    verdict is Verdict.UNKNOWN))
+        extended += ((f"extended {name} n={n}", App(bound, church(n)), meta.expand(m, n))
+                     for n in range(max_n + 1))
+    cases += _eq_cases("bracket", extended, cfg, env)
 
     cases.extend(size_observation(corpus))
     return cases

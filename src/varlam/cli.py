@@ -3,7 +3,7 @@
     varlam parse      -e '\\x.x'                   print the canonical form
     varlam normalize  -e 'Succ #2' --sugar        normal form (exit 2: no normal form, fuel, size)
     varlam eq 'Plus #1 #2' '#3'                   EQUAL / NOT-EQUAL / UNKNOWN (exit 3 on error)
-    varlam bracket    --algo turner -e '\\x.x x'   basis term
+    varlam bracket    --algo turner -e '\\x.x x'   basis term (--n: variadic only)
     varlam expand     --n 3 -e '\\x[1..n] s. s x[1..n]'
     varlam church 4 / varlam unchurch -e 'Plus #2 #2'
     varlam check      --suite all --max-n 3       verification suites
@@ -143,7 +143,7 @@ def _print_outcome(outcome, render) -> int:
     """Print render(normal form), if render; without a normal form print
     "<status> after N steps" on stderr and return 2."""
     if outcome.status is not Status.NORMAL_FORM:
-        print(f"varlam: {outcome.status.value} after {outcome.steps} steps", file=sys.stderr)
+        print(f"varlam: {outcome}", file=sys.stderr)
         return 2
     if render is not None:
         print(render(outcome.result))
@@ -151,7 +151,10 @@ def _print_outcome(outcome, render) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "bracket" and args.algo == "turner" and args.n is not None:
+        parser.error("--n applies to --algo variadic only")
     return _guarded(lambda: _dispatch(args), EQ_ERROR if args.command == "eq" else 1)
 
 

@@ -50,6 +50,9 @@ class ReductionOutcome:
     result: Term
     steps: int
 
+    def __str__(self) -> str:
+        return f"{self.status.value} after {self.steps} steps"
+
 
 class Verdict(Enum):
     EQUAL = "EQUAL"
@@ -286,24 +289,30 @@ def trace(t: Term, env=None, cfg: ReductionConfig = DEFAULT_CONFIG) -> list[Term
     return out
 
 
-def beta_eta_equal(a: Term, b: Term, env=None, cfg: ReductionConfig = DEFAULT_CONFIG) -> Verdict:
-    """Compare beta-eta-normal forms.
+def verdict(ra: ReductionOutcome, rb: ReductionOutcome) -> Verdict:
+    """The verdict on a = b from the normalize outcomes ra and rb of its sides.
 
-    NOT_EQUAL also when one side is certified to have no normal form and the
+    EQUAL when the beta-eta-normal forms are alpha-equal.  NOT_EQUAL when they
+    differ, and also when one side is certified to have no normal form and the
     other has one: by Church-Rosser and eta-postponement, a term beta-eta-equal
     to a normal form has a beta-normal form itself.  UNKNOWN when either side
-    runs out of fuel or size, or when both sides have no normal form.
+    ran out of fuel or size, or when both sides have no normal form.
     """
     decided = (Status.NORMAL_FORM, Status.NO_NORMAL_FORM)
-    ra = normalize(a, env, cfg)
-    if ra.status not in decided:
-        return Verdict.UNKNOWN
-    rb = normalize(b, env, cfg)
-    if rb.status not in decided or ra.status is rb.status is Status.NO_NORMAL_FORM:
+    if (ra.status not in decided or rb.status not in decided
+            or ra.status is rb.status is Status.NO_NORMAL_FORM):
         return Verdict.UNKNOWN
     if ra.status is not rb.status or not alpha_eq(ra.result, rb.result):
         return Verdict.NOT_EQUAL
     return Verdict.EQUAL
+
+
+def beta_eta_equal(a: Term, b: Term, env=None, cfg: ReductionConfig = DEFAULT_CONFIG) -> Verdict:
+    """The ``verdict`` on a = b; b is not reduced when a stops at a limit."""
+    ra = normalize(a, env, cfg)
+    if ra.status in (Status.FUEL_EXHAUSTED, Status.SIZE_EXCEEDED):
+        return Verdict.UNKNOWN
+    return verdict(ra, normalize(b, env, cfg))
 
 
 @dataclass

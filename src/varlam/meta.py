@@ -204,8 +204,6 @@ _FAMILIES = {
     "boehm": (True, _fam_boehm),
 }
 
-FAMILY_NAMES = tuple(_FAMILIES)
-
 
 def build(name: str, n: int, k: int | None = None) -> Term:
     """The concrete lambda-term of the family member name(n) or name(k, n)."""

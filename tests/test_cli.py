@@ -78,6 +78,15 @@ def test_bracket_turner(capsys):
     assert code == 0 and out.strip() == "S I I"
 
 
+def test_bracket_turner_takes_no_index(capsys):
+    # --n instantiates a variadic encoding; turner has no index to take
+    with pytest.raises(SystemExit) as exc:
+        main(["bracket", "--algo", "turner", "--n", "3", "-e", r"\x. x x"])
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == "" and "--n applies to --algo variadic only" in err
+
+
 def test_bracket_variadic(capsys):
     code, out, _ = run(capsys, "bracket", "--algo", "variadic", "-e",
                        r"\x[1..n]. x[1..n] (x[1..n])")
@@ -110,6 +119,14 @@ def test_check_kernel_suite(capsys):
     assert code == 0
     assert out.splitlines()[-1].startswith("PASS")
     assert "[ OK ] kernel/" in out
+
+
+def test_check_reports_a_fuel_stop_as_a_case(capsys):
+    # a kernel row out of fuel is a failed case of the report, not an error
+    code, out, err = run(capsys, "check", "--suite", "kernel", "--max-steps", "5")
+    assert code == 1 and err == ""
+    assert "[FAIL] kernel/plus a=0  -- fuel-exhausted after 5 steps" in out.splitlines()
+    assert out.splitlines()[-1].startswith("FAIL")
 
 
 def test_check_deterministic(capsys):
@@ -333,9 +350,11 @@ _STDIN = st.lists(_TEXT | st.tuples(_TEXT, _TEXT).map(lambda p: f":eq {p[0]} = {
 def test_cli_contract(argv, stdin):
     """Nothing escapes main but argparse's usage exit, every exit code is
     documented: 0, 1 (error, NOT-EQUAL), 2 (no verdict), 3 (eq error), 64,
-    and every exit leaves the cycle collector on."""
+    every exit leaves the cycle collector on, and a check run puts every
+    stop in its report, with nothing on stderr."""
     assert gc.isenabled()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
             mock.patch("sys.stdin", io.StringIO(stdin)):
         try:
             code = main(argv)
@@ -344,3 +363,5 @@ def test_cli_contract(argv, stdin):
             code = None
     assert gc.isenabled(), argv
     assert code in (None, 0, 1, 2, 3), argv
+    if argv[0] == "check" and code is not None:
+        assert err.getvalue() == "", argv

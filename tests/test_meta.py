@@ -172,7 +172,7 @@ def test_families_normalize_or_are_exempt(env):
     # fixed-point combinators has a normal form
     cfg = ReductionConfig(fuel=10_000)
     needs_k = ("sel", "proj", "ycurry", "yturing", "boehm")
-    for name in meta.FAMILY_NAMES:
+    for name in meta._FAMILIES:
         for n in range(5):
             ks = range(1, n + 1) if name in needs_k else (None,)
             for k in ks:

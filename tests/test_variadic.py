@@ -1,9 +1,11 @@
+from itertools import product
+
 import pytest
 
 from varlam import checks
 from varlam.checks import all_ok
 from varlam.church import church, tuple_of
-from varlam.engine import ReductionConfig, Verdict, beta_eta_equal
+from varlam.engine import ReductionConfig, Verdict, beta_eta_equal, normalize, verdict
 from varlam.syntax import parse
 from varlam.terms import Const, Var, apply, free_vars
 
@@ -178,3 +180,37 @@ def test_eq_case_two_certificates_are_inconclusive(env):
     case = checks._eq_case("t", "phi-psi", phi, psi, env, CFG)
     assert (case.ok, case.detail, case.inconclusive) == (False, "no-normal-form after 551 steps", True)
     assert case.steps == 1243
+
+
+# one term per kind of outcome under _RULE_CFG; the first two share a normal form
+_OUTCOMES = {
+    "nf": "K",
+    "nf-same": r"(\x.x) K",
+    "nf-other": "S",
+    "no-nf": "VarPhi #1 #1",
+    "fuel": r"(\x.x x) (\x.x x)",
+    "size": r"(\x.x x x) (\x.x x x)",
+}
+_RULE_CFG = ReductionConfig(fuel=2000, max_term_size=2000)
+
+
+def _expected_verdict(a, b):
+    if {a, b} & {"fuel", "size"} or a == b == "no-nf":
+        return Verdict.UNKNOWN
+    if "no-nf" in (a, b) or ("nf-other" in (a, b) and a != b):
+        return Verdict.NOT_EQUAL
+    return Verdict.EQUAL
+
+
+def test_one_equality_rule(env):
+    # verdict decides every pair of outcomes; a check case and eq read it alike
+    terms = {kind: parse(src, env) for kind, src in _OUTCOMES.items()}
+    outcomes = {kind: normalize(t, env, _RULE_CFG) for kind, t in terms.items()}
+    assert [r.status.value for r in outcomes.values()] == [
+        "normal-form", "normal-form", "normal-form", "no-normal-form", "fuel-exhausted", "size-exceeded"]
+    for a, b in product(_OUTCOMES, repeat=2):
+        v = verdict(outcomes[a], outcomes[b])
+        assert v is _expected_verdict(a, b), (a, b)
+        case = checks._compared("t", f"{a} = {b}", outcomes[a], outcomes[b])
+        assert (case.ok, case.inconclusive) == (v is Verdict.EQUAL, v is Verdict.UNKNOWN), (a, b)
+        assert beta_eta_equal(terms[a], terms[b], env, _RULE_CFG) is v, (a, b)
