@@ -24,28 +24,38 @@ def church(n: int) -> Term:
     return Lam("s", Lam("z", body))
 
 
-def unchurch(t: Term, env=None, cfg=DEFAULT_CONFIG) -> int:
-    """The natural denoted by t, robust to eta-short numerals.
+def numeral_value(t: Term):
+    """n if t is the numeral lam s z. s^n z (lam s s. s is 0), or lam s. s,
+    the eta-short c_1; None otherwise."""
+    if t.__class__ is not Lam:
+        return None
+    if t.body.__class__ is not Lam:
+        return 1 if t.body.__class__ is Var and t.body.name == t.binder else None
+    s, z = t.binder, t.body.binder
+    u = t.body.body
+    n = 0
+    while u.__class__ is App and s != z and u.fun.__class__ is Var and u.fun.name == s:
+        n += 1
+        u = u.arg
+    return n if u.__class__ is Var and u.name == z else None
 
-    Applies t to two fresh free variables, normalizes, and counts the spine.
-    """
-    s = fresh_name("s", t.free)
-    z = fresh_name("z", t.free | {s})
-    outcome = normalize(App(App(t, Var(s)), Var(z)), env, cfg)
+
+def unchurch(t: Term, env=None, cfg=DEFAULT_CONFIG) -> int:
+    """The natural denoted by t: its beta-eta-normal form read as a numeral."""
+    outcome = normalize(t, env, cfg)
     if outcome.status is Status.NO_NORMAL_FORM:
         raise NotANumeral(f"no normal form (certified after {outcome.steps} steps)")
     if outcome.status is not Status.NORMAL_FORM:
         raise NotANumeral(f"no normal form within limits ({outcome.status.value})")
-    u = outcome.result
-    n = 0
-    while u.__class__ is App:
-        if u.fun.__class__ is not Var or u.fun.name != s:
-            raise NotANumeral("normal form is not an iterated application")
-        n += 1
-        u = u.arg
-    if u.__class__ is Var and u.name == z:
-        return n
-    raise NotANumeral("normal form does not end in the zero variable")
+    return read_numeral(outcome.result)
+
+
+def read_numeral(nf: Term) -> int:
+    """The natural the normal form nf denotes; NotANumeral if it denotes none."""
+    n = numeral_value(nf)
+    if n is None:
+        raise NotANumeral("normal form is not a Church numeral")
+    return n
 
 
 def tuple_of(components) -> Term:

@@ -9,7 +9,11 @@
     varlam check      --suite all --max-n 3       verification suites
     varlam repl                                   interactive loop
 
-Expressions come from -e, from a file argument, or from stdin.  When a term
+Expressions come from -e, from a file argument, or from stdin.  Names come
+from the packaged prelude.lam and variadic.lam (not with --no-prelude), then
+from each --defs file; expand and church take neither option.  The limits
+--max-steps, --max-size and --no-eta are taken where terms are reduced: not
+by parse.  unchurch reads the beta-eta-normal form as a numeral.  When a term
 is certified to have no normal form, or the fuel or size limit stops the
 reducer, normalize, bracket --n and unchurch print "<status> after N steps"
 (no-normal-form, fuel-exhausted or size-exceeded) on stderr and exit 2; the
@@ -19,8 +23,6 @@ recursive kernel is an error ("term too deep"), not a verdict.  normalize
 read, or is not UTF-8, prints "varlam: <reason>: <path>" and exits 1 (3 for
 eq); a REPL line's error is reported the same way, and the REPL reads on.  A
 closed stdout (varlam check | head) prints "varlam: Broken pipe" and exits 1.
-The env var VARLAM_PRELUDE may point to a directory with alternate
-prelude.lam / variadic.lam files.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from dataclasses import replace
 
 from . import bracket as bracket_mod
 from .checks import all_ok, format_report, run_suites
-from .church import church, unchurch
+from .church import church, read_numeral
 from .engine import ReductionConfig, Status, Verdict, beta_eta_equal, normalize, trace
-from .env import read_source, standard_env
+from .env import Env, read_source, standard_env
 from .meta import expand
 from .syntax import parse, parse_meta, print_term
 from .terms import App, LambdaError
@@ -58,16 +60,29 @@ def natural(text: str) -> int:
     return n
 
 
-def _add_common(p, expr=True):
+def _add_expr(p):
+    p.add_argument("-e", "--expr", metavar="EXPR", help="expression text")
+    p.add_argument("file", nargs="?", help="file with the expression (default: stdin)")
+
+
+def _add_defs(p):
     p.add_argument("--defs", action="append", default=[], metavar="FILE",
                    help="load additional .lam definition files")
     p.add_argument("--no-prelude", action="store_true", help="start from an empty table")
+
+
+def _add_limits(p):
     p.add_argument("--max-steps", type=natural, default=1_000_000, metavar="N")
     p.add_argument("--max-size", type=natural, default=1_000_000, metavar="N")
     p.add_argument("--no-eta", action="store_true", help="skip the eta post-pass")
-    if expr:
-        p.add_argument("-e", "--expr", metavar="EXPR", help="expression text")
-        p.add_argument("file", nargs="?", help="file with the expression (default: stdin)")
+
+
+def _command(sub, name, help_text, *groups):
+    """The subparser of a command, with the option groups it applies."""
+    p = sub.add_parser(name, help=help_text)
+    for add_group in groups:
+        add_group(p)
+    return p
 
 
 def build_parser() -> _Parser:
@@ -75,52 +90,44 @@ def build_parser() -> _Parser:
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", help="parse and reprint a term")
-    _add_common(p)
+    p = _command(sub, "parse", "parse and reprint a term", _add_expr, _add_defs)
     p.add_argument("--sugar", action="store_true")
 
-    p = sub.add_parser("normalize", help="reduce to beta-eta-normal form")
-    _add_common(p)
+    p = _command(sub, "normalize", "reduce to beta-eta-normal form", _add_expr, _add_defs, _add_limits)
     p.add_argument("--sugar", action="store_true")
     p.add_argument("--trace", action="store_true", help="print every reduction step")
 
-    p = sub.add_parser("eq", help="decide beta-eta-equality of two terms")
-    _add_common(p, expr=False)
+    p = _command(sub, "eq", "decide beta-eta-equality of two terms", _add_defs, _add_limits)
     p.add_argument("lhs")
     p.add_argument("rhs")
 
-    p = sub.add_parser("bracket", help="bracket-abstract into the combinator basis")
-    _add_common(p)
+    p = _command(sub, "bracket", "bracket-abstract into the combinator basis",
+                 _add_expr, _add_defs, _add_limits)
     p.add_argument("--algo", choices=("turner", "variadic"), default="turner")
     p.add_argument("--n", type=natural, default=None,
                    help="variadic only: instantiate at this index and normalize")
 
-    p = sub.add_parser("expand", help="expand a meta-term at a concrete index")
-    _add_common(p)
+    p = _command(sub, "expand", "expand a meta-term at a concrete index", _add_expr)
     p.add_argument("--n", type=natural, required=True)
     p.add_argument("--sugar", action="store_true")
 
-    p = sub.add_parser("church", help="print the n-th Church numeral")
+    p = _command(sub, "church", "print the n-th Church numeral")
     p.add_argument("n", type=natural)
 
-    p = sub.add_parser("unchurch", help="print the natural a term denotes")
-    _add_common(p)
+    _command(sub, "unchurch", "print the natural a term denotes", _add_expr, _add_defs, _add_limits)
 
-    p = sub.add_parser("check", help="run the verification suites")
-    _add_common(p, expr=False)
+    p = _command(sub, "check", "run the verification suites", _add_defs, _add_limits)
     p.add_argument("--suite", choices=("kernel", "bracket", "variadic", "fixpoint", "all"),
                    default="all")
     p.add_argument("--max-n", type=natural, default=3)
 
-    p = sub.add_parser("repl", help="interactive loop (:def, :eq, :quit)")
-    _add_common(p, expr=False)
+    _command(sub, "repl", "interactive loop (:def, :eq, :quit)", _add_defs, _add_limits)
 
     return top
 
 
 def _make_env(args):
-    directory = os.environ.get("VARLAM_PRELUDE") or None
-    env = standard_env(prelude=not args.no_prelude, directory=directory)
+    env = Env() if args.no_prelude else standard_env()
     for path in args.defs:
         env.load_file(path)
     return env
@@ -186,8 +193,14 @@ def _dispatch(args) -> int:
     if cmd == "church":
         print(print_term(church(args.n)))
         return 0
+    if cmd == "expand":
+        print(print_term(expand(parse_meta(_read_expr(args)), args.n), sugar=args.sugar))
+        return 0
 
     env = _make_env(args)
+    if cmd == "parse":
+        print(print_term(parse(_read_expr(args), env), sugar=args.sugar))
+        return 0
     cfg = _make_cfg(args)
     if cmd == "check":
         cases = run_suites([args.suite], max_n=args.max_n, cfg=cfg, env=env)
@@ -199,13 +212,10 @@ def _dispatch(args) -> int:
         return _eq(args.lhs, args.rhs, env, cfg)
 
     source = _read_expr(args)
-    if cmd == "parse":
-        print(print_term(parse(source, env), sugar=args.sugar))
-        return 0
     if cmd == "normalize":
         return _normalize(source, env, cfg, args.sugar, args.trace)
     if cmd == "unchurch":
-        return _print_outcome(normalize(parse(source, env), env, cfg), lambda nf: unchurch(nf, env, cfg))
+        return _print_outcome(normalize(parse(source, env), env, cfg), read_numeral)
     if cmd == "bracket":
         if args.algo == "turner":
             print(print_term(bracket_mod.turner(parse(source, env))))
@@ -215,9 +225,6 @@ def _dispatch(args) -> int:
             print(print_term(bound))
             return 0
         return _print_outcome(normalize(App(bound, church(args.n)), env, cfg), print_term)
-    if cmd == "expand":
-        print(print_term(expand(parse_meta(source), args.n), sugar=args.sugar))
-        return 0
     raise AssertionError(f"unhandled command {cmd}")
 
 

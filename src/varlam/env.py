@@ -60,18 +60,9 @@ def read_source(path) -> str:
         raise OSError(errno.EILSEQ, reason, str(path)) from None
 
 
-def standard_env(prelude: bool = True, directory=None) -> Env:
-    """The default environment: prelude names plus the variadic library.
-
-    prelude.lam and variadic.lam are read from the directory, else from the
-    packaged copies; a directory without variadic.lam gives the prelude alone.
-    """
+def standard_env() -> Env:
+    """The default environment: the packaged prelude.lam, then variadic.lam."""
     env = Env()
-    if not prelude:
-        return env
-    base = _DATA if directory is None else Path(directory)
-    env.load_file(base / "prelude.lam")
-    variadic = base / "variadic.lam"
-    if variadic.exists():
-        env.load_file(variadic)
+    env.load_file(_DATA / "prelude.lam")
+    env.load_file(_DATA / "variadic.lam")
     return env

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 
-from .church import church
+from .church import church, numeral_value
 from .terms import App, Const, Lam, LambdaError, SeqBinder, Splice, Term, UnboundName, Var, gc_paused, grouped
 
 
@@ -254,30 +254,9 @@ def print_term(t: Term, sugar: bool = False) -> str:
     return _fmt(t, ctx="top", sugar=sugar)
 
 
-def _numeral_value(t: Term):
-    """n if t is lam s z. s^n z (or lam s.s); None otherwise."""
-    if t.__class__ is not Lam:
-        return None
-    if t.body.__class__ is Var:
-        return 1 if t.body.name == t.binder else None
-    if t.body.__class__ is not Lam:
-        return None
-    s, z = t.binder, t.body.binder
-    if s == z:
-        return None
-    u = t.body.body
-    n = 0
-    while u.__class__ is App:
-        if u.fun.__class__ is not Var or u.fun.name != s:
-            return None
-        n += 1
-        u = u.arg
-    return n if (u.__class__ is Var and u.name == z) else None
-
-
 def _fmt(t: Term, ctx: str, sugar: bool) -> str:
     if sugar:
-        n = _numeral_value(t)
+        n = numeral_value(t)
         if n is not None:
             return f"#{n}"
     c = t.__class__
@@ -285,7 +264,7 @@ def _fmt(t: Term, ctx: str, sugar: bool) -> str:
         return t.name
     if c is Lam:
         binders = []
-        while t.__class__ is Lam and (not sugar or _numeral_value(t) is None):
+        while t.__class__ is Lam and (not sugar or numeral_value(t) is None):
             binders.append(t.binder)
             t = t.body
         s = "\\" + " ".join(binders) + "." + _fmt(t, "top", sugar)

@@ -7,9 +7,9 @@ from varlam.bracket import (
     extended_bound,
     turner,
 )
-from varlam.checks import random_closed_terms, size_observation
+from varlam.checks import random_closed_terms, size_observation, suite_bracket
 from varlam.church import church
-from varlam.engine import Verdict, beta_eta_equal
+from varlam.engine import ReductionConfig, Verdict, beta_eta_equal
 from varlam.syntax import parse, parse_meta, print_term
 from varlam.terms import App, Lam, Term, expand_consts
 
@@ -134,3 +134,14 @@ def test_size_observation_rows():
     assert rows["size self-apply"].ok  # reported, never failed
     assert "5" in rows["size self-apply"].detail and "4" in rows["size self-apply"].detail
     assert "exceeds" in rows["size self-apply"].detail
+
+
+def test_turner_soundness_reports_steps_and_limit_stops(env):
+    # the summary case counts the steps of its 200 cases, and a failure made
+    # only of fuel stops is inconclusive, not a refutation
+    def soundness(cfg):
+        return next(c for c in suite_bracket(1, cfg, env) if c.name == "turner soundness")
+    case = soundness(ReductionConfig())
+    assert (case.ok, case.steps, case.inconclusive) == (True, 1478, False)
+    case = soundness(ReductionConfig(fuel=5))
+    assert (case.ok, case.inconclusive) == (False, True) and case.steps > 0

@@ -43,6 +43,13 @@ def test_no_normal_form_diagnostic(capsys):
         assert err.strip() == "varlam: no-normal-form after 551 steps"
 
 
+def test_normalize_no_eta(capsys):
+    code, out, _ = run(capsys, "normalize", "--no-eta", "-e", r"\x. f x")
+    assert code == 0 and out.strip() == r"\x.f x"
+    code, out, _ = run(capsys, "normalize", "-e", r"\x. f x")
+    assert code == 0 and out.strip() == "f"
+
+
 def test_normalize_trace(capsys):
     code, out, _ = run(capsys, "normalize", "--trace", "-e", r"(\x.x) y")
     assert code == 0 and out.splitlines() == [r"(\x.x) y", "y"]
@@ -175,6 +182,18 @@ def test_negative_limits_are_usage_errors(capsys, argv):
     assert "must be at least 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["parse", "--max-steps", "5", "-e", "K"], id="parse --max-steps"),
+    pytest.param(["expand", "--n", "1", "--defs", "x.lam", "-e", r"\x[1..n]. x[1..n]"],
+                 id="expand --defs"),
+])
+def test_options_a_command_does_not_apply_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_too_deep_term_is_an_error(capsys):
     # the recursion limit is an error, never eq's NOT-EQUAL (exit 1)
     code, out, err = run(capsys, "eq", "#25000", "#25000")
@@ -198,12 +217,12 @@ def test_defs_flag(tmp_path, capsys):
     assert code == 0 and out.strip() == "#2"
 
 
-def test_prelude_dir_env_var(tmp_path, capsys, monkeypatch):
-    (tmp_path / "prelude.lam").write_text("Id := \\x.x ;\n", encoding="utf-8")
-    monkeypatch.setenv("VARLAM_PRELUDE", str(tmp_path))
-    code, out, _ = run(capsys, "normalize", "-e", "Id y")
+def test_no_prelude_with_defs_replaces_the_prelude(tmp_path, capsys):
+    prelude = tmp_path / "prelude.lam"
+    prelude.write_text("Id := \\x.x ;\n", encoding="utf-8")
+    code, out, _ = run(capsys, "normalize", "--no-prelude", "--defs", str(prelude), "-e", "Id y")
     assert code == 0 and out.strip() == "y"
-    code, _, err = run(capsys, "normalize", "-e", "Succ #1")
+    code, _, err = run(capsys, "normalize", "--no-prelude", "--defs", str(prelude), "-e", "Succ #1")
     assert code == 1 and "unbound name" in err
 
 
@@ -269,14 +288,6 @@ def test_file_not_utf8_is_an_error(capsys, tmp_path, monkeypatch, argv, code):
         code, "", "varlam: not UTF-8 (invalid start byte at byte 0): bad.lam\n")
 
 
-def test_missing_prelude_directory_is_an_error(capsys, tmp_path, monkeypatch):
-    missing = tmp_path / "nonexistent"
-    monkeypatch.setenv("VARLAM_PRELUDE", str(missing))
-    code, out, err = run(capsys, "parse", "-e", "K")
-    assert (code, out) == (1, "")
-    assert err == f"varlam: No such file or directory: {missing / 'prelude.lam'}\n"
-
-
 def test_repl_reads_on_after_a_file_error(capsys, monkeypatch):
     from varlam.env import Env
 
@@ -327,14 +338,16 @@ _LIMIT = st.sampled_from(["-1", "0", "5", "200"])
 _LIMITS = st.tuples(_LIMIT, _LIMIT).map(lambda p: ["--max-steps", p[0], "--max-size", p[1]])
 _INDEX = st.integers(-1, 5).map(str)
 _SOURCE = _TEXT.map(lambda t: ["-e", t]) | st.just(["no/such/file.lam"])
+# limits only for the commands that apply them: parse and expand take none
 _ARGV = st.one_of(
-    st.tuples(st.sampled_from(["parse", "normalize", "unchurch"]), _LIMITS, _SOURCE)
+    _SOURCE.map(lambda s: ["parse", *s]),
+    st.tuples(st.sampled_from(["normalize", "unchurch"]), _LIMITS, _SOURCE)
       .map(lambda p: [p[0], *p[1], *p[2]]),
     st.tuples(_LIMITS, _SOURCE).map(lambda p: ["normalize", "--trace", *p[0], *p[1]]),
     st.tuples(_LIMITS, _TEXT, _TEXT).map(lambda p: ["eq", *p[0], "--", p[1], p[2]]),
     st.tuples(st.sampled_from(["turner", "variadic"]), _LIMITS, _SOURCE)
       .map(lambda p: ["bracket", "--algo", p[0], *p[1], *p[2]]),
-    st.tuples(_INDEX, _LIMITS, _SOURCE).map(lambda p: ["expand", "--n", p[0], *p[1], *p[2]]),
+    st.tuples(_INDEX, _SOURCE).map(lambda p: ["expand", "--n", p[0], *p[1]]),
     _INDEX.map(lambda n: ["church", "--", n]),
     st.tuples(st.sampled_from(["kernel", "bracket"]), st.integers(0, 2), _LIMITS)
       .map(lambda p: ["check", "--suite", p[0], "--max-n", str(p[1]), *p[2]]),

@@ -284,6 +284,16 @@ def test_reduces_to_boehm(env):
             assert not res.found and not res.inconclusive
 
 
+def test_reduces_to_node_cap(env):
+    # the Boehm query at n = 2, k = 1 explores 15 pairs; a cap of 3 stops it
+    steps = [build("boehm", 2, j) for j in (1, 2)]
+    lhs, target = apply(build("ycurry", 2, 1), *steps), build("yturing", 2, 1)
+    res = reduces_to(lhs, target, env)
+    assert (res.found, res.inconclusive, res.explored) == (True, False, 15)
+    res = reduces_to(lhs, target, env, node_cap=3)
+    assert (res.found, res.inconclusive, res.explored) == (False, True, 3)
+
+
 def test_reduces_to_cap_reported(env):
     # Omega's graph is a single loop state: a genuine refutation
     res = reduces_to(parse(OMEGA), parse("K", env), env, node_cap=10, depth_cap=5)

@@ -28,7 +28,7 @@ def test_unchurch_examples(env):
 def test_unchurch_rejects_non_numerals(env):
     with pytest.raises(NotANumeral):
         unchurch(parse("True", env), env)
-    with pytest.raises(NotANumeral):
+    with pytest.raises(NotANumeral, match=r"^normal form is not a Church numeral$"):
         unchurch(parse(r"\s z. z s"), env)
     with pytest.raises(NotANumeral):
         unchurch(parse(r"(\x.x x) (\x.x x)"), env)
@@ -36,7 +36,7 @@ def test_unchurch_rejects_non_numerals(env):
 
 def test_unchurch_no_normal_form_messages(env):
     # a certificate is reported as such; a limit stop names the limit
-    with pytest.raises(NotANumeral, match=r"^no normal form \(certified after 552 steps\)$"):
+    with pytest.raises(NotANumeral, match=r"^no normal form \(certified after 551 steps\)$"):
         unchurch(parse("VarPhi #1 #1", env), env)
     with pytest.raises(NotANumeral, match=r"^no normal form within limits \(fuel-exhausted\)$"):
         unchurch(parse(r"(\x.x x) (\x.x x)"), env, ReductionConfig(fuel=100))

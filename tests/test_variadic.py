@@ -137,7 +137,7 @@ def test_check_entry_observational_names(env):
     cases = checks.check_entry("VarPhi", 1, CFG, env)
     assert all_ok(cases)
     assert any("constant-probe" in c.name for c in cases)
-    assert any("no-normal-form" in c.name or "upgraded" in c.name for c in cases)
+    assert any(c.name == "no-normal-form probe" for c in cases)
 
 
 def test_check_entry_unknown_name(env):
@@ -147,11 +147,11 @@ def test_check_entry_unknown_name(env):
 
 def test_upgrade_probe_needs_certificates(env):
     # every instance is certified well within the probe's fuel
-    cases = checks._upgrade_probe("VarPhi", 2, CFG, env)
+    cases = [checks._upgrade_probe("VarPhi", 2, CFG, env)]
     assert [(c.name, c.ok) for c in cases] == [("no-normal-form probe", True)]
     # a fuel stop no longer passes for "no normal form": VarPhi c_1 c_1 needs
     # 551 steps, ycurry(1, 1) only 2
-    cases = checks._upgrade_probe("VarPhi", 1, ReductionConfig(fuel=100), env)
+    cases = [checks._upgrade_probe("VarPhi", 1, ReductionConfig(fuel=100), env)]
     assert [(c.name, c.ok) for c in cases] == [("no-normal-form probe", False)]
     assert cases[0].detail == "not certified: VarPhi k=1 n=1 fuel-exhausted"
 
@@ -159,7 +159,7 @@ def test_upgrade_probe_needs_certificates(env):
 def test_upgrade_probe_uses_the_callers_fuel(env):
     # VarPhi c_1 c_6 is certified after 39,836 steps, VarPsi c_1 c_6 after 35,709
     for name in ("VarPhi", "VarPsi"):
-        cases = checks._upgrade_probe(name, 6, CFG, env)
+        cases = [checks._upgrade_probe(name, 6, CFG, env)]
         assert [(c.name, c.ok) for c in cases] == [("no-normal-form probe", True)]
 
 
