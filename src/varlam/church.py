@@ -18,9 +18,10 @@ def church(n: int) -> Term:
     """The n-th Church numeral lam s z. s^n z."""
     if n < 0:
         raise IndexOutOfRange(f"no Church numeral for {n}")
+    s = Var("s")
     body: Term = Var("z")
     for _ in range(n):
-        body = App(Var("s"), body)
+        body = App(s, body)
     return Lam("s", Lam("z", body))
 
 

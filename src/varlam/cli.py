@@ -11,9 +11,11 @@
 
 Expressions come from -e, from a file argument, or from stdin.  Names come
 from the packaged prelude.lam and variadic.lam (not with --no-prelude), then
-from each --defs file; expand and church take neither option.  The limits
---max-steps, --max-size and --no-eta are taken where terms are reduced: not
-by parse.  unchurch reads the beta-eta-normal form as a numeral.  When a term
+from each --defs file; expand, church and bracket without --n read no names
+and take neither option.  The limits --max-steps, --max-size and --no-eta are
+taken where terms are reduced: not by parse, nor by bracket without --n, and
+unchurch takes no --no-eta, for it reads the beta-eta-normal form as a
+numeral.  An option a command does not apply is a usage error.  When a term
 is certified to have no normal form, or the fuel or size limit stops the
 reducer, normalize, bracket --n and unchurch print "<status> after N steps"
 (no-normal-form, fuel-exhausted or size-exceeded) on stderr and exit 2; the
@@ -65,16 +67,25 @@ def _add_expr(p):
     p.add_argument("file", nargs="?", help="file with the expression (default: stdin)")
 
 
+# An option of these groups that is not given reads None, so that bracket can
+# tell which were given; the limits then come from ReductionConfig.
+_REDUCER_OPTIONS = ("defs", "no_prelude", "max_steps", "max_size", "no_eta")
+
+
 def _add_defs(p):
-    p.add_argument("--defs", action="append", default=[], metavar="FILE",
+    p.add_argument("--defs", action="append", metavar="FILE",
                    help="load additional .lam definition files")
-    p.add_argument("--no-prelude", action="store_true", help="start from an empty table")
+    p.add_argument("--no-prelude", action="store_true", default=None,
+                   help="start from an empty table")
 
 
 def _add_limits(p):
-    p.add_argument("--max-steps", type=natural, default=1_000_000, metavar="N")
-    p.add_argument("--max-size", type=natural, default=1_000_000, metavar="N")
-    p.add_argument("--no-eta", action="store_true", help="skip the eta post-pass")
+    p.add_argument("--max-steps", type=natural, metavar="N")
+    p.add_argument("--max-size", type=natural, metavar="N")
+
+
+def _add_eta(p):
+    p.add_argument("--no-eta", action="store_true", default=None, help="skip the eta post-pass")
 
 
 def _command(sub, name, help_text, *groups):
@@ -93,16 +104,17 @@ def build_parser() -> _Parser:
     p = _command(sub, "parse", "parse and reprint a term", _add_expr, _add_defs)
     p.add_argument("--sugar", action="store_true")
 
-    p = _command(sub, "normalize", "reduce to beta-eta-normal form", _add_expr, _add_defs, _add_limits)
+    p = _command(sub, "normalize", "reduce to beta-eta-normal form",
+                 _add_expr, _add_defs, _add_limits, _add_eta)
     p.add_argument("--sugar", action="store_true")
     p.add_argument("--trace", action="store_true", help="print every reduction step")
 
-    p = _command(sub, "eq", "decide beta-eta-equality of two terms", _add_defs, _add_limits)
+    p = _command(sub, "eq", "decide beta-eta-equality of two terms", _add_defs, _add_limits, _add_eta)
     p.add_argument("lhs")
     p.add_argument("rhs")
 
     p = _command(sub, "bracket", "bracket-abstract into the combinator basis",
-                 _add_expr, _add_defs, _add_limits)
+                 _add_expr, _add_defs, _add_limits, _add_eta)
     p.add_argument("--algo", choices=("turner", "variadic"), default="turner")
     p.add_argument("--n", type=natural, default=None,
                    help="variadic only: instantiate at this index and normalize")
@@ -114,28 +126,29 @@ def build_parser() -> _Parser:
     p = _command(sub, "church", "print the n-th Church numeral")
     p.add_argument("n", type=natural)
 
-    _command(sub, "unchurch", "print the natural a term denotes", _add_expr, _add_defs, _add_limits)
+    p = _command(sub, "unchurch", "print the natural a term denotes", _add_expr, _add_defs, _add_limits)
+    p.set_defaults(no_eta=None)  # a numeral is read from the beta-eta-normal form
 
-    p = _command(sub, "check", "run the verification suites", _add_defs, _add_limits)
+    p = _command(sub, "check", "run the verification suites", _add_defs, _add_limits, _add_eta)
     p.add_argument("--suite", choices=("kernel", "bracket", "variadic", "fixpoint", "all"),
                    default="all")
     p.add_argument("--max-n", type=natural, default=3)
 
-    _command(sub, "repl", "interactive loop (:def, :eq, :quit)", _add_defs, _add_limits)
+    _command(sub, "repl", "interactive loop (:def, :eq, :quit)", _add_defs, _add_limits, _add_eta)
 
     return top
 
 
 def _make_env(args):
     env = Env() if args.no_prelude else standard_env()
-    for path in args.defs:
+    for path in args.defs or ():
         env.load_file(path)
     return env
 
 
 def _make_cfg(args) -> ReductionConfig:
-    return ReductionConfig(fuel=args.max_steps, max_term_size=args.max_size,
-                           eta=not args.no_eta)
+    limits = {"fuel": args.max_steps, "max_term_size": args.max_size}
+    return ReductionConfig(eta=not args.no_eta, **{k: v for k, v in limits.items() if v is not None})
 
 
 def _read_expr(args) -> str:
@@ -160,8 +173,14 @@ def _print_outcome(outcome, render) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "bracket" and args.algo == "turner" and args.n is not None:
-        parser.error("--n applies to --algo variadic only")
+    if args.command == "bracket" and (args.algo == "turner" or args.n is None):
+        # no reduction and no name read: only variadic --n applies the reducer's options
+        if args.algo == "turner" and args.n is not None:
+            parser.error("--n applies to --algo variadic only")
+        for dest in _REDUCER_OPTIONS:
+            if getattr(args, dest) is not None:
+                option = "--" + dest.replace("_", "-")
+                parser.error(f"{option} applies to bracket --algo variadic --n only")
     return _guarded(lambda: _dispatch(args), EQ_ERROR if args.command == "eq" else 1)
 
 
@@ -196,6 +215,8 @@ def _dispatch(args) -> int:
     if cmd == "expand":
         print(print_term(expand(parse_meta(_read_expr(args)), args.n), sugar=args.sugar))
         return 0
+    if cmd == "bracket":
+        return _bracket(args)
 
     env = _make_env(args)
     if cmd == "parse":
@@ -216,16 +237,21 @@ def _dispatch(args) -> int:
         return _normalize(source, env, cfg, args.sugar, args.trace)
     if cmd == "unchurch":
         return _print_outcome(normalize(parse(source, env), env, cfg), read_numeral)
-    if cmd == "bracket":
-        if args.algo == "turner":
-            print(print_term(bracket_mod.turner(parse(source, env))))
-            return 0
-        bound = bracket_mod.extended_bound(parse_meta(source))
-        if args.n is None:
-            print(print_term(bound))
-            return 0
-        return _print_outcome(normalize(App(bound, church(args.n)), env, cfg), print_term)
     raise AssertionError(f"unhandled command {cmd}")
+
+
+def _bracket(args) -> int:
+    """Abstract the term; only variadic --n builds an env and reduces."""
+    source = _read_expr(args)
+    if args.algo == "turner":
+        print(print_term(bracket_mod.turner(parse(source))))
+        return 0
+    bound = bracket_mod.extended_bound(parse_meta(source))
+    if args.n is None:
+        print(print_term(bound))
+        return 0
+    outcome = normalize(App(bound, church(args.n)), _make_env(args), _make_cfg(args))
+    return _print_outcome(outcome, print_term)
 
 
 def _eq(lhs: str, rhs: str, env, cfg) -> int:

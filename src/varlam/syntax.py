@@ -251,30 +251,39 @@ def print_term(t: Term, sugar: bool = False) -> str:
     With sugar on, subterms in Church-numeral normal form (and the eta-short
     form of c_1) render as #n.
     """
-    return _fmt(t, ctx="top", sugar=sugar)
+    out: list[str] = []
+    _fmt(t, "top", sugar, out)
+    return "".join(out)
 
 
-def _fmt(t: Term, ctx: str, sugar: bool) -> str:
+def _fmt(t: Term, ctx: str, sugar: bool, out: list) -> None:
+    """Append the pieces of t, in context ctx, to out."""
     if sugar:
         n = numeral_value(t)
         if n is not None:
-            return f"#{n}"
+            out.append(f"#{n}")
+            return
     c = t.__class__
-    if c is Var:
-        return t.name
+    if c is Var or c is Const:
+        out.append(t.name)
+        return
+    if c is not Lam and c is not App:  # a splice
+        out.append(f"({t.binder})" if t.grouped else t.binder)
+        return
+    # a lambda extends rightmost; function position keeps bare apps, arguments get parens
+    paren = ctx != "top" if c is Lam else ctx == "arg"
+    if paren:
+        out.append("(")
     if c is Lam:
         binders = []
         while t.__class__ is Lam and (not sugar or numeral_value(t) is None):
             binders.append(t.binder)
             t = t.body
-        s = "\\" + " ".join(binders) + "." + _fmt(t, "top", sugar)
-        return f"({s})" if ctx != "top" else s
-    if c is not App:
-        if c is Const:
-            return t.name
-        return f"({t.binder})" if t.grouped else t.binder  # a splice
-    # application: function position keeps bare apps, arguments get parens
-    fun = _fmt(t.fun, "fun", sugar)
-    arg = _fmt(t.arg, "arg", sugar)
-    s = f"{fun} {arg}"
-    return f"({s})" if ctx != "fun" and ctx != "top" else s
+        out.append("\\" + " ".join(binders) + ".")
+        _fmt(t, "top", sugar, out)
+    else:
+        _fmt(t.fun, "fun", sugar, out)
+        out.append(" ")
+        _fmt(t.arg, "arg", sugar, out)
+    if paren:
+        out.append(")")

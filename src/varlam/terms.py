@@ -4,7 +4,12 @@ Terms are immutable. Every node caches its free-variable set, its size and
 whether it mentions a named constant, so the reducer can skip substitution
 into subterms that do not mention the variable at all (the shared subterm is
 returned as-is).  A node reuses a child's free set (or the empty one) when its
-own is equal to it, so most nodes allocate no set of their own.  An App also
+own is equal to it, so most nodes allocate no set of their own.  The leaves
+are shared: ``Var(name)`` and ``Const(name)`` return the one object of that
+name, made at the first call and kept in a module table that grows only with
+the distinct names ever built.  A leaf is immutable and all that is read of
+it follows from its name, so sharing it changes no answer, only memory and
+time (the redex memo of ``engine`` hits more often).  An App also
 has one cache slot, ``whnf``, which the reducer fills with the lambda the App
 weak-head reduces to (see ``engine._beta_normalize``).  Meta-terms (see
 ``meta``) are terms too: a sequence binder is a ``SeqBinder`` string and a
@@ -50,8 +55,10 @@ def gc_paused(fn):
 
     A reduction or a parse allocates hundreds of thousands of nodes, nearly
     all freed by reference counting, yet the collector walks the live ones
-    again at every collection: about 14% of a perfbench ``normalize`` pass
-    and 20% of a ``syntax`` pass.  Pausing it for the call is sound because
+    again at every collection: unpaused, about 14% of a perfbench
+    ``normalize`` pass and 13% of a ``syntax`` pass (2 vCPUs, Python 3.11);
+    paused, 1% and 11%, the rest of ``syntax`` running outside ``parse``.
+    Pausing it for the call is sound because
     terms cannot form cycles by their ``fun``, ``arg`` and ``body`` edges:
     they are immutable and built child-first.  The one cycle is an
     ``App.whnf`` knot.  The redex memo of ``engine._beta_normalize`` can
@@ -85,6 +92,8 @@ def gc_paused(fn):
 
 
 _EMPTY = frozenset()
+_VARS: dict = {}  # name -> the one Var of that name
+_CONSTS: dict = {}  # name -> the one Const of that name
 
 
 class Term:
@@ -94,11 +103,16 @@ class Term:
 class Var(Term):
     __slots__ = ("name", "free", "size", "has_const")
 
-    def __init__(self, name: str):
-        self.name = name
-        self.free = frozenset((name,))
-        self.size = 1
-        self.has_const = False
+    def __new__(cls, name: str):
+        try:
+            return _VARS[name]
+        except KeyError:
+            self = _VARS[name] = object.__new__(cls)
+            self.name = name
+            self.free = frozenset((name,))
+            self.size = 1
+            self.has_const = False
+            return self
 
     def __repr__(self):
         return f"Var({self.name!r})"
@@ -143,11 +157,16 @@ class Const(Term):
 
     __slots__ = ("name", "free", "size", "has_const")
 
-    def __init__(self, name: str):
-        self.name = name
-        self.free = _EMPTY
-        self.size = 1
-        self.has_const = True
+    def __new__(cls, name: str):
+        try:
+            return _CONSTS[name]
+        except KeyError:
+            self = _CONSTS[name] = object.__new__(cls)
+            self.name = name
+            self.free = _EMPTY
+            self.size = 1
+            self.has_const = True
+            return self
 
     def __repr__(self):
         return f"Const({self.name!r})"
@@ -239,7 +258,14 @@ def alpha_eq(a: Term, b: Term) -> bool:
     return _alpha(a, b, {}, {}, 0)
 
 
+_UNBOUND = object()
+
+
 def _alpha(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:
+    """ea and eb map each binder in scope on their side to the depth of its
+    lambda.  A lambda binds its binder for the body and then puts back the
+    outer binding, so one dict per side serves the whole walk.  After a False
+    nothing reads the dicts again, so only a True answer restores them."""
     ca = a.__class__
     if ca is not b.__class__:
         return False
@@ -248,11 +274,23 @@ def _alpha(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:
     if ca is App:
         return _alpha(a.fun, b.fun, ea, eb, depth) and _alpha(a.arg, b.arg, ea, eb, depth)
     if ca is Lam:
-        ea2 = dict(ea)
-        eb2 = dict(eb)
-        ea2[a.binder] = depth
-        eb2[b.binder] = depth
-        return _alpha(a.body, b.body, ea2, eb2, depth + 1)
+        xa = a.binder
+        xb = b.binder
+        outer_a = ea.get(xa, _UNBOUND)
+        outer_b = eb.get(xb, _UNBOUND)
+        ea[xa] = depth
+        eb[xb] = depth
+        if not _alpha(a.body, b.body, ea, eb, depth + 1):
+            return False
+        if outer_a is _UNBOUND:
+            del ea[xa]
+        else:
+            ea[xa] = outer_a
+        if outer_b is _UNBOUND:
+            del eb[xb]
+        else:
+            eb[xb] = outer_b
+        return True
     if ca is Const:
         return a.name == b.name
     return ea.get(a.binder, a.binder) == eb.get(b.binder, b.binder) and a.grouped == b.grouped  # Splice

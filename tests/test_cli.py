@@ -94,6 +94,25 @@ def test_bracket_turner_takes_no_index(capsys):
     assert out == "" and "--n applies to --algo variadic only" in err
 
 
+@pytest.mark.parametrize("algo", [["--algo", "turner"], ["--algo", "variadic"]],
+                         ids=["turner", "variadic"])
+@pytest.mark.parametrize("option", [["--max-steps", "0"], ["--max-size", "1"], ["--no-eta"],
+                                    ["--defs", "nosuch.lam"], ["--no-prelude"]],
+                         ids=lambda option: option[0])
+def test_bracket_without_an_index_rejects_the_reducer_options(capsys, algo, option):
+    # without --n bracket neither reduces nor reads a name
+    with pytest.raises(SystemExit) as exc:
+        main(["bracket", *algo, *option, "-e", r"\x. x x"])
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == "" and f"{option[0]} applies to bracket --algo variadic --n only" in err
+
+
+def test_bracket_without_an_index_reads_no_name(capsys):
+    code, out, _ = run(capsys, "bracket", "--algo", "turner", "-e", r"\x. NoSuch x")
+    assert code == 0 and out.strip() == "NoSuch"
+
+
 def test_bracket_variadic(capsys):
     code, out, _ = run(capsys, "bracket", "--algo", "variadic", "-e",
                        r"\x[1..n]. x[1..n] (x[1..n])")
@@ -119,6 +138,21 @@ def test_church_unchurch(capsys):
     assert code == 0 and out.strip() == r"\s z.s (s (s z))"
     code, out, _ = run(capsys, "unchurch", "-e", "Monus #5 #2")
     assert code == 0 and out.strip() == "3"
+    code, out, _ = run(capsys, "unchurch", "-e", r"\f x y. f x y")  # eta-long c_1
+    assert code == 0 and out.strip() == "1"
+
+
+def test_unchurch_rejects_a_numeral_whose_binders_coincide(capsys):
+    # s^n z with s = z is no numeral: the inner binder shadows the outer one
+    code, out, err = run(capsys, "unchurch", "-e", r"\s s. s (s s)")
+    assert code == 1 and out == ""
+    assert err.strip() == "varlam: normal form is not a Church numeral"
+
+
+def test_normalize_renames_past_primed_free_names(capsys):
+    # renaming y to y' would capture the free y'
+    code, out, _ = run(capsys, "normalize", "-e", r"(\x. \y. x y') y")
+    assert code == 0 and out.strip() == r"\y''.y y'"
 
 
 def test_check_kernel_suite(capsys):
@@ -186,6 +220,7 @@ def test_negative_limits_are_usage_errors(capsys, argv):
     pytest.param(["parse", "--max-steps", "5", "-e", "K"], id="parse --max-steps"),
     pytest.param(["expand", "--n", "1", "--defs", "x.lam", "-e", r"\x[1..n]. x[1..n]"],
                  id="expand --defs"),
+    pytest.param(["unchurch", "--no-eta", "-e", r"\f x y. f x y"], id="unchurch --no-eta"),
 ])
 def test_options_a_command_does_not_apply_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -338,15 +373,18 @@ _LIMIT = st.sampled_from(["-1", "0", "5", "200"])
 _LIMITS = st.tuples(_LIMIT, _LIMIT).map(lambda p: ["--max-steps", p[0], "--max-size", p[1]])
 _INDEX = st.integers(-1, 5).map(str)
 _SOURCE = _TEXT.map(lambda t: ["-e", t]) | st.just(["no/such/file.lam"])
-# limits only for the commands that apply them: parse and expand take none
+# limits only for the commands that apply them: parse, expand and bracket
+# without --n take none
 _ARGV = st.one_of(
     _SOURCE.map(lambda s: ["parse", *s]),
     st.tuples(st.sampled_from(["normalize", "unchurch"]), _LIMITS, _SOURCE)
       .map(lambda p: [p[0], *p[1], *p[2]]),
     st.tuples(_LIMITS, _SOURCE).map(lambda p: ["normalize", "--trace", *p[0], *p[1]]),
     st.tuples(_LIMITS, _TEXT, _TEXT).map(lambda p: ["eq", *p[0], "--", p[1], p[2]]),
-    st.tuples(st.sampled_from(["turner", "variadic"]), _LIMITS, _SOURCE)
-      .map(lambda p: ["bracket", "--algo", p[0], *p[1], *p[2]]),
+    st.tuples(st.sampled_from(["turner", "variadic"]), _SOURCE)
+      .map(lambda p: ["bracket", "--algo", p[0], *p[1]]),
+    st.tuples(_INDEX, _LIMITS, _SOURCE)
+      .map(lambda p: ["bracket", "--algo", "variadic", "--n", p[0], *p[1], *p[2]]),
     st.tuples(_INDEX, _SOURCE).map(lambda p: ["expand", "--n", p[0], *p[1]]),
     _INDEX.map(lambda n: ["church", "--", n]),
     st.tuples(st.sampled_from(["kernel", "bracket"]), st.integers(0, 2), _LIMITS)

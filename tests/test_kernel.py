@@ -1,11 +1,12 @@
 import gc
+import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from varlam.church import church
-from varlam import syntax
+from varlam import meta, syntax
 from varlam.env import Env, standard_env
 from varlam.syntax import ParseError, parse, parse_definitions, parse_meta, print_term
 from varlam.terms import (
@@ -22,7 +23,8 @@ from varlam.terms import (
     substitute,
 )
 
-names = st.sampled_from(["a", "b", "c", "x", "y", "z"])
+# primed names, so that a renamed binder (a to a') can meet a free name
+names = st.sampled_from(["a", "a'", "b", "b''", "c", "x", "y", "z"])
 terms = st.recursive(
     names.map(Var) | st.sampled_from(["K", "S"]).map(Const),
     lambda sub: st.builds(Lam, names, sub) | st.builds(App, sub, sub),
@@ -230,6 +232,81 @@ def test_alpha_eq_symmetric(a, b):
 def test_alpha_eq_transitive(a, b, c):
     if alpha_eq(a, b) and alpha_eq(b, c):
         assert alpha_eq(a, c)
+
+
+def _de_bruijn(t, bound=()):
+    """t as nested tuples in which a bound variable is the number of lambdas
+    between it and its binder: alpha-equal terms, and only they, render equal."""
+    c = t.__class__
+    if c is Var:
+        for i in range(len(bound) - 1, -1, -1):
+            if bound[i] == t.name:
+                return ("bound", len(bound) - 1 - i)
+        return ("free", t.name)
+    if c is Lam:
+        return ("lam", _de_bruijn(t.body, (*bound, t.binder)))
+    if c is App:
+        return ("app", _de_bruijn(t.fun, bound), _de_bruijn(t.arg, bound))
+    return ("const", t.name)
+
+
+def _rebind(t, picks, ren=None):
+    """t with each binder, in preorder, renamed to the next of picks and its
+    bound occurrences after it; a free name may be captured on the way."""
+    ren = ren or {}
+    c = t.__class__
+    if c is Var:
+        return Var(ren.get(t.name, t.name))
+    if c is Lam:
+        b = next(picks)
+        return Lam(b, _rebind(t.body, picks, {**ren, t.binder: b}))
+    if c is App:
+        return App(_rebind(t.fun, picks, ren), _rebind(t.arg, picks, ren))
+    return t
+
+
+# two names for every binder and variable: shadowing is the rule, not the exception
+_SHADOWED = st.sampled_from(["x", "y"])
+_shadowed_terms = st.recursive(
+    _SHADOWED.map(Var) | st.just(Const("K")),
+    lambda sub: st.builds(Lam, _SHADOWED, sub) | st.builds(App, sub, sub),
+    max_leaves=12,
+)
+
+
+@given(_shadowed_terms, _shadowed_terms, st.lists(_SHADOWED | st.just("z"), min_size=1, max_size=6))
+def test_alpha_eq_agrees_with_de_bruijn(a, b, picks):
+    # b is most often not alpha-equal to a; a with its binders renamed often is
+    for other in (b, _rebind(a, itertools.cycle(picks))):
+        assert alpha_eq(a, other) == (_de_bruijn(a) == _de_bruijn(other))
+
+
+@pytest.mark.parametrize("name", sorted(meta._META_SOURCES))
+def test_alpha_eq_agrees_with_de_bruijn_on_large_families(name):
+    expanded = meta.expand(meta.builtin_meta(name), 300)
+    assert _de_bruijn(expanded) == _de_bruijn(meta.build(name, 300))
+    assert alpha_eq(expanded, meta.build(name, 300))
+    assert not alpha_eq(expanded, meta.build(name, 301))
+    assert _de_bruijn(expanded) != _de_bruijn(meta.build(name, 301))
+
+
+def test_leaves_are_shared():
+    assert Var("x") is Var("x") and Var("x") is not Var("y")
+    assert Const("K") is Const("K") and Const("K") is not Const("S")
+    assert Var("K") is not Const("K")
+    t = parse(r"\x. x (x y)")
+    assert t.body.fun is t.body.arg.fun is Var("x")
+    # the binder substitute renames to is shared as well
+    renamed = substitute(parse(r"\y. x y"), "x", Var("y"))
+    assert renamed.binder == "y'" and renamed.body.arg is Var("y'")
+
+
+@given(terms, names, terms)
+@example(parse(r"\a. x a'"), "x", Var("a"))  # a renamed to a' would capture the free a'
+def test_substitute_free_vars_law(t, x, r):
+    # no free name of t or r is captured: renamed binders avoid them all
+    want = free_vars(t) - {x} | free_vars(r) if x in free_vars(t) else free_vars(t)
+    assert free_vars(substitute(t, x, r)) == want
 
 
 def test_substitute_capture_avoidance():
