@@ -1,4 +1,4 @@
-"""Concrete syntax: tokenizer, parsers and the printer.
+"""Concrete syntax: the tokenizer, the parser and the printer.
 
 Term grammar:
 
@@ -23,10 +23,24 @@ Within the scope of x[1..n], shadowed or not, no variable or binder may be
 named x followed by digits (x1, x12, a sequence x1[1..n]), and no sequence
 binder x[1..n] may open within the scope of such a sequence x1[1..n]: the
 expansion would capture it (a ``ParseError``).
+
+The tokenizer is one ``findall`` over ``_TOKEN_RE``: each match skips
+whitespace and comments and captures one token, the empty one at the end.
+It keeps the token texts and their kinds in two parallel lists and no
+offsets: a ``ParseError`` finds the offset of its token again by matching
+the source anew.  ``parse``, ``parse_meta`` and ``parse_definitions`` read
+terms with one loop, ``_term``, over the token index.  Instead of calling
+itself on a nested term it pushes a frame: at '(' the application to its
+left, at a lambda that application, the binders and the sequences in scope
+before them.  A token that cannot start an atom ends the innermost term.  It
+closes every open lambda, since a body extends rightmost, and then ')'
+closes its '('.  So the depth of a term costs list entries, not Python
+frames, and no nesting is too deep to parse.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .church import church, numeral_value
@@ -49,151 +63,146 @@ class UnknownSequence(LambdaError):
         self.name = name
 
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+|--[^\n]*)
-    | (?P<lambda>[\\λ])
-    | (?P<define>:=)
-    | (?P<dotdot>\.\.)
-    | (?P<dot>\.)
-    | (?P<lparen>\()
-    | (?P<rparen>\))
-    | (?P<lbrack>\[)
-    | (?P<rbrack>\])
-    | (?P<semi>;)
-    | (?P<hashnum>\#[0-9]+)
-    | (?P<num>[0-9]+)
-    | (?P<lident>[a-z][A-Za-z0-9_']*)
-    | (?P<uident>[A-Z][A-Za-z0-9_']*)
-    | (?P<junk>.)
-    """,
-    re.VERBOSE,
-)
+# whitespace and comments, then one token: a junk character matches '.', the end '\Z'
+_TOKEN_RE = re.compile(r"\s*(?:--[^\n]*\s*)*(\\|λ|:=|\.\.|[.()\[\];]|#[0-9]+|[0-9]+|[A-Za-z][A-Za-z0-9_']*|.|\Z)")
+# the kind of a token by its text ('#' alone is no numeral), else by its first character
+_KINDS = {"\\": "lambda", "λ": "lambda", ":=": "define", "..": "dotdot", ".": "dot",
+          "(": "lparen", ")": "rparen", "[": "lbrack", "]": "rbrack", ";": "semi",
+          "#": "junk", "": "eof"}
+_FIRST = {**dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "lident"),
+          **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "uident"),
+          **dict.fromkeys("0123456789", "num"), "#": "hashnum"}
 
 
-def tokenize(source: str):
-    """Return the (kind, text, offset) triples of source; raises ParseError on junk."""
-    tokens = [(kind, m.group(), m.start())
-              for m in _TOKEN_RE.finditer(source) if (kind := m.lastgroup) != "ws"]
-    for kind, text, pos in tokens:
-        if kind == "junk":
-            raise ParseError(source, pos, f"unexpected character {text!r}")
-    tokens.append(("eof", "", len(source)))
-    return tokens
+def _tokens(source):
+    """The kinds and the texts of the tokens of source, the last one eof;
+    raises ParseError on the first junk character."""
+    texts = _TOKEN_RE.findall(source)
+    if len(texts) > 1 and not texts[-2]:
+        del texts[-1]  # after trailing blanks the end matches twice
+    kinds = [_KINDS.get(t) or _FIRST.get(t[0], "junk") for t in texts]
+    if "junk" in kinds:
+        i = kinds.index("junk")
+        raise _error(source, i, f"unexpected character {texts[i]!r}")
+    return kinds, texts
 
 
-_ATOM_STARTERS = {"lident", "uident", "hashnum", "lparen", "lambda"}
+def _error(source, i, message):
+    """A ParseError at the i-th token, whose offset is found only now."""
+    m = next(itertools.islice(_TOKEN_RE.finditer(source), i, None))
+    return ParseError(source, m.start(1), message)
 
 
-class _Parser:
-    def __init__(self, source, env=None, meta=False):
-        self.source = source
-        self.tokens = tokenize(source)
-        self.i = 0
-        self.env = env
-        self.meta = meta  # accept x[1..n] binders and splices
-        self.index_var = None  # the single index meta-variable, once seen
-        self.seqs = frozenset()  # names of the sequences in scope
-        self.outer = frozenset()  # names of the enclosing sequence binders, shadowed ones too
-        self.unknown = None  # the first splice of a sequence not in scope
+def _expect(source, kinds, texts, i, kind):
+    if kinds[i] != kind:
+        raise _error(source, i, f"expected {kind}, found {texts[i]!r}")
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def error(self, offset, message):
-        return ParseError(self.source, offset, message)
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise self.error(tok[2], f"expected {kind}, found {tok[1]!r}")
-        return tok
-
-    def lam(self) -> Term:
-        """The rest of a lambda after its lambda sign: binders, '.', the body."""
-        binders = []
-        scope, outer = self.seqs, self.outer
-        while self.peek()[0] == "lident":
-            kind, name, pos = self.next()
-            if self.outer:
-                self.check_clash(name, pos)
-            if self.meta and self.peek()[0] == "lbrack":
-                name = SeqBinder(name, self.seq_suffix(pos))
-                self.seqs = self.seqs | {name.name}
-                self.outer = self.outer | {name.name}
-            elif name in self.seqs:
-                self.seqs = self.seqs - {name}
-            binders.append(name)
-        if not binders:
-            raise self.error(self.peek()[2], "expected at least one binder")
-        self.expect("dot")
-        body = self.term()
-        self.seqs, self.outer = scope, outer
-        for b in reversed(binders):
-            body = Lam(b, body)
-        return body
-
-    def term(self) -> Term:
-        t = self.atom()
-        while self.peek()[0] in _ATOM_STARTERS:
-            t = App(t, self.atom())
-        return t
-
-    def atom(self) -> Term:
-        kind, text, pos = self.next()
+def _term(source, kinds, texts, i, env, meta):
+    """Read the term that starts at token i.  Returns it, the index of the
+    token after it and, for a meta-term, the first splice of a sequence not
+    in scope (else None)."""
+    stack = []  # frames (application to the left, binders or None for '(', seqs, outer)
+    left = None  # the application read so far in the innermost open term
+    seqs = outer = frozenset()  # sequences in scope; enclosing sequence binders, shadowed ones too
+    index_var = unknown = None
+    while True:
+        kind = kinds[i]
         if kind == "lident":
-            if self.meta and self.peek()[0] == "lbrack":
-                binder = SeqBinder(text, self.seq_suffix(pos))
-                if text not in self.seqs and self.unknown is None:
-                    self.unknown = text
-                return Splice(binder)
-            if self.outer:
-                self.check_clash(text, pos)
-            return Var(text)
-        if kind == "uident":
-            if self.env is not None and text not in self.env:
+            text = texts[i]
+            if meta and kinds[i + 1] == "lbrack":
+                index_var = _seq_index(source, kinds, texts, i, index_var)
+                atom = Splice(SeqBinder(text, index_var))
+                if text not in seqs and unknown is None:
+                    unknown = text
+                i += 5  # onto the ']' of '[1..n]'
+            else:
+                if outer:
+                    _check_clash(source, kinds, texts, i, outer)
+                atom = Var(text)
+        elif kind == "lparen":
+            stack.append((left, None, None, None))
+            left = None
+            i += 1
+            continue
+        elif kind == "lambda":
+            i += 1
+            binders = []
+            frame = (left, binders, seqs, outer)
+            while kinds[i] == "lident":
+                name = texts[i]
+                if outer:
+                    _check_clash(source, kinds, texts, i, outer)
+                if meta and kinds[i + 1] == "lbrack":
+                    index_var = _seq_index(source, kinds, texts, i, index_var)
+                    name = SeqBinder(name, index_var)
+                    seqs = seqs | {name.name}
+                    outer = outer | {name.name}
+                    i += 5  # onto the ']' of '[1..n]'
+                elif name in seqs:
+                    seqs = seqs - {name}
+                binders.append(name)
+                i += 1
+            if not binders:
+                raise _error(source, i, "expected at least one binder")
+            _expect(source, kinds, texts, i, "dot")
+            stack.append(frame)
+            left = None
+            i += 1
+            continue
+        elif kind == "uident":
+            text = texts[i]
+            if env is not None and text not in env:
                 raise UnboundName(text)
-            return Const(text)
-        if kind == "hashnum":
-            return church(int(text[1:]))
-        if kind == "lparen":
-            t = self.term()
-            self.expect("rparen")
-            if self.meta:
-                t = _group_splice_spine(t) or t
-            return t
-        if kind == "lambda":
-            return self.lam()
-        raise self.error(pos, f"expected a {'meta-term' if self.meta else 'term'}, found {text!r}")
+            atom = Const(text)
+        elif kind == "hashnum":
+            atom = church(int(texts[i][1:]))
+        else:  # the innermost term ends here
+            if left is None:
+                raise _error(source, i, f"expected a {'meta-term' if meta else 'term'}, found {texts[i]!r}")
+            while stack and stack[-1][1] is not None:  # close the open lambdas
+                up, binders, seqs, outer = stack.pop()
+                for b in reversed(binders):
+                    left = Lam(b, left)
+                if up is not None:
+                    left = App(up, left)
+            if not stack:
+                return left, i, unknown
+            _expect(source, kinds, texts, i, "rparen")  # only its ')' closes a '('
+            up = stack.pop()[0]
+            if meta:
+                left = _group_splice_spine(left) or left
+            if up is not None:
+                left = App(up, left)
+            i += 1
+            continue
+        left = atom if left is None else App(left, atom)
+        i += 1
 
-    def check_clash(self, name, pos):
-        """Raise if the expansion of an enclosing sequence binder could capture
-        name (x1 under x[1..n]) or, when name starts a sequence binder, the
-        expansion of that binder could capture the enclosing one's (x[1..n]
-        under x1[1..n])."""
-        for seq in self.outer:
-            if _numbered(name, seq) or (_numbered(seq, name) and self.peek()[0] == "lbrack"):
-                raise self.error(pos, f"{name!r} clashes with the names of the enclosing sequence {seq!r}")
 
-    def seq_suffix(self, pos):
-        """Parse '[1..n]' after an identifier; returns the index variable."""
-        self.expect("lbrack")
-        low = self.expect("num")
-        if low[1] != "1":
-            raise self.error(low[2], "sequence ranges must start at 1")
-        self.expect("dotdot")
-        idx = self.expect("lident")[1]
-        self.expect("rbrack")
-        if self.index_var is None:
-            self.index_var = idx
-        elif idx != self.index_var:
-            raise self.error(pos, f"second index variable {idx!r}; only one is allowed")
-        return idx
+def _check_clash(source, kinds, texts, i, outer):
+    """Raise if the expansion of an enclosing sequence binder could capture
+    the name at token i (x1 under x[1..n]) or, when that name starts a
+    sequence binder, the expansion of that binder could capture the
+    enclosing one's (x[1..n] under x1[1..n]).  Sorted, so that of two such
+    sequences the same one is named whatever the hash seed."""
+    name = texts[i]
+    for seq in sorted(outer):
+        if _numbered(name, seq) or (_numbered(seq, name) and kinds[i + 1] == "lbrack"):
+            raise _error(source, i, f"{name!r} clashes with the names of the enclosing sequence {seq!r}")
+
+
+def _seq_index(source, kinds, texts, i, index_var):
+    """The index variable of the '[1..n]' after the identifier at token i,
+    which must be index_var unless that is None."""
+    for j, kind in enumerate(("lbrack", "num", "dotdot", "lident", "rbrack"), i + 1):
+        _expect(source, kinds, texts, j, kind)
+        if kind == "num" and texts[j] != "1":
+            raise _error(source, j, "sequence ranges must start at 1")
+    idx = texts[i + 4]
+    if index_var is not None and idx != index_var:
+        raise _error(source, i, f"second index variable {idx!r}; only one is allowed")
+    return idx
 
 
 def _numbered(name, base):
@@ -204,42 +213,48 @@ def _numbered(name, base):
 def _group_splice_spine(t):
     """A parenthesized spine of bare splices is one term, I at n = 0, not
     nothing: group its head.  None when t is no such spine."""
-    if t.__class__ is Splice:
-        return None if t.grouped else grouped(t)
-    if t.__class__ is App and t.arg.__class__ is Splice and not t.arg.grouped:
-        fun = _group_splice_spine(t.fun)
-        return None if fun is None else App(fun, t.arg)
-    return None
+    args = []
+    while t.__class__ is App and t.arg.__class__ is Splice and not t.arg.grouped:
+        args.append(t.arg)
+        t = t.fun
+    if t.__class__ is not Splice or t.grouped:
+        return None
+    t = grouped(t)
+    for a in reversed(args):
+        t = App(t, a)
+    return t
 
 
 @gc_paused
 def parse(source: str, env=None) -> Term:
     """Parse a term.  With an env, uppercase names must resolve in it."""
-    p = _Parser(source, env=env)
-    t = p.term()
-    p.expect("eof")
+    kinds, texts = _tokens(source)
+    t, i, _ = _term(source, kinds, texts, 0, env, False)
+    _expect(source, kinds, texts, i, "eof")
     return t
 
 
 def parse_meta(source: str) -> Term:
     """Parse a meta-term with sequence binders and splices."""
-    p = _Parser(source, meta=True)
-    t = p.term()
-    p.expect("eof")
-    if p.unknown is not None:
-        raise UnknownSequence(p.unknown)
+    kinds, texts = _tokens(source)
+    t, i, unknown = _term(source, kinds, texts, 0, None, True)
+    _expect(source, kinds, texts, i, "eof")
+    if unknown is not None:
+        raise UnknownSequence(unknown)
     return t
 
 
 def parse_definitions(text: str, env):
     """Parse 'Name := term ;' entries into env, in order."""
-    p = _Parser(text, env=env)
-    while p.peek()[0] != "eof":
-        name = p.expect("uident")[1]
-        p.expect("define")
-        term = p.term()
-        p.expect("semi")
-        env.define(name, term)
+    kinds, texts = _tokens(text)
+    i = 0
+    while kinds[i] != "eof":
+        _expect(text, kinds, texts, i, "uident")
+        _expect(text, kinds, texts, i + 1, "define")
+        term, j, _ = _term(text, kinds, texts, i + 2, env, False)
+        _expect(text, kinds, texts, j, "semi")
+        env.define(texts[i], term)
+        i = j + 1
 
 
 # -- printing ---------------------------------------------------------------

@@ -7,9 +7,10 @@ from varlam.bracket import (
     extended_bound,
     turner,
 )
-from varlam.checks import random_closed_terms, size_observation, suite_bracket
+from varlam.checks import _eq_cases, random_closed_terms, size_observation, suite_bracket
 from varlam.church import church
 from varlam.engine import ReductionConfig, Verdict, beta_eta_equal
+from varlam.env import standard_env
 from varlam.syntax import parse, parse_meta, print_term
 from varlam.terms import App, Lam, Term, expand_consts
 
@@ -145,3 +146,16 @@ def test_turner_soundness_reports_steps_and_limit_stops(env):
     assert (case.ok, case.steps, case.inconclusive) == (True, 1478, False)
     case = soundness(ReductionConfig(fuel=5))
     assert (case.ok, case.inconclusive) == (False, True) and case.steps > 0
+
+
+def test_turner_soundness_with_refuted_and_stopped_cases_is_a_failure():
+    # with a wrong S some encodings normalize to another term and, at 10
+    # steps, others stop: a definite refutation among fuel stops is no
+    # longer inconclusive
+    wrong = standard_env()
+    wrong.define("S", parse(r"\x y z. x z", wrong))
+    cfg = ReductionConfig(fuel=10)
+    cases = _eq_cases("bracket", (("", turner(t), t) for t in random_closed_terms()), cfg, wrong)
+    assert {c.inconclusive for c in cases if not c.ok} == {False, True}
+    case = next(c for c in suite_bracket(1, cfg, wrong) if c.name == "turner soundness")
+    assert (case.ok, case.inconclusive) == (False, False)

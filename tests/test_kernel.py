@@ -1,11 +1,14 @@
+import ast
 import gc
 import itertools
+import re
+import sys
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from varlam.church import church
+from varlam.church import church, numeral_value
 from varlam import meta, syntax
 from varlam.env import Env, standard_env
 from varlam.syntax import ParseError, parse, parse_definitions, parse_meta, print_term
@@ -13,6 +16,7 @@ from varlam.terms import (
     App,
     Const,
     Lam,
+    LambdaError,
     UnboundName,
     UnexpandedConstant,
     Var,
@@ -98,6 +102,7 @@ PARSE_ERRORS = [
     ('parse_meta', '\\x[1..n] x. x12', "parse error at 1:13: 'x12' clashes with the names of the enclosing sequence 'x'"),
     ('parse_meta', '\\x[1..n] x1[1..n]. x[1..n]', "parse error at 1:10: 'x1' clashes with the names of the enclosing sequence 'x'"),
     ('parse_meta', '\\x1[1..n] x[1..n]. x1[1..n]', "parse error at 1:11: 'x' clashes with the names of the enclosing sequence 'x1'"),
+    ('parse_meta', '\\x2[1..n] x1[1..n]. \\x[1..n]. x1[1..n]', "parse error at 1:22: 'x' clashes with the names of the enclosing sequence 'x1'"),
     ('defs', 'A := \\x.x ;\nB := A A', "parse error at 2:9: expected semi, found ''"),
     ('defs', 'A = \\x.x ;', "parse error at 1:3: unexpected character '='"),
     ('defs', 'a := \\x.x ;', "parse error at 1:1: expected uident, found 'a'"),
@@ -115,6 +120,45 @@ def test_parse_error_messages(collector, parser, source, message):
         _PARSERS[parser](source)
     assert str(exc.value) == message
     assert gc.isenabled()
+
+
+# token fragments, junk ('$', '#') and line ends included, that sources are drawn from
+_FRAGMENTS = st.sampled_from(["\\", "λ", ".", "(", ")", "x", "x'", "K", "#3", ":=", ";",
+                              "[1..n]", "-- c\n", "\r\n", " ", "  ", "$", "#"])
+_FOUND = re.compile(r"(?:found|unexpected character) ('.*'|\".*\")$")
+
+
+@given(st.lists(_FRAGMENTS, max_size=30).map("".join))
+@example("x\n  -- c\n  (y $")
+def test_parsers_raise_only_their_errors_at_the_token_at_fault(source):
+    # every parser returns or raises a LambdaError; a ParseError that names a
+    # token sits at that token's offset, found again only when it is raised
+    for parser in _PARSERS.values():
+        try:
+            parser(source)
+        except ParseError as err:
+            m = _FOUND.search(str(err))
+            if m:
+                assert source.startswith(ast.literal_eval(m.group(1)), err.offset)
+        except LambdaError:
+            pass
+
+
+def test_parsing_has_no_nesting_limit():
+    # the parser keeps its frames in a list: a term nested far deeper than
+    # the interpreter's default recursion limit parses under that limit
+    depth = 100_000
+    numeral = r"\s z. " + "s (" * (depth - 1) + "s z" + ")" * (depth - 1)
+    meta_term = r"\x[1..n]. " + "(" * depth + "f x[1..n]" + ")" * depth
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    try:
+        assert parse("(" * depth + "x" + ")" * depth) is Var("x")
+        assert numeral_value(parse(numeral)) == depth
+        m = parse_meta(meta_term)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert alpha_eq(m, parse_meta(r"\x[1..n]. f x[1..n]"))
 
 
 def test_collector_paused_in_the_parser(monkeypatch, collector):

@@ -25,6 +25,14 @@ def test_unchurch_examples(env):
     assert unchurch(parse(r"\s.s"), env) == 1  # eta-short c_1
 
 
+def test_unchurch_reads_the_eta_normal_form_under_any_config():
+    # the numeral reader needs the beta-eta-normal form: a config without
+    # eta must not turn the eta-long c_1 into "not a Church numeral"
+    eta_long = parse(r"\f x y. f x y")
+    assert unchurch(eta_long) == 1
+    assert unchurch(eta_long, None, ReductionConfig(eta=False)) == 1
+
+
 def test_unchurch_rejects_non_numerals(env):
     with pytest.raises(NotANumeral):
         unchurch(parse("True", env), env)

@@ -6,7 +6,8 @@ from varlam import checks
 from varlam.checks import all_ok
 from varlam.church import church, tuple_of
 from varlam.engine import ReductionConfig, Verdict, beta_eta_equal, normalize, verdict
-from varlam.syntax import parse
+from varlam.env import Env
+from varlam.syntax import parse, parse_definitions
 from varlam.terms import Const, Var, apply, free_vars
 
 CFG = ReductionConfig()
@@ -154,6 +155,17 @@ def test_upgrade_probe_needs_certificates(env):
     cases = [checks._upgrade_probe("VarPhi", 1, ReductionConfig(fuel=100), env)]
     assert [(c.name, c.ok) for c in cases] == [("no-normal-form probe", False)]
     assert cases[0].detail == "not certified: VarPhi k=1 n=1 fuel-exhausted"
+
+
+def test_upgrade_probe_refuses_a_normalizing_entry():
+    # an entry that normalizes is no fixed-point combinator: the probe fails
+    # and names each side with a normal form; the family sides stay certified
+    env = Env()
+    parse_definitions(r"K := \x y. x ; VarPhi := \k n. K ;", env)
+    case = checks._upgrade_probe("VarPhi", 2, CFG, env)
+    assert not case.ok
+    assert case.detail == ("not certified: VarPhi k=1 n=1 normal-form, "
+                           "VarPhi k=1 n=2 normal-form, VarPhi k=2 n=2 normal-form")
 
 
 def test_upgrade_probe_uses_the_callers_fuel(env):
