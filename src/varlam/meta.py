@@ -6,9 +6,11 @@ A meta-term is an ordinary ``Term`` that may bind a *sequence* of variables
 reads them.  ``expand`` instantiates a meta-term at a concrete n.
 
 ``build`` makes members of the indexed combinator families (K_n, sigma_k^n,
-the multiple fixed-point combinators, ...) directly and syntactically; it is
-the brute-force oracle every arity-generic library entry is checked against.
-Selectors and projections are the builders of ``church``.
+the multiple fixed-point combinators, ...); it is the brute-force oracle
+every arity-generic library entry is checked against.  The seven
+singly-indexed families of ``_META_SOURCES`` (I, K, S, B, C, ``tup``,
+``selfapp``) are the expansions of their ellipsis sources; the other eight
+are built in Python, selectors and projections by ``church``.
 """
 
 from __future__ import annotations
@@ -102,42 +104,6 @@ def _vars(names):
     return [Var(x) for x in names]
 
 
-def _fam_identity(n: int) -> Term:
-    return lams(_xs(n), _chain(_vars(_xs(n))))
-
-
-def _fam_const(n: int) -> Term:
-    return lams(["p"] + _xs(n), Var("p"))
-
-
-def _fam_fuse(n: int) -> Term:
-    xs = _vars(_xs(n))
-    body = apply(Var("p"), *xs, apply(Var("q"), *xs))
-    return lams(["p", "q"] + _xs(n), body)
-
-
-def _fam_compose(n: int) -> Term:
-    xs = _vars(_xs(n))
-    body = App(Var("p"), apply(Var("q"), *xs))
-    return lams(["p", "q"] + _xs(n), body)
-
-
-def _fam_flip(n: int) -> Term:
-    xs = _vars(_xs(n))
-    body = apply(Var("p"), *xs, Var("q"))
-    return lams(["p", "q"] + _xs(n), body)
-
-
-def _fam_selfapply(n: int) -> Term:
-    xs = _vars(_xs(n))
-    return lams(_xs(n), _chain(xs + [_chain(xs)]))
-
-
-def _fam_tuple_maker(n: int) -> Term:
-    xs = _vars(_xs(n))
-    return lams(_xs(n) + ["s"], apply(Var("s"), *xs))
-
-
 def _fam_right_applicator(n: int) -> Term:
     body: Term = Var("z")
     for i in range(n, 0, -1):
@@ -185,17 +151,13 @@ def _fam_boehm(k: int, n: int) -> Term:
     return lams(_xs(n, "p") + _xs(n), body)
 
 
-# name -> (needs k, builder)
+# name -> (needs k, builder).  A family the meta-language can say is the
+# expansion of its ellipsis source; the rest need reversed ranges, right
+# nesting, a mapped splice or a second index, and are built in Python.
 _FAMILIES = {
-    "I": (False, _fam_identity),
-    "K": (False, _fam_const),
-    "S": (False, _fam_fuse),
-    "B": (False, _fam_compose),
-    "C": (False, _fam_flip),
-    "selfapp": (False, _fam_selfapply),
+    **{name: (False, lambda n, name=name: expand(builtin_meta(name), n)) for name in _META_SOURCES},
     "sel": (True, selector),
     "proj": (True, projection),
-    "tup": (False, _fam_tuple_maker),
     "rightapp": (False, _fam_right_applicator),
     "rev": (False, _fam_reverser),
     "map": (False, _fam_mapper),

@@ -327,6 +327,7 @@ def test_alpha_eq_agrees_with_de_bruijn(a, b, picks):
 
 @pytest.mark.parametrize("name", sorted(meta._META_SOURCES))
 def test_alpha_eq_agrees_with_de_bruijn_on_large_families(name):
+    # tests alpha_eq at scale, not the oracle: two separate expansions share no App or Lam
     expanded = meta.expand(meta.builtin_meta(name), 300)
     assert _de_bruijn(expanded) == _de_bruijn(meta.build(name, 300))
     assert alpha_eq(expanded, meta.build(name, 300))

@@ -118,13 +118,25 @@ def test_expand_rejects_negative():
         expand(parse_meta(r"\x[1..n]. x[1..n]"), -1)
 
 
+# the seven families of meta._META_SOURCES at n = 0..3, written out by hand:
+# build expands those sources, so only these goldens pin them from outside
+_FAMILY_GOLDENS = {
+    "I": [r"\u.u", r"\x1.x1", r"\x1 x2.x1 x2", r"\x1 x2 x3.x1 x2 x3"],
+    "K": [r"\p.p", r"\p x1.p", r"\p x1 x2.p", r"\p x1 x2 x3.p"],
+    "S": [r"\p q.p q", r"\p q x1.p x1 (q x1)", r"\p q x1 x2.p x1 x2 (q x1 x2)",
+          r"\p q x1 x2 x3.p x1 x2 x3 (q x1 x2 x3)"],
+    "B": [r"\p q.p q", r"\p q x1.p (q x1)", r"\p q x1 x2.p (q x1 x2)", r"\p q x1 x2 x3.p (q x1 x2 x3)"],
+    "C": [r"\p q.p q", r"\p q x1.p x1 q", r"\p q x1 x2.p x1 x2 q", r"\p q x1 x2 x3.p x1 x2 x3 q"],
+    "tup": [r"\s.s", r"\x1 s.s x1", r"\x1 x2 s.s x1 x2", r"\x1 x2 x3 s.s x1 x2 x3"],
+    "selfapp": [r"\u.u", r"\x1.x1 x1", r"\x1 x2.x1 x2 (x1 x2)", r"\x1 x2 x3.x1 x2 x3 (x1 x2 x3)"],
+}
+
+
 def test_family_basis_members():
-    assert alpha_eq(build("S", 1), parse(r"\p q x.(p x (q x))"))
-    assert alpha_eq(build("K", 1), parse(r"\p x.p"))
-    assert alpha_eq(build("B", 2), parse(r"\p q x1 x2.p (q x1 x2)"))
-    assert alpha_eq(build("C", 2), parse(r"\p q x1 x2.p x1 x2 q"))
-    assert alpha_eq(build("I", 0), parse(r"\u.u"))
-    assert alpha_eq(build("selfapp", 1), parse(r"\x.x x"))
+    assert _FAMILY_GOLDENS.keys() == meta._META_SOURCES.keys()
+    for name, members in _FAMILY_GOLDENS.items():
+        for n, source in enumerate(members):
+            assert alpha_eq(build(name, n), parse(source)), (name, n)
 
 
 def test_family_fixed_point_shapes():
@@ -161,10 +173,24 @@ def test_cross_oracle_selectors():
 
 
 def test_cross_oracle_metas():
-    for name in ("I", "K", "S", "B", "C", "tup", "selfapp"):
-        m = meta.builtin_meta(name)
-        for n in range(5):
-            assert alpha_eq(expand(m, n), build(name, n))
+    # each family's ellipsis source against its members spelled out as text,
+    # through both build and expand of the registry meta-term
+    for n in range(5):
+        xs = " ".join(f"x{i}" for i in range(1, n + 1))
+        members = {
+            "I": rf"\{xs}. {xs}" if n else r"\u. u",
+            "K": rf"\p {xs}. p",
+            "S": rf"\p q {xs}. p {xs} (q {xs})",
+            "B": rf"\p q {xs}. p (q {xs})",
+            "C": rf"\p q {xs}. p {xs} q",
+            "tup": rf"\{xs} s. s {xs}",
+            "selfapp": rf"\{xs}. {xs} ({xs})" if n else r"\u. u",
+        }
+        assert members.keys() == meta._META_SOURCES.keys()
+        for name, source in members.items():
+            want = parse(source)
+            assert alpha_eq(expand(meta.builtin_meta(name), n), want), (name, n)
+            assert alpha_eq(build(name, n), want), (name, n)
 
 
 def test_families_normalize_or_are_exempt(env):
