@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from . import bracket, meta
@@ -25,14 +25,12 @@ from .terms import App, Const, Lam, Term, Var, alpha_eq, apply, lams
 
 # -- case records, the report and equality cases ------------------------------
 
-@dataclass
-class CaseResult:
-    suite: str
-    name: str
-    ok: bool
-    detail: str = ""
-    steps: int = 0
-    inconclusive: bool = False
+class CaseResult(namedtuple("CaseResult", "suite name ok detail steps inconclusive",
+                            defaults=("", 0, False))):
+    """One check case: passed or not (ok), with a detail for the report, the
+    beta-steps it took and whether a limit stopped it (inconclusive)."""
+
+    __slots__ = ()
 
 
 def format_report(cases: list[CaseResult]) -> str:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 from .engine import DEFAULT_CONFIG, Status, normalize
 from .terms import App, Lam, LambdaError, Term, Var, apply, fresh_name, lams
 
@@ -46,7 +44,7 @@ def numeral_value(t: Term):
 def unchurch(t: Term, env=None, cfg=DEFAULT_CONFIG) -> int:
     """The natural denoted by t: its beta-eta-normal form read as a numeral,
     whatever cfg.eta says (the beta-normal form of c_1 may be eta-long)."""
-    outcome = normalize(t, env, cfg if cfg.eta else dataclasses.replace(cfg, eta=True))
+    outcome = normalize(t, env, cfg if cfg.eta else cfg._replace(eta=True))
     if outcome.status is Status.NO_NORMAL_FORM:
         raise NotANumeral(f"no normal form (certified after {outcome.steps} steps)")
     if outcome.status is not Status.NORMAL_FORM:

@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import bracket as bracket_mod
 from .checks import all_ok, format_report, run_suites
@@ -266,7 +265,7 @@ def _normalize(source: str, env, cfg, sugar: bool, traced: bool = False) -> int:
     if not traced:
         return _print_outcome(outcome, lambda nf: print_term(nf, sugar=sugar))
     # the trace ends where normalize stopped, a certified no-normal-form too
-    for step in trace(t, env, replace(cfg, fuel=outcome.steps)):
+    for step in trace(t, env, cfg._replace(fuel=outcome.steps)):
         print(print_term(step, sugar=sugar))
     return _print_outcome(outcome, None)
 

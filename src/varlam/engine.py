@@ -21,7 +21,7 @@ weak-head chains on the same named terms, with ``substitute`` and
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .terms import App, Lam, Term, Var, alpha_eq, expand_consts, fresh_name, gc_paused, substitute
@@ -34,21 +34,27 @@ class Status(Enum):
     NO_NORMAL_FORM = "no-normal-form"
 
 
-@dataclass(frozen=True)
-class ReductionConfig:
-    fuel: int = 1_000_000
-    max_term_size: int = 1_000_000
-    eta: bool = True
+# The records below are named tuples, so immutable: a derived config is
+# ``cfg._replace(fuel=...)``.  They need only ``collections``, which is loaded
+# before varlam is; ``inspect``, with the ``ast``, ``dis`` and ``tokenize`` it
+# loads, would be most of a fresh process's set-up (tests/test_cli.py keeps
+# it out of ``import varlam``).
+
+class ReductionConfig(namedtuple("ReductionConfig", "fuel max_term_size eta",
+                                 defaults=(1_000_000, 1_000_000, True))):
+    """Limits of one reduction: beta-steps (fuel), the term size no reduct
+    may exceed (max_term_size), and whether to eta-reduce the normal form."""
+
+    __slots__ = ()
 
 
 DEFAULT_CONFIG = ReductionConfig()
 
 
-@dataclass
-class ReductionOutcome:
-    status: Status
-    result: Term
-    steps: int
+class ReductionOutcome(namedtuple("ReductionOutcome", "status result steps")):
+    """How a reduction stopped (status), at which term, after how many steps."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.status.value} after {self.steps} steps"
@@ -315,8 +321,8 @@ def beta_eta_equal(a: Term, b: Term, env=None, cfg: ReductionConfig = DEFAULT_CO
     return verdict(ra, normalize(b, env, cfg))
 
 
-@dataclass
-class ReachResult:
+class ReachResult(namedtuple("ReachResult", "found inconclusive explored generated",
+                             defaults=(False, 0, 0))):
     """Outcome of a bounded standard-reduction search (see ``reduces_to``).
 
     found        -- the target is reached
@@ -325,10 +331,7 @@ class ReachResult:
     generated    -- weak-head steps taken, summed over all chains
     """
 
-    found: bool
-    inconclusive: bool = False
-    explored: int = 0
-    generated: int = 0
+    __slots__ = ()
 
 
 def _weak_head_step(t: Term):
@@ -361,13 +364,15 @@ def reduces_to(a: Term, target: Term, env=None, node_cap: int = 100_000, depth_c
     """
     a = expand_consts(a, env)
     target = expand_consts(target, env)
-    res = ReachResult(False)
+    explored = generated = 0
+    inconclusive = False
 
     def reach(m: Term, n: Term) -> bool:
-        if res.explored >= node_cap:
-            res.inconclusive = True
+        nonlocal explored, generated, inconclusive
+        if explored >= node_cap:
+            inconclusive = True
             return False
-        res.explored += 1
+        explored += 1
         seen: dict[int, list[Term]] = {}  # size -> chain terms of that size
         match = True
         for steps in range(depth_cap + 1):
@@ -388,15 +393,13 @@ def reduces_to(a: Term, target: Term, env=None, node_cap: int = 100_000, depth_c
             if step is None:
                 return False
             if steps == depth_cap:
-                res.inconclusive = True
+                inconclusive = True
                 return False
             m, match = step
-            res.generated += 1
+            generated += 1
 
-    res.found = reach(a, target)
-    if res.found:
-        res.inconclusive = False
-    return res
+    found = reach(a, target)
+    return ReachResult(found, inconclusive and not found, explored, generated)
 
 
 def _common_binder(m: Lam, n: Lam) -> tuple[Term, Term]:

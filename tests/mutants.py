@@ -52,6 +52,11 @@ MUTANTS = [
      "the ellipsis source of S, the one definition of its oracle, is wrong",
      ["tests/test_meta.py::test_family_basis_members",
       "tests/test_meta.py::test_cross_oracle_metas"]),
+    ("src/varlam/engine.py",
+     "from collections import namedtuple\n",
+     "import dataclasses\nfrom collections import namedtuple\n",
+     "import varlam loads dataclasses, and with it inspect, in every fresh process",
+     ["tests/test_cli.py::test_import_loads_neither_dataclasses_nor_inspect"]),
 ]
 
 

@@ -358,6 +358,19 @@ def test_closed_stdout_exits_1_without_traceback(argv, stdin):
     assert err == "varlam: Broken pipe\n"
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Start-up: ``inspect`` (with ``ast``, ``dis`` and ``tokenize``) would be
+    most of a fresh process's set-up.  Only modules the import itself loads
+    count, so a site that preloads them does not fail the test."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import varlam, varlam.cli; "
+            "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-I", "-c", code, src],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == []
+
+
 # -- the CLI contract: any argv ends in a documented exit code ----------------
 
 _LEAVES = st.sampled_from(["x", "y", "f", "K", "S", "I", "Succ", "Plus", "Y", "NoSuch"]) \

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varlam.checks import random_closed_terms
+from varlam.checks import CaseResult, random_closed_terms
 from varlam.church import church
 from varlam.engine import (
+    ReachResult,
     ReductionConfig,
+    ReductionOutcome,
     Status,
     Verdict,
     beta_eta_equal,
@@ -69,6 +71,25 @@ def test_fuel_exhaustion():
 def test_size_exceeded():
     out = normalize(parse("#9 #9"), None, ReductionConfig(max_term_size=5000))
     assert out.status is Status.SIZE_EXCEEDED
+
+
+def test_records_keep_their_fields_defaults_and_text():
+    """The result records are immutable named tuples: a derived config is
+    ``cfg._replace(...)``, and construction, repr and str read as before."""
+    cfg = ReductionConfig()
+    assert (cfg.fuel, cfg.max_term_size, cfg.eta) == (1_000_000, 1_000_000, True)
+    assert ReductionConfig(eta=False, fuel=5) == ReductionConfig(5, 1_000_000, False)
+    with pytest.raises(AttributeError):
+        cfg.fuel = 5
+    assert cfg == ReductionConfig() and hash(cfg) == hash(ReductionConfig())
+    assert repr(cfg) == "ReductionConfig(fuel=1000000, max_term_size=1000000, eta=True)"
+    assert cfg._replace(fuel=7) == ReductionConfig(fuel=7) and cfg.fuel == 1_000_000
+    out = normalize(parse(OMEGA), None, ReductionConfig(fuel=100))
+    assert str(out) == "fuel-exhausted after 100 steps"
+    assert out == ReductionOutcome(status=out.status, result=out.result, steps=100)
+    assert ReachResult(True) == ReachResult(found=True, inconclusive=False, explored=0, generated=0)
+    assert CaseResult("s", "n", True) == CaseResult(suite="s", name="n", ok=True, detail="",
+                                                    steps=0, inconclusive=False)
 
 
 def test_eta_postpass():
