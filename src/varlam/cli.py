@@ -84,7 +84,7 @@ def _add_limits(p):
 
 
 def _add_eta(p):
-    p.add_argument("--no-eta", action="store_true", default=None, help="skip the eta post-pass")
+    p.add_argument("--no-eta", action="store_true", default=None, help="keep eta-redexes in the normal form")
 
 
 def _command(sub, name, help_text, *groups):

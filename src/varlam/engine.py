@@ -1,12 +1,12 @@
 """Fuel-bounded normal-order reduction and the equivalences built on it.
 
 ``normalize`` contracts the leftmost-outermost beta-redex until no redex
-remains, then (by default) erases eta-redexes in a single uncounted post-pass,
-yielding a canonical beta-eta-normal form.  Fuel counts beta-steps only: an
-App reached again replays the weak-head reduct recorded in ``App.whnf`` and
-adds the steps it took, and a contraction met again within one call reuses
-its reduct, so the count is normal order's.  It stops early
-with ``NO_NORMAL_FORM`` when an argument it starts to normalize is
+remains and (by default) erases each eta-redex as it builds the normal form,
+yielding a canonical beta-eta-normal form in one walk.  Fuel counts
+beta-steps only: an App reached again replays the weak-head reduct recorded
+in ``App.whnf`` and adds the steps it took, and a contraction met again
+within one call reuses its reduct, so the count is normal order's.  It stops
+early with ``NO_NORMAL_FORM`` when an argument it starts to normalize is
 alpha-equal to an argument it is still normalizing (see ``_beta_normalize``).
 
 ``trace`` is an independent, deliberately naive implementation of the same
@@ -52,7 +52,8 @@ DEFAULT_CONFIG = ReductionConfig()
 
 
 class ReductionOutcome(namedtuple("ReductionOutcome", "status result steps")):
-    """How a reduction stopped (status), at which term, after how many steps."""
+    """How a reduction stopped (status), at which term, after how many steps;
+    under eta, the finished parts of a stopped term are eta-normal."""
 
     __slots__ = ()
 
@@ -68,12 +69,13 @@ class Verdict(Enum):
 
 @gc_paused
 def normalize(t: Term, env=None, cfg: ReductionConfig = DEFAULT_CONFIG) -> ReductionOutcome:
-    """Reduce to beta(eta)-normal form, or stop on fuel / term-size limits."""
+    """Reduce to beta(eta)-normal form, or stop on fuel / term-size limits.
+
+    ``cfg.eta`` erases each eta-redex as the normal form is built, so the
+    finished parts of a stopped result are eta-normal too: ``x (\\y. f y)
+    Omega`` stops as ``x f Omega``.  Steps and status do not depend on it."""
     t = expand_consts(t, env)
-    status, result, steps = _beta_normalize(t, cfg.fuel, cfg.max_term_size)
-    if status is Status.NORMAL_FORM and cfg.eta:
-        result = eta_normalize(result)
-    return ReductionOutcome(status, result, steps)
+    return ReductionOutcome(*_beta_normalize(t, cfg.fuel, cfg.max_term_size, cfg.eta))
 
 
 _FUN, _ARGDONE, _LAM = 0, 1, 2
@@ -87,7 +89,7 @@ _MEMO_CAP = 1 << 16
 _KNOT_SWEEP = 1 << 16
 
 
-def _beta_normalize(t: Term, fuel: int, max_size: int):
+def _beta_normalize(t: Term, fuel: int, max_size: int, eta: bool):
     """Iterative leftmost-outermost machine over an explicit context stack.
 
     Normal order starts on an argument N only once the head of its spine is a
@@ -126,6 +128,12 @@ def _beta_normalize(t: Term, fuel: int, max_size: int):
     it is emptied.  The collector is paused (``terms.gc_paused``), so a reset
     runs a full collection to free the knots that died, once ``_KNOT_SWEEP``
     objects were built since the last one.
+
+    With ``eta`` the up pass erases an eta-redex lam x.(P x), x not free in
+    P, post-order, where it would build its Lam.  P is beta-normal, so no
+    lambda, and a ``_LAM`` frame never lies on a ``_FUN`` frame: the erasure
+    makes no beta-redex.  The down pass never sees it, so steps and statuses
+    do not depend on ``eta``.
     """
     stack: list = []
     open_args: dict[int, list[Term]] = {}  # size -> open arguments of that size
@@ -226,6 +234,9 @@ def _beta_normalize(t: Term, fuel: int, max_size: int):
             elif tag == _ARGDONE:
                 open_args[open_sizes.pop()].pop()
                 t = App(payload, t)
+            elif (eta and t.__class__ is App and t.arg.__class__ is Var and t.arg.name == payload
+                  and payload not in t.fun.free):
+                t = t.fun  # an eta-redex: t.fun is beta-normal, so no lambda
             else:
                 t = Lam(payload, t)
 
@@ -238,26 +249,6 @@ def _rebuild(t: Term, stack: list) -> Term:
             t = App(payload, t)
         else:
             t = Lam(payload, t)
-    return t
-
-
-def eta_normalize(t: Term) -> Term:
-    """Erase every eta-redex lam x.(P x) with x not free in P (post-order)."""
-    cls = t.__class__
-    if cls is App:
-        fun = eta_normalize(t.fun)
-        arg = eta_normalize(t.arg)
-        return t if fun is t.fun and arg is t.arg else App(fun, arg)
-    if cls is Lam:
-        body = eta_normalize(t.body)
-        if (
-            body.__class__ is App
-            and body.arg.__class__ is Var
-            and body.arg.name == t.binder
-            and t.binder not in body.fun.free
-        ):
-            return body.fun
-        return Lam(t.binder, body) if body is not t.body else t
     return t
 
 

@@ -29,8 +29,9 @@ import functools
 import gc
 import sys
 
-# Reduction and substitution recurse on term depth; intermediate terms in the
-# fixed-point suites get deep enough to outgrow the default limit.
+# The printer, alpha_eq, substitute and step_once recurse on term depth.  The
+# check suites stay within the default limit; a numeral in the thousands,
+# printed without sugar or compared by alpha_eq, does not.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
 
 

@@ -57,6 +57,16 @@ MUTANTS = [
      "import dataclasses\nfrom collections import namedtuple\n",
      "import varlam loads dataclasses, and with it inspect, in every fresh process",
      ["tests/test_cli.py::test_import_loads_neither_dataclasses_nor_inspect"]),
+    ("src/varlam/engine.py",
+     "\n                  and payload not in t.fun.free):",
+     "):",
+     r"the beta loop erases \x. x x as if it were an eta-redex",
+     ["tests/test_engine.py::test_eta_only_when_not_free"]),
+    ("src/varlam/engine.py",
+     "elif (eta and t.__class__ is App",
+     "elif (t.__class__ is App",
+     "the beta loop erases eta-redexes under --no-eta",
+     ["tests/test_engine.py::test_eta_postpass"]),
 ]
 
 

@@ -14,7 +14,6 @@ from varlam.engine import (
     Status,
     Verdict,
     beta_eta_equal,
-    eta_normalize,
     normalize,
     reduces_to,
     step_once,
@@ -103,11 +102,34 @@ def test_eta_only_when_not_free():
     assert alpha_eq(nf(parse(r"\x. x x")), parse(r"\x. x x"))
 
 
-def test_eta_normalize_returns_unchanged_parts_themselves():
-    t = parse(r"\f x. f (f x)")
-    assert eta_normalize(t) is t
-    u = parse(r"(\x. g x) (f (f y))")
-    assert eta_normalize(u).arg is u.arg
+def eta_reference(t: Term) -> Term:
+    """Erase every eta-redex lam x.(P x) with x not free in P, post-order, in
+    a separate pass: the reference for the erasure inside normalize."""
+    cls = t.__class__
+    if cls is App:
+        fun = eta_reference(t.fun)
+        arg = eta_reference(t.arg)
+        return t if fun is t.fun and arg is t.arg else App(fun, arg)
+    if cls is Lam:
+        body = eta_reference(t.body)
+        if (
+            body.__class__ is App
+            and body.arg.__class__ is Var
+            and body.arg.name == t.binder
+            and t.binder not in body.fun.free
+        ):
+            return body.fun
+        return Lam(t.binder, body) if body is not t.body else t
+    return t
+
+
+def test_eta_erased_in_the_finished_parts_of_a_stopped_result():
+    t = parse(r"x (\y. f y) ((\x.x x) (\x.x x))")
+    on = normalize(t, None, ReductionConfig(fuel=5))
+    off = normalize(t, None, ReductionConfig(fuel=5, eta=False))
+    assert (on.status, on.steps) == (off.status, off.steps) == (Status.FUEL_EXHAUSTED, 5)
+    assert print_term(on.result) == r"x f ((\x.x x) (\x.x x))"
+    assert print_term(off.result) == r"x (\y.f y) ((\x.x x) (\x.x x))"
 
 
 @pytest.mark.parametrize("source, name", [("x (K y) S", "K"), (r"\x. x (I (K x))", "I")])
@@ -193,23 +215,11 @@ def _has_beta_redex(t: Term) -> bool:
     return False
 
 
-def _has_eta_redex(t: Term) -> bool:
-    if t.__class__ is Lam:
-        b = t.body
-        if b.__class__ is App and b.arg.__class__ is Var and b.arg.name == t.binder \
-                and t.binder not in b.fun.free:
-            return True
-        return _has_eta_redex(b)
-    if t.__class__ is App:
-        return _has_eta_redex(t.fun) or _has_eta_redex(t.arg)
-    return False
-
-
 def test_no_residual_redexes():
     for t in random_closed_terms(count=60, seed=9):
         r = nf(t)
         assert not _has_beta_redex(r)
-        assert not _has_eta_redex(r)
+        assert eta_reference(r) is r  # no eta-redex left to erase
 
 
 def test_equivalence_coherence():
@@ -257,7 +267,7 @@ def test_confluence_spot_check():
         for attempt in range(3):
             other = random_strategy_normalize(t, seed=1000 * i + attempt)
             if other is not None:
-                assert alpha_eq(eta_normalize(other), expected)
+                assert alpha_eq(eta_reference(other), expected)
                 break
 
 
@@ -481,6 +491,28 @@ mixed_terms = st.recursive(
     lambda sub: st.builds(Lam, reach_names, sub) | st.builds(App, sub, sub),
     max_leaves=12,
 )
+
+
+# Both term mixes, combined under lambdas that are eta-redexes unless the
+# variable they apply to is free in the function part.
+_closed_terms = st.integers(0, 2**32).map(lambda seed: random_closed_terms(count=1, seed=seed)[0])
+_eta_terms = st.recursive(
+    mixed_terms | _closed_terms,
+    lambda sub: (st.builds(lambda p, x: Lam(x, App(p, Var(x))), sub, reach_names)
+                 | st.builds(Lam, reach_names, sub) | st.builds(App, sub, sub)),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300)
+@given(_eta_terms)
+def test_eta_in_the_beta_loop_matches_the_separate_pass(t):
+    cfg = ReductionConfig(fuel=200, max_term_size=2_000)
+    off = normalize(t, None, cfg._replace(eta=False))
+    on = normalize(t, None, cfg)
+    assert (on.status, on.steps) == (off.status, off.steps)
+    if on.status is Status.NORMAL_FORM:
+        assert print_term(on.result) == print_term(eta_reference(off.result))
 
 
 def _reference_run(t: Term, fuel: int, max_size: int):
