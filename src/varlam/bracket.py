@@ -21,7 +21,7 @@ binds the index variable.
 
 from __future__ import annotations
 
-from .terms import App, Const, Lam, LambdaError, SeqBinder, Splice, Term, Var, fresh_name, grouped
+from .terms import App, Const, Lam, LambdaError, SeqBinder, Splice, Term, Var, free_set, fresh_name, grouped
 
 
 class MixedSequenceUse(LambdaError):
@@ -45,15 +45,19 @@ def turner(t: Term) -> Term:
         return App(turner(t.fun), turner(t.arg))
     if c is Lam:
         x = t.binder
+        body = turner(t.body)
+        free_set(body)  # fills a wide body's sets: _abstract reads them all the way down
         if x.__class__ is SeqBinder:
             n = Var(x.index)
-            return _abstract(x, turner(t.body), [App(Const(name), n) for name in _SEQ_BASIS])
-        return _abstract(x, turner(t.body), _BASIS)
+            return _abstract(x, body, [App(Const(name), n) for name in _SEQ_BASIS])
+        return _abstract(x, body, _BASIS)
     return t
 
 
 def _abstract(x: str, b: Term, basis) -> Term:
-    """[x]b by Turner's rules over basis, the I, K, S, C and B of x's kind."""
+    """[x]b by Turner's rules over basis, the I, K, S, C and B of x's kind.
+
+    b's set and every set below it are filled (see ``turner``)."""
     if x not in b.free:
         return App(basis[1], grouped(b))
     if b.size == 1:  # x itself, or a splice of it
@@ -92,9 +96,10 @@ def extended_bound(m: Term) -> Term:
     variable, free or bound, raises ``MixedSequenceUse``.
     """
     index, binders = _index_and_binders(m)
+    free = free_set(m)
     if index is None:
-        return Lam(fresh_name("n", m.free) if "n" in m.free else "n", turner(m))
-    if index in m.free or index in binders:
+        return Lam(fresh_name("n", free) if "n" in free else "n", turner(m))
+    if index in free or index in binders:
         raise MixedSequenceUse(f"the index variable {index} is also a term variable")
     return Lam(index, turner(m))
 

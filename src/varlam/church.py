@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .engine import DEFAULT_CONFIG, Status, normalize
-from .terms import App, Lam, LambdaError, Term, Var, apply, fresh_name, lams
+from .terms import App, Lam, LambdaError, Term, Var, apply, free_set, fresh_name, lams
 
 
 class NotANumeral(LambdaError):
@@ -63,7 +63,7 @@ def read_numeral(nf: Term) -> int:
 def tuple_of(components) -> Term:
     """The ordered n-tuple lam z. z E1 ... En; the empty tuple is lam z.z."""
     components = list(components)
-    avoid = set().union(*(c.free for c in components)) if components else set()
+    avoid = set().union(*(free_set(c) for c in components)) if components else set()
     z = "z" if "z" not in avoid else fresh_name("z", avoid)
     return Lam(z, apply(Var(z), *components))
 

@@ -24,7 +24,7 @@ import gc
 from collections import namedtuple
 from enum import Enum
 
-from .terms import App, Lam, Term, Var, alpha_eq, expand_consts, fresh_name, gc_paused, substitute
+from .terms import App, Lam, Term, Var, alpha_eq, expand_consts, free_set, fresh_name, gc_paused, substitute
 
 
 class Status(Enum):
@@ -235,7 +235,7 @@ def _beta_normalize(t: Term, fuel: int, max_size: int, eta: bool):
                 open_args[open_sizes.pop()].pop()
                 t = App(payload, t)
             elif (eta and t.__class__ is App and t.arg.__class__ is Var and t.arg.name == payload
-                  and payload not in t.fun.free):
+                  and payload not in free_set(t.fun)):
                 t = t.fun  # an eta-redex: t.fun is beta-normal, so no lambda
             else:
                 t = Lam(payload, t)
@@ -398,7 +398,7 @@ def _common_binder(m: Lam, n: Lam) -> tuple[Term, Term]:
     x, y = m.binder, n.binder
     if x == y:
         return m.body, n.body
-    if y not in m.free:
+    if y not in free_set(m):
         return substitute(m.body, x, Var(y)), n.body
-    z = Var(fresh_name(y, m.body.free | n.body.free))
+    z = Var(fresh_name(y, free_set(m.body) | free_set(n.body)))
     return substitute(m.body, x, z), substitute(n.body, y, z)

@@ -1,15 +1,27 @@
 """Lambda-term representation and the basic syntactic operations.
 
-Terms are immutable. Every node caches its free-variable set, its size and
-whether it mentions a named constant, so the reducer can skip substitution
-into subterms that do not mention the variable at all (the shared subterm is
-returned as-is).  A node reuses a child's free set (or the empty one) when its
-own is equal to it, so most nodes allocate no set of their own.  The leaves
-are shared: ``Var(name)`` and ``Const(name)`` return the one object of that
-name, made at the first call and kept in a module table that grows only with
-the distinct names ever built.  A leaf is immutable and all that is read of
-it follows from its name, so sharing it changes no answer, only memory and
-time (the redex memo of ``engine`` hits more often).  An App also
+Terms are immutable. Every node caches its size and whether it mentions a
+named constant, and nearly every node its free-variable set, so the reducer
+can skip substitution into subterms that do not mention the variable at all
+(the shared subterm is returned as-is).  A node reuses a child's free set (or
+the empty one) when its own is equal to it, so most nodes allocate no set of
+their own.  An App whose new set would hold more than ``_WIDE`` names, and a
+Lam that would remove its binder from a body's set of more than ``_WIDE``,
+are *wide*: their ``free`` slot holds ``_UNMADE``, which is no set, and so
+does that of every node built above a wide one.  An ellipsis x[1..n] expands
+to n binders and n-argument spines, so a set made in each of them would copy
+up to n names, quadratic time and memory in n; with wide nodes, building,
+printing, parsing and comparing such a term take linear time and memory.
+Every reader sees exact sets.  ``free_vars``, the public reader, walks a
+wide term once and fills nothing.  The other readers (``substitute``, the
+beta loop, bracket abstraction) call ``free_set``, which fills the set of a
+wide node, and of every wide node below it, on the first read and keeps
+them.  The leaves are shared: ``Var(name)`` and ``Const(name)`` return the
+one object of that name, made at the first call and kept in a module table
+that grows only with the distinct names ever built.  A leaf is immutable
+and all that is read of it follows from its name, so sharing it changes no
+answer, only memory and time (the redex memo of ``engine`` hits more
+often).  An App also
 has one cache slot, ``whnf``, which the reducer fills with the lambda the App
 weak-head reduces to (see ``engine._beta_normalize``).  Meta-terms (see
 ``meta``) are terms too: a sequence binder is a ``SeqBinder`` string and a
@@ -93,6 +105,31 @@ def gc_paused(fn):
 
 
 _EMPTY = frozenset()
+# An App whose own free set would hold more names than this, or a Lam whose
+# body's set does, is left wide (see the module docstring).  At this width
+# `check --max-n 6` builds no wide node, and at n = 10 substitute meets one
+# 16,640 times in 83 million beta steps.
+_WIDE = 32
+
+
+class _Unmade:
+    """The free slot of a wide node.  It is no set, and a reader tests for it
+    with ``is _UNMADE`` before it reads a slot as one.  Only the subset test
+    is defined, as if it were a superset of every set, so that App's
+    constructor makes a node above a wide one wide with no test of its own:
+    its two subset tests run for every App, and ``meta.expand`` at n = 300
+    builds thousands of wide ones."""
+
+    __slots__ = ()
+
+    def __ge__(self, other):
+        return True
+
+    def __le__(self, other):
+        return other is self
+
+
+_UNMADE = _Unmade()
 _VARS: dict = {}  # name -> the one Var of that name
 _CONSTS: dict = {}  # name -> the one Const of that name
 
@@ -125,12 +162,13 @@ class Lam(Term):
     def __init__(self, binder: str, body: Term):
         self.binder = binder
         self.body = body
-        bf = body.free
-        if binder in bf:
-            bf = _EMPTY if len(bf) == 1 else bf - {binder}
-        self.free = bf
         self.size = 1 + body.size
         self.has_const = body.has_const
+        bf = body.free
+        if bf is not _UNMADE and binder in bf:  # a wide body makes a wide Lam
+            width = len(bf)
+            bf = _EMPTY if width == 1 else bf - {binder} if width <= _WIDE else _UNMADE
+        self.free = bf
 
     def __repr__(self):
         return f"Lam({self.binder!r}, {self.body!r})"
@@ -142,12 +180,18 @@ class App(Term):
     def __init__(self, fun: Term, arg: Term):
         self.fun = fun
         self.arg = arg
-        ff = fun.free
-        af = arg.free
-        self.free = ff if af <= ff else af if ff <= af else ff | af
         self.size = 1 + fun.size + arg.size
         self.has_const = fun.has_const or arg.has_const
         self.whnf = None  # (lambda, beta-steps, peak size) once reduced; see engine
+        ff = fun.free
+        af = arg.free
+        if af <= ff:  # _UNMADE is above every set: a wide child makes a wide App
+            self.free = ff
+        elif ff <= af:
+            self.free = af
+        else:
+            union = ff | af
+            self.free = union if len(union) <= _WIDE else _UNMADE
 
     def __repr__(self):
         return f"App({self.fun!r}, {self.arg!r})"
@@ -230,8 +274,73 @@ def lams(binders, body: Term) -> Term:
 
 
 def free_vars(t: Term) -> set[str]:
-    """Free variables of t.  Constants contribute nothing (they are closed)."""
-    return set(t.free)
+    """Free variables of t.  Constants contribute nothing (they are closed).
+
+    A wide t is read by one walk that keeps the binders in scope and stops at
+    every node with a set; it fills no slot, so reading the set of a wide
+    term costs time and memory linear in its size.
+    """
+    f = t.free
+    if f is not _UNMADE:
+        return set(f)
+    out = set()
+    bound = {}  # binder -> how many lambdas of the walk's path bind it
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, str):  # the walk leaves the scope of the binder u
+            if bound[u] == 1:
+                del bound[u]
+            else:
+                bound[u] -= 1
+            continue
+        f = u.free
+        if f is not _UNMADE:
+            out.update([x for x in f if x not in bound] if bound else f)
+        elif u.__class__ is Lam:
+            b = u.binder
+            bound[b] = bound.get(b, 0) + 1
+            stack += (b, u.body)
+        else:  # only a Lam or an App is wide
+            stack += (u.arg, u.fun)
+    return out
+
+
+def free_set(t: Term) -> frozenset:
+    """The free set of t: its ``free`` slot, filled first if t is wide.
+
+    Filling computes the sets of t and of every wide node below it,
+    bottom-up without recursion, and keeps them, so that a reader walking
+    down from t (bracket abstraction, say) finds every set below t in its
+    slot.
+    """
+    f = t.free
+    if f is not _UNMADE:
+        return f
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if u.free is not _UNMADE:  # filled since it was pushed: shared below two parents
+            stack.pop()
+        elif u.__class__ is Lam:
+            bf = u.body.free
+            if bf is _UNMADE:
+                stack.append(u.body)
+            else:
+                stack.pop()
+                u.free = bf - {u.binder} if u.binder in bf else bf
+        else:
+            ff = u.fun.free
+            af = u.arg.free
+            if ff is _UNMADE or af is _UNMADE:
+                if ff is _UNMADE:
+                    stack.append(u.fun)
+                if af is _UNMADE:
+                    stack.append(u.arg)
+            else:
+                stack.pop()
+                u.free = ff if af <= ff else af if ff <= af else ff | af
+    return t.free
 
 
 def size(t: Term) -> int:
@@ -298,22 +407,37 @@ def _alpha(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:
 
 
 def substitute(t: Term, name: str, repl: Term) -> Term:
-    """Capture-avoiding t[name := repl]; binders are primed when needed."""
+    """Capture-avoiding t[name := repl]; binders are primed when needed.
+
+    The sets of a wide t or repl are filled first (see ``free_set``), so that
+    ``_substitute`` reads every slot below them as a set without testing it
+    for ``_UNMADE``: that test in every recursive call cost about 4% of a
+    perfbench ``normalize`` pass (2 vCPUs, Python 3.11).
+    """
+    if t.free is _UNMADE:
+        free_set(t)
+    if repl.free is _UNMADE:
+        free_set(repl)
+    return _substitute(t, name, repl)
+
+
+def _substitute(t: Term, name: str, repl: Term) -> Term:
+    """substitute, on a t and a repl whose sets are filled."""
     if name not in t.free:
         return t
     c = t.__class__
     if c is Var:
         return repl
     if c is App:
-        return App(substitute(t.fun, name, repl), substitute(t.arg, name, repl))
+        return App(_substitute(t.fun, name, repl), _substitute(t.arg, name, repl))
     # Lam, with name free in the body (and binder != name, else name not free)
     binder = t.binder
     body = t.body
     if binder in repl.free:
         new = fresh_name(binder, repl.free | body.free)
-        body = substitute(body, binder, Var(new))
-        binder = new
-    return Lam(binder, substitute(body, name, repl))
+        # the renamed body is built anew and may have wide sets to fill
+        return Lam(new, substitute(_substitute(body, binder, Var(new)), name, repl))
+    return Lam(binder, _substitute(body, name, repl))
 
 
 def expand_consts(t: Term, env) -> Term:

@@ -31,6 +31,16 @@ MUTANTS = [
      "new = fresh_name(binder, repl.free)",
      "substitute renames a binder to a name free in the body, and captures it",
      ["tests/test_cli.py::test_normalize_renames_past_primed_free_names"]),
+    ("src/varlam/terms.py",
+     "u.free = bf - {u.binder} if u.binder in bf else bf",
+     "u.free = bf",
+     "filling a wide Lam's set keeps the binder in it",
+     ["tests/test_kernel.py::test_free_vars_agrees_with_a_naive_reference"]),
+    ("src/varlam/terms.py",
+     "return Lam(new, substitute(_substitute(body, binder, Var(new)), name, repl))",
+     "return Lam(new, _substitute(_substitute(body, binder, Var(new)), name, repl))",
+     "substitute reads the unfilled sets of a renamed wide body",
+     ["tests/test_kernel.py::test_substitute_into_wide_chains_as_into_eager_ones"]),
     ("src/varlam/church.py",
      "while u.__class__ is App and s != z and ",
      "while u.__class__ is App and ",
@@ -58,7 +68,7 @@ MUTANTS = [
      "import varlam loads dataclasses, and with it inspect, in every fresh process",
      ["tests/test_cli.py::test_import_loads_neither_dataclasses_nor_inspect"]),
     ("src/varlam/engine.py",
-     "\n                  and payload not in t.fun.free):",
+     "\n                  and payload not in free_set(t.fun)):",
      "):",
      r"the beta loop erases \x. x x as if it were an eta-redex",
      ["tests/test_engine.py::test_eta_only_when_not_free"]),

@@ -32,6 +32,7 @@ from varlam.terms import (
     alpha_eq,
     apply,
     expand_consts,
+    free_vars,
     size,
     substitute,
 )
@@ -116,7 +117,7 @@ def eta_reference(t: Term) -> Term:
             body.__class__ is App
             and body.arg.__class__ is Var
             and body.arg.name == t.binder
-            and t.binder not in body.fun.free
+            and t.binder not in free_vars(body.fun)
         ):
             return body.fun
         return Lam(t.binder, body) if body is not t.body else t

@@ -24,7 +24,7 @@ def test_parse_meta_tuple_maker():
     m = parse_meta(r"\x[1..n] s. s x[1..n]")
     x = SeqBinder("x", "n")
     assert repr(m) == repr(Lam(x, Lam("s", App(Var("s"), Splice(x)))))
-    assert m.free == frozenset()  # the sequence binder binds the splice
+    assert free_vars(m) == set()  # the sequence binder binds the splice
 
 
 def test_parse_meta_const_family():
