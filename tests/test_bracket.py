@@ -12,7 +12,7 @@ from varlam.church import church
 from varlam.engine import ReductionConfig, Verdict, beta_eta_equal
 from varlam.env import standard_env
 from varlam.syntax import parse, parse_meta, print_term
-from varlam.terms import App, Lam, Term, expand_consts
+from varlam.terms import App, Lam, Term, alpha_eq, expand_consts
 
 
 def _lam_free(t: Term) -> bool:
@@ -46,6 +46,13 @@ def test_turner_more_shapes():
 def test_turner_consts_are_opaque(env):
     assert print_term(turner(parse(r"\x. K x", env))) == "K"
     assert print_term(turner(parse(r"\x. Succ (Succ x)", env))) == "B Succ Succ"
+
+
+def test_random_closed_terms_are_distinct():
+    # a repeated draw would count one encoding twice in turner soundness
+    for corpus, count in ((random_closed_terms(), 200), (random_closed_terms(count=40, seed=7), 40)):
+        assert len(corpus) == count
+        assert not any(alpha_eq(t, u) for i, t in enumerate(corpus) for u in corpus[:i])
 
 
 def test_turner_purity_and_soundness(env):
@@ -143,7 +150,7 @@ def test_turner_soundness_reports_steps_and_limit_stops(env):
     def soundness(cfg):
         return next(c for c in suite_bracket(1, cfg, env) if c.name == "turner soundness")
     case = soundness(ReductionConfig())
-    assert (case.ok, case.steps, case.inconclusive) == (True, 1478, False)
+    assert (case.ok, case.steps, case.inconclusive) == (True, 2548, False)
     case = soundness(ReductionConfig(fuel=5))
     assert (case.ok, case.inconclusive) == (False, True) and case.steps > 0
 

@@ -166,6 +166,10 @@ def test_upgrade_probe_refuses_a_normalizing_entry():
     assert not case.ok
     assert case.detail == ("not certified: VarPhi k=1 n=1 normal-form, "
                            "VarPhi k=1 n=2 normal-form, VarPhi k=2 n=2 normal-form")
+    # so is a tupled Y* that normalizes
+    parse_definitions(r"Ystar := \n. K ;", env)
+    case = checks._upgrade_probe("Ystar", 2, CFG, env)
+    assert (case.ok, case.detail) == (False, "not certified: Ystar n=1 normal-form, Ystar n=2 normal-form")
 
 
 def test_upgrade_probe_uses_the_callers_fuel(env):
