@@ -14,8 +14,8 @@ strategy (one global leftmost-outermost step at a time); the test suite holds
 the two implementations to the same answers.
 
 ``reduces_to`` decides reachability M ->> N by standardization: it follows
-weak-head chains on the same named terms, with ``substitute`` and
-``alpha_eq``, and never branches over all redexes.
+weak-head chains on the same named terms, matches parts under binder maps
+with no renaming, and never branches over all redexes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import gc
 from collections import namedtuple
 from enum import Enum
 
-from .terms import App, Lam, Term, Var, alpha_eq, expand_consts, free_set, fresh_name, gc_paused, substitute
+from .terms import App, Lam, Term, Var, _alpha, alpha_eq, expand_consts, free_set, gc_paused, substitute
 
 
 class Status(Enum):
@@ -352,13 +352,19 @@ def reduces_to(a: Term, target: Term, env=None, node_cap: int = 100_000, depth_c
     form or at a term alpha-equal to an earlier one of the chain (its matches
     repeat from there); ``depth_cap`` weak-head steps end it inconclusively,
     as do ``node_cap`` pairs the whole search.
+
+    Two lambdas' bodies are searched as they stand, with no renaming: the
+    maps ea and eb bind each binder in scope on their side to its lambda's
+    depth, as in ``terms._alpha``, which gets copies (a False leaves them
+    changed).  A chain term meets its target only at equal size.  One chain
+    shares one scope, so its loop test is plain ``alpha_eq``.
     """
     a = expand_consts(a, env)
     target = expand_consts(target, env)
     explored = generated = 0
     inconclusive = False
 
-    def reach(m: Term, n: Term) -> bool:
+    def reach(m: Term, n: Term, ea: dict, eb: dict, depth: int) -> bool:
         nonlocal explored, generated, inconclusive
         if explored >= node_cap:
             inconclusive = True
@@ -368,13 +374,13 @@ def reduces_to(a: Term, target: Term, env=None, node_cap: int = 100_000, depth_c
         match = True
         for steps in range(depth_cap + 1):
             if match:
-                if alpha_eq(m, n):
+                if m.size == n.size and _alpha(m, n, dict(ea), dict(eb), depth):
                     return True
                 cls = m.__class__
                 if cls is n.__class__:
                     if cls is Lam:
-                        return reach(*_common_binder(m, n))
-                    if cls is App and reach(m.fun, n.fun) and reach(m.arg, n.arg):
+                        return reach(m.body, n.body, {**ea, m.binder: depth}, {**eb, n.binder: depth}, depth + 1)
+                    if cls is App and reach(m.fun, n.fun, ea, eb, depth) and reach(m.arg, n.arg, ea, eb, depth):
                         return True
             same = seen.setdefault(m.size, [])
             if any(alpha_eq(m, s) for s in same):
@@ -389,16 +395,5 @@ def reduces_to(a: Term, target: Term, env=None, node_cap: int = 100_000, depth_c
             m, match = step
             generated += 1
 
-    found = reach(a, target)
+    found = reach(a, target, {}, {}, 0)
     return ReachResult(found, inconclusive and not found, explored, generated)
-
-
-def _common_binder(m: Lam, n: Lam) -> tuple[Term, Term]:
-    """The bodies of m and n with both binders renamed to one name."""
-    x, y = m.binder, n.binder
-    if x == y:
-        return m.body, n.body
-    if y not in free_set(m):
-        return substitute(m.body, x, Var(y)), n.body
-    z = Var(fresh_name(y, free_set(m.body) | free_set(n.body)))
-    return substitute(m.body, x, z), substitute(n.body, y, z)

@@ -374,8 +374,8 @@ _UNBOUND = object()
 def _alpha(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:
     """ea and eb map each binder in scope on their side to the depth of its
     lambda.  A lambda binds its binder for the body and then puts back the
-    outer binding, so one dict per side serves the whole walk.  After a False
-    nothing reads the dicts again, so only a True answer restores them."""
+    outer binding, so one dict per side serves the whole walk.  Only a True
+    answer restores them: a caller that reads them after a False passes copies."""
     ca = a.__class__
     if ca is not b.__class__:
         return False

@@ -77,6 +77,20 @@ MUTANTS = [
      "elif (t.__class__ is App",
      "the beta loop erases eta-redexes under --no-eta",
      ["tests/test_engine.py::test_eta_postpass"]),
+    ("src/varlam/engine.py",
+     "_alpha(m, n, dict(ea), dict(eb), depth)",
+     "_alpha(m, n, ea, eb, depth)",
+     "reduces_to keeps the binder maps a failed comparison left changed",
+     ["tests/test_engine.py::test_reduces_to_under_binder_maps_examples",
+      "tests/test_engine.py::test_reduces_to_matches_the_renaming_search"]),
+    ("src/varlam/engine.py",
+     "{**ea, m.binder: depth}",
+     "{**ea}",
+     "reduces_to leaves the left binder out of the map, so its bound name matches a free one",
+     ["tests/test_engine.py::test_reduces_to_under_binder_maps_examples",
+      "tests/test_engine.py::test_reduces_to_matches_the_renaming_search",
+      "tests/test_engine.py::test_reduces_to_boehm",
+      "tests/test_engine.py::test_reduces_to_node_cap"]),
 ]
 
 

@@ -2,7 +2,7 @@ import gc
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varlam.checks import CaseResult, random_closed_terms
@@ -33,6 +33,7 @@ from varlam.terms import (
     apply,
     expand_consts,
     free_vars,
+    fresh_name,
     size,
     substitute,
 )
@@ -402,6 +403,94 @@ def test_reduces_to_matches_naive_search(a, other, path, node_cap, depth_cap):
         assert res.found and not res.inconclusive
     if not inconclusive:
         assert (res.found, res.inconclusive) == (found, False)
+
+
+def _renaming_reduces_to(a, target, node_cap=100_000, depth_cap=200):
+    """reduces_to as it searched before binder maps: the bodies of two
+    lambdas are searched after substitute renames both binders to one name,
+    and a chain term is compared with its target at any size."""
+    explored = generated = 0
+    inconclusive = False
+
+    def common_binder(m, n):
+        x, y = m.binder, n.binder
+        if x == y:
+            return m.body, n.body
+        if y not in free_vars(m):
+            return substitute(m.body, x, Var(y)), n.body
+        z = Var(fresh_name(y, free_vars(m.body) | free_vars(n.body)))
+        return substitute(m.body, x, z), substitute(n.body, y, z)
+
+    def reach(m, n):
+        nonlocal explored, generated, inconclusive
+        if explored >= node_cap:
+            inconclusive = True
+            return False
+        explored += 1
+        seen = []
+        match = True
+        for steps in range(depth_cap + 1):
+            if match:
+                if alpha_eq(m, n):
+                    return True
+                if m.__class__ is n.__class__ is Lam:
+                    return reach(*common_binder(m, n))
+                if m.__class__ is n.__class__ is App and reach(m.fun, n.fun) and reach(m.arg, n.arg):
+                    return True
+            if any(alpha_eq(m, s) for s in seen):
+                return False
+            seen.append(m)
+            head = m
+            while head.__class__ is App:
+                head = head.fun
+            if head.__class__ is not Lam or head is m:
+                return False
+            if steps == depth_cap:
+                inconclusive = True
+                return False
+            match = m.fun is head
+            m = step_once(m)
+            generated += 1
+
+    found = reach(a, target)
+    return ReachResult(found, inconclusive and not found, explored, generated)
+
+
+def test_reduces_to_under_binder_maps_examples():
+    # a failed comparison must not leave its binder maps changed, and a bound
+    # x must not match a free one
+    assert tuple(reduces_to(parse(r"x ((\x.x) x)"), parse(r"x ((\y.x) x)"))) == (False, False, 5, 1)
+    assert tuple(reduces_to(parse(r"\a. (\b. b) a"), parse(r"\c. c"))) == (True, False, 2, 1)
+
+
+@example(parse(r"x ((\x.x) x)"), parse(r"x ((\y.x) x)"), [], 100_000, 200)
+@example(parse(r"\a. (\b. b) a"), parse(r"\c. c"), [], 100_000, 200)
+@given(reach_terms, reach_terms, st.lists(st.integers(0, 7), max_size=4),
+       st.integers(1, 40), st.integers(0, 8))
+def test_reduces_to_matches_the_renaming_search(a, other, path, node_cap, depth_cap):
+    # binder maps and the size test change no answer and no count
+    target = other
+    if path:
+        target = a
+        for i in path:
+            reducts = one_step_reducts(target)
+            if not reducts:
+                break
+            target = reducts[i % len(reducts)]
+    assert (reduces_to(a, target, node_cap=node_cap, depth_cap=depth_cap)
+            == _renaming_reduces_to(a, target, node_cap, depth_cap))
+
+
+def test_reduces_to_substitutes_once_per_weak_head_step(env, monkeypatch):
+    # matching renames no binder: every substitution is a weak-head step
+    calls = _count_substitutions(monkeypatch)
+    for n in range(1, 5):
+        steps = [build("boehm", n, j) for j in range(1, n + 1)]
+        for k in range(1, n + 1):
+            lhs, target = apply(build("ycurry", n, k), *steps), build("yturing", n, k)
+            calls[0] = 0
+            res = reduces_to(lhs, target, env)
+            assert res.found and calls[0] == res.generated, (n, k, calls[0], res.generated)
 
 
 def test_size_limit_is_exact(env):
