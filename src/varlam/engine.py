@@ -24,7 +24,8 @@ import gc
 from collections import namedtuple
 from enum import Enum
 
-from .terms import App, Lam, Term, Var, _alpha, alpha_eq, expand_consts, free_set, gc_paused, substitute
+from .terms import (_UNMADE, App, Lam, Term, Var, _alpha, _substitute, alpha_eq, expand_consts, free_set,
+                    gc_paused, substitute)
 
 
 class Status(Enum):
@@ -78,7 +79,7 @@ def normalize(t: Term, env=None, cfg: ReductionConfig = DEFAULT_CONFIG) -> Reduc
     return ReductionOutcome(*_beta_normalize(t, cfg.fuel, cfg.max_term_size, cfg.eta))
 
 
-_FUN, _ARGDONE, _LAM = 0, 1, 2
+_ARGDONE, _LAM = 0, 1  # tags of the stack's tuple frames; an argument to apply is the bare term
 _CHAIN = 4  # pending Apps per stack depth, each a reduct of the one before
 # Contractions memoized per call before the memo starts afresh: a reduction
 # that never repeats a contraction would otherwise hold every reduct it made.
@@ -87,6 +88,42 @@ _MEMO_CAP = 1 << 16
 # A memo reset collects only once more objects than this were built since
 # the last collection: a full collection walks every live object.
 _KNOT_SWEEP = 1 << 16
+
+
+def _contract(lam: Lam, arg: Term):
+    """The reduct of the redex (lam arg), for the beta loop, which calls it
+    once per contraction it performs (a miss of its memo).
+
+    When the body is an App that mentions the binder, the reduct's left spine
+    is not built: the result is (head, args, size), the reduct being head
+    applied to args[-1], ..., args[0] (the order the loop pushes them) and
+    size its size.  The spine is walked while the binder is free in the
+    function part; the first spine App that does not mention it is the head,
+    kept as it is.  Otherwise, and when a set is wide, it is
+    ``substitute(lam.body, lam.binder, arg)``.
+    """
+    body = lam.body
+    x = lam.binder
+    bf = body.free
+    if bf is _UNMADE or arg.free is _UNMADE:
+        return substitute(body, x, arg)
+    if x not in bf:
+        return body
+    if type(body) is not App:
+        return arg if type(body) is Var else _substitute(body, x, arg)
+    args = []
+    size = 0
+    u = body
+    while type(u) is App and x in u.free:
+        a = u.arg
+        if x in a.free:
+            a = arg if type(a) is Var else _substitute(a, x, arg)
+        args.append(a)
+        size += 1 + a.size
+        u = u.fun
+    if x in u.free:
+        u = arg if type(u) is Var else _substitute(u, x, arg)
+    return u, args, size + u.size
 
 
 def _beta_normalize(t: Term, fuel: int, max_size: int, eta: bool):
@@ -107,18 +144,14 @@ def _beta_normalize(t: Term, fuel: int, max_size: int, eta: bool):
     argument, so reaching M again (a copy of a duplicated argument) adds the
     recorded steps and resumes at the lambda, unless fuel or size would run
     out on the way: then M is reduced for real, to stop where normal order
-    does.  Steps, stops and results are normal order's.  Not recorded: a
-    reduct substitute has just built, and an App at a depth that already has
-    ``_CHAIN`` pending (a head loop would otherwise keep one App per step).
-    The memo can hand a fresh reduct out again, so skipping it is a measured
-    choice, not a necessity: recording it too made a perfbench ``normalize``
-    run slower in 7 of 11 alternating pairs of 5 s runs, median ``wall_cal``
-    800 against 787 (2 vCPUs, Python 3.11).
+    does.  Steps, stops and results are normal order's.  Not recorded: an App
+    at a depth that already has ``_CHAIN`` pending (a head loop would
+    otherwise keep one App per step).
 
     Contractions are shared too: normal order applies the same lambda object
     to the same argument object again and again (a duplicated closure is
-    read back once per copy), and ``substitute`` is a pure function of its
-    three objects.  So ``contracted``, local to this call, maps the pair
+    read back once per copy), and a contraction is a pure function of its
+    two objects.  So ``contracted``, local to this call, maps the pair
     ``(lam, arg)`` to the reduct, and a hit reuses it.  Terms define no
     ``__eq__``, so the pair hashes and compares by identity, and it holds
     both objects alive while it is a key.  Every step is still counted and
@@ -129,34 +162,42 @@ def _beta_normalize(t: Term, fuel: int, max_size: int, eta: bool):
     runs a full collection to free the knots that died, once ``_KNOT_SWEEP``
     objects were built since the last one.
 
+    A reduct's left spine is not built just to be taken apart (push/enter,
+    as in the STG and Krivine machines): ``_contract`` returns the spine's
+    head and substituted arguments, the arguments go on the stack as the
+    frames the spine's Apps would have pushed, and the loop goes on with the
+    head.  The memo keeps these pieces.  The first hit builds the spine once
+    (``_rebuild``), keeps it in their place and enters it as an ordinary
+    App, so it is recorded and a later hit replays it.  A fuel or size stop
+    rebuilds the same term from the stack.
+
     With ``eta`` the up pass erases an eta-redex lam x.(P x), x not free in
     P, post-order, where it would build its Lam.  P is beta-normal, so no
-    lambda, and a ``_LAM`` frame never lies on a ``_FUN`` frame: the erasure
-    makes no beta-redex.  The down pass never sees it, so steps and statuses
-    do not depend on ``eta``.
+    lambda, and a ``_LAM`` frame never lies on an argument frame: the
+    erasure makes no beta-redex.  The down pass never sees it, so steps and
+    statuses do not depend on ``eta``.
     """
-    stack: list = []
+    stack: list = []  # an argument to apply, or an (_ARGDONE, fun) or (_LAM, binder) frame
     open_args: dict[int, list[Term]] = {}  # size -> open arguments of that size
     open_sizes: list[int] = []  # sizes of the open arguments, innermost last
-    pending: list = []  # [App, depth, steps, context size, peak], innermost last
-    contracted: dict[tuple, Term] = {}  # (lam, arg) -> the redex's reduct
+    pending: list = []  # (App, depth, steps, context size, enclosing peak), innermost last
+    contracted: dict[tuple, object] = {}  # (lam, arg) -> the redex's reduct, or its pieces
     top = -1  # stack depth of the innermost pending App
     peak = 0  # largest total since the innermost pending App was entered
-    built = None  # the reduct substitute has just built: not recorded (see above)
     total = t.size
     steps = 0
     down = True
     while True:
         if down:
-            cls = t.__class__
+            # type(x), not x.__class__, in this loop and its callees: Python
+            # 3.11 specializes the call and not the attribute read
+            cls = type(t)
             if cls is App:
                 shared = t.whnf
                 if shared is None:
                     depth = len(stack)
-                    if t is not built and (len(pending) < _CHAIN or pending[-_CHAIN][1] != depth):
-                        if pending:
-                            pending[-1][4] = peak
-                        pending.append([t, depth, steps, total - t.size, 0])
+                    if len(pending) < _CHAIN or pending[-_CHAIN][1] != depth:
+                        pending.append((t, depth, steps, total - t.size, peak))
                         top = depth
                         peak = total
                 else:
@@ -169,40 +210,38 @@ def _beta_normalize(t: Term, fuel: int, max_size: int, eta: bool):
                             peak = context + rise
                         t = lam
                         continue
-                stack.append((_FUN, t.arg))
+                stack.append(t.arg)
                 t = t.fun
             elif cls is Lam:
                 depth = len(stack)
                 while top == depth:  # t is the weak-head normal form of these Apps
-                    node, _, start, context, _ = pending.pop()
+                    node, _, start, context, outer = pending.pop()
                     node.whnf = (t, steps - start, peak - context)
-                    if pending:
-                        below = pending[-1]
-                        top = below[1]
-                        if below[4] > peak:
-                            peak = below[4]
-                    else:
-                        top = -1
-                if stack and stack[-1][0] == _FUN:
+                    top = pending[-1][1] if pending else -1
+                    if outer > peak:
+                        peak = outer
+                if stack and type(stack[-1]) is not tuple:
                     if steps >= fuel:
                         return Status.FUEL_EXHAUSTED, _rebuild(t, stack), steps
-                    _, arg = stack.pop()
+                    arg = stack.pop()
                     total -= 1 + t.size + arg.size  # the redex App(t, arg)
                     key = (t, arg)
                     reduct = contracted.get(key)
                     if reduct is None:
-                        body = t.body
-                        reduct = substitute(body, t.binder, arg)
                         if len(contracted) == _MEMO_CAP:
                             contracted.clear()
                             if gc.get_count()[0] > _KNOT_SWEEP:
                                 gc.collect()
-                        contracted[key] = reduct
-                        built = reduct if reduct is not body and reduct is not arg else None
+                        reduct = contracted[key] = _contract(t, arg)
+                    elif type(reduct) is tuple:  # met again: build the spine once
+                        reduct = contracted[key] = _rebuild(reduct[0], reduct[1])
+                    if type(reduct) is tuple:
+                        t, args, size = reduct
+                        stack += args
+                        total += size
                     else:
-                        built = None
-                    t = reduct
-                    total += t.size
+                        t = reduct
+                        total += t.size
                     steps += 1
                     if total > max_size:
                         return Status.SIZE_EXCEEDED, _rebuild(t, stack), steps
@@ -219,22 +258,24 @@ def _beta_normalize(t: Term, fuel: int, max_size: int, eta: bool):
         else:
             if not stack:
                 return Status.NORMAL_FORM, t, steps
-            tag, payload = stack.pop()
-            if tag == _FUN:  # t is no lambda: the down pass contracts those
+            frame = stack.pop()
+            if type(frame) is not tuple:  # an argument; t is no lambda: the down pass contracts those
                 stack.append((_ARGDONE, t))
-                size = payload.size
+                size = frame.size
                 same = open_args.setdefault(size, [])
                 for m in same:
-                    if alpha_eq(m, payload):
-                        return Status.NO_NORMAL_FORM, _rebuild(payload, stack), steps
-                same.append(payload)
+                    if alpha_eq(m, frame):
+                        return Status.NO_NORMAL_FORM, _rebuild(frame, stack), steps
+                same.append(frame)
                 open_sizes.append(size)
-                t = payload
+                t = frame
                 down = True
-            elif tag == _ARGDONE:
+                continue
+            tag, payload = frame
+            if tag == _ARGDONE:
                 open_args[open_sizes.pop()].pop()
                 t = App(payload, t)
-            elif (eta and t.__class__ is App and t.arg.__class__ is Var and t.arg.name == payload
+            elif (eta and type(t) is App and type(t.arg) is Var and t.arg.name == payload
                   and payload not in free_set(t.fun)):
                 t = t.fun  # an eta-redex: t.fun is beta-normal, so no lambda
             else:
@@ -242,13 +283,14 @@ def _beta_normalize(t: Term, fuel: int, max_size: int, eta: bool):
 
 
 def _rebuild(t: Term, stack: list) -> Term:
-    for tag, payload in reversed(stack):
-        if tag == _FUN:
-            t = App(t, payload)
-        elif tag == _ARGDONE:
-            t = App(payload, t)
+    """The term t in the context of stack's frames (or t applied to a list of arguments)."""
+    for frame in reversed(stack):
+        if type(frame) is not tuple:
+            t = App(t, frame)
+        elif frame[0] == _ARGDONE:
+            t = App(frame[1], t)
         else:
-            t = Lam(payload, t)
+            t = Lam(frame[1], t)
     return t
 
 

@@ -411,8 +411,7 @@ def substitute(t: Term, name: str, repl: Term) -> Term:
 
     The sets of a wide t or repl are filled first (see ``free_set``), so that
     ``_substitute`` reads every slot below them as a set without testing it
-    for ``_UNMADE``: that test in every recursive call cost about 4% of a
-    perfbench ``normalize`` pass (2 vCPUs, Python 3.11).
+    for ``_UNMADE`` in every recursive call.
     """
     if t.free is _UNMADE:
         free_set(t)
@@ -425,11 +424,17 @@ def _substitute(t: Term, name: str, repl: Term) -> Term:
     """substitute, on a t and a repl whose sets are filled."""
     if name not in t.free:
         return t
-    c = t.__class__
+    c = type(t)  # faster than t.__class__ (see engine._beta_normalize)
     if c is Var:
         return repl
-    if c is App:
-        return App(_substitute(t.fun, name, repl), _substitute(t.arg, name, repl))
+    if c is App:  # a child is passed down only if it contains name, and a Var child is name
+        fun = t.fun
+        arg = t.arg
+        if name in fun.free:
+            fun = repl if type(fun) is Var else _substitute(fun, name, repl)
+        if name in arg.free:
+            arg = repl if type(arg) is Var else _substitute(arg, name, repl)
+        return App(fun, arg)
     # Lam, with name free in the body (and binder != name, else name not free)
     binder = t.binder
     body = t.body
@@ -437,7 +442,7 @@ def _substitute(t: Term, name: str, repl: Term) -> Term:
         new = fresh_name(binder, repl.free | body.free)
         # the renamed body is built anew and may have wide sets to fill
         return Lam(new, substitute(_substitute(body, binder, Var(new)), name, repl))
-    return Lam(binder, _substitute(body, name, repl))
+    return Lam(binder, repl if type(body) is Var else _substitute(body, name, repl))
 
 
 def expand_consts(t: Term, env) -> Term:

@@ -73,10 +73,27 @@ MUTANTS = [
      r"the beta loop erases \x. x x as if it were an eta-redex",
      ["tests/test_engine.py::test_eta_only_when_not_free"]),
     ("src/varlam/engine.py",
-     "elif (eta and t.__class__ is App",
-     "elif (t.__class__ is App",
+     "elif (eta and type(t) is App",
+     "elif (type(t) is App",
      "the beta loop erases eta-redexes under --no-eta",
      ["tests/test_engine.py::test_eta_postpass"]),
+    ("src/varlam/engine.py",
+     "stack += args",
+     "stack += reversed(args)",
+     "the beta loop pushes an unbuilt spine's arguments in reverse order",
+     ["tests/test_engine.py::test_shared_reducts_stop_where_trace_does",
+      "tests/test_engine.py::test_memo_started_afresh_keeps_steps_and_results"]),
+    ("src/varlam/engine.py",
+     "size += 1 + a.size",
+     "size += a.size",
+     "the beta loop counts an unbuilt spine's size without its Apps",
+     ["tests/test_engine.py::test_shared_reducts_stop_where_trace_does",
+      "tests/test_engine.py::test_size_limit_is_exact"]),
+    ("src/varlam/engine.py",
+     "elif type(reduct) is tuple:  # met again: build the spine once",
+     "elif False:",
+     "a memo hit pushes an unbuilt spine's pieces again, so their App is never recorded or replayed",
+     ["tests/test_engine.py::test_an_unbuilt_spine_is_built_at_its_first_hit_only"]),
     ("src/varlam/engine.py",
      "_alpha(m, n, dict(ea), dict(eb), depth)",
      "_alpha(m, n, ea, eb, depth)",

@@ -20,6 +20,7 @@ from varlam.engine import (
     trace,
 )
 from varlam import engine
+from varlam.env import standard_env
 from varlam.meta import build
 from varlam.syntax import parse, print_term
 from varlam.terms import (
@@ -483,7 +484,7 @@ def test_reduces_to_matches_the_renaming_search(a, other, path, node_cap, depth_
 
 def test_reduces_to_substitutes_once_per_weak_head_step(env, monkeypatch):
     # matching renames no binder: every substitution is a weak-head step
-    calls = _count_substitutions(monkeypatch)
+    calls = _count_calls(monkeypatch, "substitute")
     for n in range(1, 5):
         steps = [build("boehm", n, j) for j in range(1, n + 1)]
         for k in range(1, n + 1):
@@ -633,12 +634,18 @@ def test_certificate_never_fires_on_a_normalizing_term(t):
         assert out.status is not Status.NORMAL_FORM
 
 
+# G = \y. y w is applied to the one object F = \a b. b three times in one
+# call, each time in a new App: the first contraction of (G, F) pushes the
+# pieces of its reduct F w, the second builds that App, which is recorded,
+# and the third replays it.
+THREE_MEETINGS = r"(\f g. g f (g f (g f z))) (\a b. b) (\y. y w)"
 # Normal order copies these unevaluated arguments; normalize reduces each copy
 # once (App.whnf), trace contracts every copy.
 SHARING_TERMS = (
     r"#6 (\x. Pair x x) I", "VarS #5", "VarTup #4", "Iota #4",
     r"Catenate #2 (\z. z a1 a2) #2 (\z. z b1 b2)",
     r"Catenate #3 (\z. z a1 a2 a3) #3 (\z. z b1 b2 b3)",
+    THREE_MEETINGS,
 )
 
 
@@ -690,51 +697,77 @@ def test_shared_reducts_stop_where_trace_does(env):
         _assert_stops_match_trace(t)
 
 
-def _count_substitutions(monkeypatch) -> list[int]:
-    """A one-item list that counts the reducer's calls of substitute (counted
-    where the reducer looks it up, as perfbench does)."""
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    """A one-item list that counts the calls of engine's function ``name``,
+    where engine looks it up: ``_contract`` is called once per contraction
+    the beta loop performs, ``substitute`` once per step ``reduces_to`` takes."""
     calls = [0]
-    real = engine.substitute
+    real = getattr(engine, name)
 
     def counting(*args):
         calls[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(engine, "substitute", counting)
+    monkeypatch.setattr(engine, name, counting)
     return calls
 
 
-def test_shared_reducts_keep_normal_order_counts(env, monkeypatch):
+def test_shared_reducts_keep_normal_order_counts(monkeypatch):
     # VarS iterates a pair, so normal order reduces 2^n copies of it; each
-    # step is still counted, but far fewer substitutions are performed
-    contractions = _count_substitutions(monkeypatch)
-    for n, steps in ((6, 2639), (8, 10869)):
+    # step is still counted, but far fewer contractions are performed: the
+    # counts the README gives, in this order in a fresh env, where each call
+    # replays the reducts the calls before it recorded
+    env = standard_env()
+    cfg = ReductionConfig(fuel=3_000_000)
+    contractions = _count_calls(monkeypatch, "_contract")
+    for n, steps, performed in ((4, 601, 140), (8, 10_869, 448), (12, 175_937, 1_062),
+                                (16, 2_817_805, 2_108)):
         t = expand_consts(parse(f"VarS #{n}", env), env)
         contractions[0] = 0
-        out = normalize(t)
+        out = normalize(t, None, cfg)
         assert (out.status, out.steps) == (Status.NORMAL_FORM, steps)
-        assert contractions[0] * 5 < steps, (n, contractions[0])
-        again = normalize(t)  # now every App on the way has its reduct recorded
+        assert contractions[0] == performed, n
+        again = normalize(t, None, cfg)  # now every App on the way has its reduct recorded
         assert (again.status, again.steps) == (out.status, out.steps)
         assert print_term(again.result) == print_term(out.result)
 
 
-def test_each_redex_is_contracted_once_per_call(env, monkeypatch):
+def test_each_redex_is_contracted_once_per_call(monkeypatch):
     # normal order meets the same lambda applied to the same argument again
-    # and again; one call of normalize substitutes for each such redex once
-    contractions = _count_substitutions(monkeypatch)
+    # and again; one call of normalize contracts each such redex once (in a
+    # fresh env, where nothing is recorded yet)
+    env = standard_env()
+    contractions = _count_calls(monkeypatch, "_contract")
     t = expand_consts(parse("VarS #16", env), env)
     out = normalize(t, None, ReductionConfig(fuel=3_000_000))
     assert (out.status, out.steps) == (Status.NORMAL_FORM, 2_817_805)
-    assert contractions[0] < 5_000, contractions[0]
+    assert contractions[0] == 2_110
     assert alpha_eq(out.result, build("S", 16))
 
 
 def test_memo_started_afresh_keeps_steps_and_results(env, monkeypatch):
     # a memo emptied every few contractions loses reuse, never a step
     monkeypatch.setattr(engine, "_MEMO_CAP", 3)
-    for source in ("VarS #5", r"Catenate #2 (\z. z a1 a2) #2 (\z. z b1 b2)"):
+    for source in ("VarS #5", r"Catenate #2 (\z. z a1 a2) #2 (\z. z b1 b2)", THREE_MEETINGS):
         _assert_stops_match_trace(expand_consts(parse(source, env), env))
+
+
+def test_an_unbuilt_spine_is_built_at_its_first_hit_only(monkeypatch):
+    # THREE_MEETINGS contracts (G, F) once and meets it twice more: the first
+    # hit builds the reduct's App F w, the second replays it (no limit stops
+    # the call, so _rebuild builds nothing else)
+    built = []
+    real = engine._rebuild
+
+    def recording(t, frames):
+        u = real(t, frames)
+        built.append(print_term(u))
+        return u
+
+    monkeypatch.setattr(engine, "_rebuild", recording)
+    out = normalize(parse(THREE_MEETINGS), None, ReductionConfig(eta=False))
+    assert (out.status, out.steps, print_term(out.result)) == (Status.NORMAL_FORM, 11, "z")
+    assert built == [r"(\a b.b) w"]
 
 
 def test_replayed_reduct_raises_the_enclosing_peak():
@@ -767,15 +800,15 @@ def test_shared_reducts_match_trace_exactly(t, fuel, max_size):
 
 
 def _record_collector(monkeypatch) -> list[bool]:
-    """gc.isenabled() at each of the reducer's calls of substitute."""
+    """gc.isenabled() at each contraction the beta loop performs."""
     seen = []
-    real = engine.substitute
+    real = engine._contract
 
     def recording(*args):
         seen.append(gc.isenabled())
         return real(*args)
 
-    monkeypatch.setattr(engine, "substitute", recording)
+    monkeypatch.setattr(engine, "_contract", recording)
     return seen
 
 
@@ -798,9 +831,9 @@ def test_collector_restored_after_an_error_in_the_loop(monkeypatch, collector):
 
     def failing(*args):
         seen.append(gc.isenabled())
-        raise RuntimeError("substitute failed")
+        raise RuntimeError("contraction failed")
 
-    monkeypatch.setattr(engine, "substitute", failing)
+    monkeypatch.setattr(engine, "_contract", failing)
     with pytest.raises(RuntimeError):
         normalize(parse(OMEGA))
     assert seen == [False]
