@@ -28,17 +28,17 @@ def church(n: int) -> Term:
 def numeral_value(t: Term):
     """n if t is the numeral lam s z. s^n z (lam s s. s is 0), or lam s. s,
     the eta-short c_1; None otherwise."""
-    if t.__class__ is not Lam:
+    if type(t) is not Lam:
         return None
-    if t.body.__class__ is not Lam:
-        return 1 if t.body.__class__ is Var and t.body.name == t.binder else None
+    if type(t.body) is not Lam:
+        return 1 if type(t.body) is Var and t.body.name == t.binder else None
     s, z = t.binder, t.body.binder
     u = t.body.body
     n = 0
-    while u.__class__ is App and s != z and u.fun.__class__ is Var and u.fun.name == s:
+    while type(u) is App and s != z and type(u.fun) is Var and u.fun.name == s:
         n += 1
         u = u.arg
-    return n if u.__class__ is Var and u.name == z else None
+    return n if type(u) is Var and u.name == z else None
 
 
 def unchurch(t: Term, env=None, cfg=DEFAULT_CONFIG) -> int:

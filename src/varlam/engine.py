@@ -296,9 +296,9 @@ def _rebuild(t: Term, stack: list) -> Term:
 
 def step_once(t: Term) -> Term | None:
     """Contract the leftmost-outermost beta-redex; None if t is beta-normal."""
-    cls = t.__class__
+    cls = type(t)
     if cls is App:
-        if t.fun.__class__ is Lam:
+        if type(t.fun) is Lam:
             return substitute(t.fun.body, t.fun.binder, t.arg)
         s = step_once(t.fun)
         if s is not None:
@@ -374,9 +374,9 @@ def _weak_head_step(t: Term):
     ``step_once``.
     """
     head = t
-    while head.__class__ is App:
+    while type(head) is App:
         head = head.fun
-    if head.__class__ is not Lam or head is t:
+    if type(head) is not Lam or head is t:
         return None
     return step_once(t), t.fun is head
 
@@ -418,8 +418,8 @@ def reduces_to(a: Term, target: Term, env=None, node_cap: int = 100_000, depth_c
             if match:
                 if m.size == n.size and _alpha(m, n, dict(ea), dict(eb), depth):
                     return True
-                cls = m.__class__
-                if cls is n.__class__:
+                cls = type(m)
+                if cls is type(n):
                     if cls is Lam:
                         return reach(m.body, n.body, {**ea, m.binder: depth}, {**eb, n.binder: depth}, depth + 1)
                     if cls is App and reach(m.fun, n.fun, ea, eb, depth) and reach(m.arg, n.arg, ea, eb, depth):

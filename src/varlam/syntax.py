@@ -272,33 +272,46 @@ def print_term(t: Term, sugar: bool = False) -> str:
 
 
 def _fmt(t: Term, ctx: str, sugar: bool, out: list) -> None:
-    """Append the pieces of t, in context ctx, to out."""
-    if sugar:
-        n = numeral_value(t)
-        if n is not None:
-            out.append(f"#{n}")
-            return
-    c = t.__class__
-    if c is Var or c is Const:
-        out.append(t.name)
-        return
-    if c is not Lam and c is not App:  # a splice
-        out.append(f"({t.binder})" if t.grouped else t.binder)
-        return
-    # a lambda extends rightmost; function position keeps bare apps, arguments get parens
-    paren = ctx != "top" if c is Lam else ctx == "arg"
-    if paren:
-        out.append("(")
-    if c is Lam:
-        binders = []
-        while t.__class__ is Lam and (not sugar or numeral_value(t) is None):
-            binders.append(t.binder)
-            t = t.body
-        out.append("\\" + " ".join(binders) + ".")
-        _fmt(t, "top", sugar, out)
-    else:
-        _fmt(t.fun, "fun", sugar, out)
-        out.append(" ")
-        _fmt(t.arg, "arg", sugar, out)
-    if paren:
-        out.append(")")
+    """Append the pieces of t, in context ctx, to out.
+
+    A lambda's body and an App's argument are the last pieces of their term,
+    so the loop goes on down them and writes the closers of the parentheses
+    it opened once, at the end: a numeral, nested to the right, costs no
+    frame per level.  A Var function part is written in place; any other
+    function part is formatted by a recursive call."""
+    opened = 0
+    while True:
+        if sugar:
+            n = numeral_value(t)
+            if n is not None:
+                out.append(f"#{n}")
+                break
+        c = type(t)
+        if c is not App and c is not Lam:
+            if c is Var or c is Const:
+                out.append(t.name)
+            else:  # a splice
+                out.append(f"({t.binder})" if t.grouped else t.binder)
+            break
+        # a lambda extends rightmost; function position keeps bare apps, arguments get parens
+        if ctx == "arg" or (c is Lam and ctx == "fun"):
+            out.append("(")
+            opened += 1
+        if c is App:
+            f = t.fun
+            if type(f) is Var:
+                out.append(f.name)
+            else:
+                _fmt(f, "fun", sugar, out)
+            out.append(" ")
+            t = t.arg
+            ctx = "arg"
+        else:
+            binders = []
+            while type(t) is Lam and (not sugar or numeral_value(t) is None):
+                binders.append(t.binder)
+                t = t.body
+            out.append("\\" + " ".join(binders) + ".")
+            ctx = "top"
+    if opened:
+        out.append(")" * opened)

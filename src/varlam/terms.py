@@ -41,9 +41,11 @@ import functools
 import gc
 import sys
 
-# The printer, alpha_eq, substitute and step_once recurse on term depth.  The
-# check suites stay within the default limit; a numeral in the thousands,
-# printed without sugar or compared by alpha_eq, does not.
+# substitute, step_once, bracket.turner and meta.expand recurse on term depth;
+# alpha_eq and the printer loop down an App's argument but recurse on a
+# function part that is no Var (and alpha_eq on a lambda's body).  The check
+# suites stay within the default limit; a left spine of thousands of
+# applications, compared or printed, and a numeral substituted into do not.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
 
 
@@ -297,7 +299,7 @@ def free_vars(t: Term) -> set[str]:
         f = u.free
         if f is not _UNMADE:
             out.update([x for x in f if x not in bound] if bound else f)
-        elif u.__class__ is Lam:
+        elif type(u) is Lam:
             b = u.binder
             bound[b] = bound.get(b, 0) + 1
             stack += (b, u.body)
@@ -322,7 +324,7 @@ def free_set(t: Term) -> frozenset:
         u = stack[-1]
         if u.free is not _UNMADE:  # filled since it was pushed: shared below two parents
             stack.pop()
-        elif u.__class__ is Lam:
+        elif type(u) is Lam:
             bf = u.body.free
             if bf is _UNMADE:
                 stack.append(u.body)
@@ -375,35 +377,50 @@ def _alpha(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:
     """ea and eb map each binder in scope on their side to the depth of its
     lambda.  A lambda binds its binder for the body and then puts back the
     outer binding, so one dict per side serves the whole walk.  Only a True
-    answer restores them: a caller that reads them after a False passes copies."""
-    ca = a.__class__
-    if ca is not b.__class__:
-        return False
-    if ca is Var:
-        return ea.get(a.name, a.name) == eb.get(b.name, b.name)
-    if ca is App:
-        return _alpha(a.fun, b.fun, ea, eb, depth) and _alpha(a.arg, b.arg, ea, eb, depth)
-    if ca is Lam:
-        xa = a.binder
-        xb = b.binder
-        outer_a = ea.get(xa, _UNBOUND)
-        outer_b = eb.get(xb, _UNBOUND)
-        ea[xa] = depth
-        eb[xb] = depth
-        if not _alpha(a.body, b.body, ea, eb, depth + 1):
+    answer restores them: a caller that reads them after a False passes copies.
+
+    An App pair compares its function parts, in place when a side's is a Var,
+    and the loop goes on down the arguments: a numeral, nested to the right,
+    costs no frame per level.  A lambda's body and a function part that is no
+    Var are compared by a recursive call."""
+    while True:
+        ca = type(a)
+        if ca is not type(b):
             return False
-        if outer_a is _UNBOUND:
-            del ea[xa]
-        else:
-            ea[xa] = outer_a
-        if outer_b is _UNBOUND:
-            del eb[xb]
-        else:
-            eb[xb] = outer_b
-        return True
-    if ca is Const:
-        return a.name == b.name
-    return ea.get(a.binder, a.binder) == eb.get(b.binder, b.binder) and a.grouped == b.grouped  # Splice
+        if ca is App:
+            fa = a.fun
+            fb = b.fun
+            if type(fa) is Var:
+                if type(fb) is not Var or ea.get(fa.name, fa.name) != eb.get(fb.name, fb.name):
+                    return False
+            elif not _alpha(fa, fb, ea, eb, depth):
+                return False
+            a = a.arg
+            b = b.arg
+            continue
+        if ca is Var:
+            return ea.get(a.name, a.name) == eb.get(b.name, b.name)
+        if ca is Lam:
+            xa = a.binder
+            xb = b.binder
+            outer_a = ea.get(xa, _UNBOUND)
+            outer_b = eb.get(xb, _UNBOUND)
+            ea[xa] = depth
+            eb[xb] = depth
+            if not _alpha(a.body, b.body, ea, eb, depth + 1):
+                return False
+            if outer_a is _UNBOUND:
+                del ea[xa]
+            else:
+                ea[xa] = outer_a
+            if outer_b is _UNBOUND:
+                del eb[xb]
+            else:
+                eb[xb] = outer_b
+            return True
+        if ca is Const:
+            return a.name == b.name
+        return ea.get(a.binder, a.binder) == eb.get(b.binder, b.binder) and a.grouped == b.grouped  # Splice
 
 
 def substitute(t: Term, name: str, repl: Term) -> Term:
@@ -453,7 +470,7 @@ def expand_consts(t: Term, env) -> Term:
     """
     if not t.has_const:
         return t
-    c = t.__class__
+    c = type(t)
     if c is Const:
         if env is None:
             raise UnexpandedConstant(t.name)

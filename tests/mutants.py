@@ -41,9 +41,20 @@ MUTANTS = [
      "return Lam(new, _substitute(_substitute(body, binder, Var(new)), name, repl))",
      "substitute reads the unfilled sets of a renamed wide body",
      ["tests/test_kernel.py::test_substitute_into_wide_chains_as_into_eager_ones"]),
+    ("src/varlam/terms.py",
+     "ea.get(fa.name, fa.name) != eb.get(fb.name, fb.name)",
+     "fa.name != fb.name",
+     "alpha_eq compares a variable in function position by its bare name, ignoring the binder maps",
+     ["tests/test_kernel.py::test_alpha_eq_examples"]),
+    ("src/varlam/syntax.py",
+     "            opened += 1\n",
+     "",
+     "the printer opens a parenthesis and does not count it, so it is never closed",
+     ["tests/test_kernel.py::test_print_examples",
+      "tests/test_kernel.py::test_print_term_agrees_with_the_recursive_printer"]),
     ("src/varlam/church.py",
-     "while u.__class__ is App and s != z and ",
-     "while u.__class__ is App and ",
+     "while type(u) is App and s != z and ",
+     "while type(u) is App and ",
      r"numeral_value reads \s s. s (s s), whose binders coincide, as 2",
      ["tests/test_cli.py::test_unchurch_rejects_a_numeral_whose_binders_coincide"]),
     ("src/varlam/checks.py",

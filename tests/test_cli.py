@@ -230,22 +230,26 @@ def test_options_a_command_does_not_apply_are_usage_errors(capsys, argv):
 
 
 def test_too_deep_term_is_an_error(capsys):
-    # the recursion limit is an error, never eq's NOT-EQUAL (exit 1)
-    code, out, err = run(capsys, "eq", "#25000", "#25000")
+    # the recursion limit is an error, never eq's NOT-EQUAL (exit 1): alpha_eq
+    # recurses on a left spine, substitute on the argument of a numeral
+    spine = " ".join(["x"] * 25_000)
+    code, out, err = run(capsys, "eq", spine, spine)
     assert code == 3 and out == ""
     assert err.strip() == "varlam: term too deep for the recursion limit"
-    code, out, err = run(capsys, "church", "25000")
+    code, out, err = run(capsys, "normalize", "-e", "#25000 x")
     assert code == 1 and out == ""
     assert err.strip() == "varlam: term too deep for the recursion limit"
 
 
 def test_deep_numerals(capsys):
-    # the beta loop with its eta erasure, the numeral reader and the sugared
-    # printer take any depth
+    # the beta loop with its eta erasure, the numeral reader, alpha_eq and the
+    # printer, sugared or not, take a numeral of any depth
     assert run(capsys, "unchurch", "-e", "#200000") == (0, "200000\n", "")
     assert run(capsys, "normalize", "--sugar", "-e", "#200000") == (0, "#200000\n", "")
-    # alpha_eq recurses on depth, within the limit terms.py raises
-    assert run(capsys, "eq", "#19000", "#19000") == (0, "EQUAL\n", "")
+    assert run(capsys, "eq", "#200000", "#200000") == (0, "EQUAL\n", "")
+    code, out, err = run(capsys, "church", "200000")
+    assert (code, err) == (0, "")
+    assert out == "\\s z." + "s (" * 199_999 + "s z" + ")" * 199_999 + "\n"
 
 
 def test_no_prelude(capsys):

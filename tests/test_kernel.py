@@ -225,6 +225,70 @@ def test_print_parse_roundtrip_sugared(t):
     assert beta_eta_equal(back, t, _ENV, cfg) is not Verdict.NOT_EQUAL
 
 
+def _recursive_fmt(t, ctx, sugar, out):
+    """The printer as one recursive call per node: the reference the loop is
+    held to."""
+    if sugar:
+        n = numeral_value(t)
+        if n is not None:
+            out.append(f"#{n}")
+            return
+    c = t.__class__
+    if c is Var or c is Const:
+        out.append(t.name)
+        return
+    if c is not Lam and c is not App:  # a splice
+        out.append(f"({t.binder})" if t.grouped else t.binder)
+        return
+    paren = ctx != "top" if c is Lam else ctx == "arg"
+    if paren:
+        out.append("(")
+    if c is Lam:
+        binders = []
+        while t.__class__ is Lam and (not sugar or numeral_value(t) is None):
+            binders.append(t.binder)
+            t = t.body
+        out.append("\\" + " ".join(binders) + ".")
+        _recursive_fmt(t, "top", sugar, out)
+    else:
+        _recursive_fmt(t.fun, "fun", sugar, out)
+        out.append(" ")
+        _recursive_fmt(t.arg, "arg", sugar, out)
+    if paren:
+        out.append(")")
+
+
+@given(terms, st.booleans())
+@example(parse(r"(\x. x) y (\y. y)"), False)  # a lambda in function position, a lambda argument
+@example(parse(r"a (\x. b (c (d (\y. y x))))"), False)  # parentheses nested at the tail
+@example(parse(r"f (g #2) (\s. s) (\s z. s (s z)) #0"), True)  # numerals and the eta-short c_1
+@example(parse(r"f (g #2) #3"), False)
+@example(parse_meta(r"\f x[1..n]. f (x[1..n]) x[1..n] (g x[1..n])"), False)  # splices
+def test_print_term_agrees_with_the_recursive_printer(t, sugar):
+    out = []
+    _recursive_fmt(t, "top", sugar, out)
+    assert print_term(t, sugar) == "".join(out)
+
+
+def test_alpha_eq_and_the_printer_have_no_numeral_depth_limit():
+    # a numeral nests to the right, and both walks loop down the argument
+    depth = 100_000
+    a, b = church(depth), church(depth)
+    renamed = Var("x")
+    for _ in range(depth):
+        renamed = App(Var("f"), renamed)
+    renamed = lams(["f", "x"], renamed)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    try:
+        assert alpha_eq(a, b) and alpha_eq(a, renamed)
+        assert not alpha_eq(a, church(depth - 1))
+        text = print_term(a)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == r"\s z." + "s (" * (depth - 1) + "s z" + ")" * (depth - 1)
+
+
 def test_free_vars_examples(env):
     assert free_vars(parse(r"\x. x y")) == {"y"}
     assert free_vars(parse(r"x (\x.x)")) == {"x"}
@@ -427,6 +491,9 @@ def test_alpha_eq_examples():
     assert not alpha_eq(parse(r"\x.x"), parse(r"\x.x x"))
     assert alpha_eq(Const("K"), Const("K"))
     assert not alpha_eq(Const("K"), Const("S"))
+    # a variable in function position is compared under the binder maps too
+    assert alpha_eq(parse(r"\x. x y"), parse(r"\z. z y"))
+    assert not alpha_eq(parse(r"\x y. x z"), parse(r"\y x. x z"))
 
 
 @given(terms)
@@ -500,6 +567,16 @@ def test_alpha_eq_agrees_with_de_bruijn_on_large_families(name):
     assert alpha_eq(expanded, meta.build(name, 300))
     assert not alpha_eq(expanded, meta.build(name, 301))
     assert _de_bruijn(expanded) != _de_bruijn(meta.build(name, 301))
+
+
+@given(_shadowed_terms, st.lists(_SHADOWED | st.just("z"), min_size=1, max_size=6))
+@example(parse(r"\x. x (\y. y x) (\x. y)"), ["y", "x"])
+def test_alpha_puts_back_the_binder_maps_it_was_given(t, picks):
+    # x and y are bound outside t at depths 0 and 1; t's binders shadow them
+    for other in (t, _rebind(t, itertools.cycle(picks))):
+        ea, eb = {"x": 0, "y": 1}, {"x": 0, "y": 1}
+        if kernel._alpha(t, other, ea, eb, 2):
+            assert ea == eb == {"x": 0, "y": 1}
 
 
 def test_leaves_are_shared():
