@@ -40,14 +40,14 @@ def turner(t: Term) -> Term:
     Sequence binders are abstracted over {VarI,VarK,VarB,VarC,VarS}, leaving
     their index variable free.
     """
-    c = t.__class__
+    c = type(t)
     if c is App:
         return App(turner(t.fun), turner(t.arg))
     if c is Lam:
         x = t.binder
         body = turner(t.body)
         free_set(body)  # fills a wide body's sets: _abstract reads them all the way down
-        if x.__class__ is SeqBinder:
+        if type(x) is SeqBinder:
             n = Var(x.index)
             return _abstract(x, body, [App(Const(name), n) for name in _SEQ_BASIS])
         return _abstract(x, body, _BASIS)
@@ -65,7 +65,7 @@ def _abstract(x: str, b: Term, basis) -> Term:
     # b is an application: after the body was bracketed there are no lambdas
     # left, and the two cases above dispose of variables, constants and splices.
     p, q = b.fun, b.arg
-    cq = q.__class__
+    cq = type(q)
     if cq is Splice and not q.grouped:
         # n separate arguments, which only sequence-eta can absorb
         if q.binder != x or x in p.free:
@@ -112,12 +112,12 @@ def _index_and_binders(m: Term):
     stack = [m]
     while stack:
         u = stack.pop()
-        if u.__class__ is Lam:
-            if u.binder.__class__ is SeqBinder:
+        if type(u) is Lam:
+            if type(u.binder) is SeqBinder:
                 index = u.binder.index
             else:
                 binders.add(u.binder)
             stack.append(u.body)
-        elif u.__class__ is App:
+        elif type(u) is App:
             stack += (u.arg, u.fun)
     return index, binders

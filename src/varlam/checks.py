@@ -186,7 +186,7 @@ def suite_bracket(max_n: int, cfg: ReductionConfig, env) -> list[CaseResult]:
 
 
 def _lam_free(t: Term) -> bool:
-    cls = t.__class__
+    cls = type(t)
     if cls is Lam:
         return False
     if cls is App:

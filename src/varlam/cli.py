@@ -34,7 +34,7 @@ import os
 import sys
 
 from . import bracket as bracket_mod
-from .checks import all_ok, format_report, run_suites
+from .checks import SUITES, all_ok, format_report, run_suites
 from .church import church, read_numeral
 from .engine import ReductionConfig, Status, Verdict, beta_eta_equal, normalize, trace
 from .env import Env, read_source, standard_env
@@ -129,8 +129,7 @@ def build_parser() -> _Parser:
     p.set_defaults(no_eta=None)  # a numeral is read from the beta-eta-normal form
 
     p = _command(sub, "check", "run the verification suites", _add_defs, _add_limits, _add_eta)
-    p.add_argument("--suite", choices=("kernel", "bracket", "variadic", "fixpoint", "all"),
-                   default="all")
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--max-n", type=natural, default=3)
 
     _command(sub, "repl", "interactive loop (:def, :eq, :quit)", _add_defs, _add_limits, _add_eta)

@@ -92,21 +92,23 @@ _KNOT_SWEEP = 1 << 16
 
 def _contract(lam: Lam, arg: Term):
     """The reduct of the redex (lam arg), for the beta loop, which calls it
-    once per contraction it performs (a miss of its memo).
+    once per contraction it performs (a miss of its memo).  The sets of a
+    wide body or argument are filled first, as ``substitute`` fills them.
 
     When the body is an App that mentions the binder, the reduct's left spine
     is not built: the result is (head, args, size), the reduct being head
     applied to args[-1], ..., args[0] (the order the loop pushes them) and
     size its size.  The spine is walked while the binder is free in the
     function part; the first spine App that does not mention it is the head,
-    kept as it is.  Otherwise, and when a set is wide, it is
-    ``substitute(lam.body, lam.binder, arg)``.
+    kept as it is.
     """
     body = lam.body
     x = lam.binder
     bf = body.free
-    if bf is _UNMADE or arg.free is _UNMADE:
-        return substitute(body, x, arg)
+    if bf is _UNMADE:
+        bf = free_set(body)
+    if arg.free is _UNMADE:
+        free_set(arg)
     if x not in bf:
         return body
     if type(body) is not App:
@@ -367,20 +369,6 @@ class ReachResult(namedtuple("ReachResult", "found inconclusive explored generat
     __slots__ = ()
 
 
-def _weak_head_step(t: Term):
-    """(reduct, contracted at the top) of t's weak-head redex; None at whnf.
-
-    Off whnf the leftmost-outermost redex is the head redex, so this is
-    ``step_once``.
-    """
-    head = t
-    while type(head) is App:
-        head = head.fun
-    if type(head) is not Lam or head is t:
-        return None
-    return step_once(t), t.fun is head
-
-
 def reduces_to(a: Term, target: Term, env=None, node_cap: int = 100_000, depth_cap: int = 200) -> ReachResult:
     """Does a reduce (in any order) to the target, up to alpha?
 
@@ -397,9 +385,10 @@ def reduces_to(a: Term, target: Term, env=None, node_cap: int = 100_000, depth_c
 
     Two lambdas' bodies are searched as they stand, with no renaming: the
     maps ea and eb bind each binder in scope on their side to its lambda's
-    depth, as in ``terms._alpha``, which gets copies (a False leaves them
-    changed).  A chain term meets its target only at equal size.  One chain
-    shares one scope, so its loop test is plain ``alpha_eq``.
+    depth, as in ``terms._alpha``, which puts them back.  A chain term meets
+    its target only at equal size.  One chain shares one scope, so its loop
+    test is plain ``alpha_eq``.  Off whnf the leftmost-outermost redex is the
+    head redex, so a weak-head step is ``step_once``.
     """
     a = expand_consts(a, env)
     target = expand_consts(target, env)
@@ -416,7 +405,7 @@ def reduces_to(a: Term, target: Term, env=None, node_cap: int = 100_000, depth_c
         match = True
         for steps in range(depth_cap + 1):
             if match:
-                if m.size == n.size and _alpha(m, n, dict(ea), dict(eb), depth):
+                if m.size == n.size and _alpha(m, n, ea, eb, depth):
                     return True
                 cls = type(m)
                 if cls is type(n):
@@ -428,13 +417,16 @@ def reduces_to(a: Term, target: Term, env=None, node_cap: int = 100_000, depth_c
             if any(alpha_eq(m, s) for s in same):
                 return False
             same.append(m)
-            step = _weak_head_step(m)
-            if step is None:
+            head = m
+            while type(head) is App:
+                head = head.fun
+            if type(head) is not Lam or head is m:
                 return False
             if steps == depth_cap:
                 inconclusive = True
                 return False
-            m, match = step
+            match = m.fun is head  # the step contracts at the top
+            m = step_once(m)
             generated += 1
 
     found = reach(a, target, {}, {}, 0)

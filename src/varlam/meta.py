@@ -10,7 +10,9 @@ the multiple fixed-point combinators, ...); it is the brute-force oracle
 every arity-generic library entry is checked against.  The seven
 singly-indexed families of ``_META_SOURCES`` (I, K, S, B, C, ``tup``,
 ``selfapp``) are the expansions of their ellipsis sources; the other eight
-are built in Python, selectors and projections by ``church``.
+are built in Python, selectors and projections by ``church``.  Curry's and
+Turing's multiple fixed points and Boehm's step between them share one row
+shape, h (p1 a...) ... (pn a...), and one builder of it, ``_row``.
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ def expand(m: Term, n: int) -> Term:
 
 
 def _expand(u: Term, n: int) -> Term:
-    c = u.__class__
+    c = type(u)
     if c is Lam:
         body = _expand(u.body, n)
-        if u.binder.__class__ is SeqBinder:
+        if type(u.binder) is SeqBinder:
             return lams(_xs(n, u.binder.name), body)
         return Lam(u.binder, body)
     if c is Splice:
@@ -56,13 +58,13 @@ def _expand(u: Term, n: int) -> Term:
     if c is not App:
         return u
     spine = []
-    while u.__class__ is App:
+    while type(u) is App:
         spine.append(u.arg)
         u = u.fun
     spine.append(u)
     pieces = []
     for a in reversed(spine):
-        if a.__class__ is Splice and not a.grouped:
+        if type(a) is Splice and not a.grouped:
             pieces.extend(_vars(_xs(n, a.binder.name)))
         else:
             pieces.append(_expand(a, n))
@@ -122,33 +124,26 @@ def _fam_mapper(n: int) -> Term:
     return lams(["f", "v"], App(Var("v"), q))
 
 
+def _row(binders, head: str, ps, args) -> Term:
+    """\\binders. head (p1 args) ... (pn args): a row of Curry's or Turing's
+    multiple fixed point, and Boehm's step between them."""
+    return lams(binders, apply(Var(head), *[apply(p, *args) for p in ps]))
+
+
 def _fam_ycurry(k: int, n: int) -> Term:
-    fs = _xs(n, "f")
     xs = _vars(_xs(n))
-
-    def row(j):
-        sub = [apply(x, *xs) for x in xs]
-        return lams(_xs(n), apply(Var(f"f{j}"), *sub))
-
-    return lams(fs, apply(row(k), *[row(j) for j in range(1, n + 1)]))
+    rows = [_row(_xs(n), f"f{j}", xs, xs) for j in (k, *range(1, n + 1))]
+    return lams(_xs(n, "f"), apply(*rows))
 
 
 def _fam_yturing(k: int, n: int) -> Term:
+    binders = _xs(n) + _xs(n, "f")
     xs = _vars(_xs(n))
-    fs = _vars(_xs(n, "f"))
-
-    def row(j):
-        sub = [apply(x, *xs, *fs) for x in xs]
-        return lams(_xs(n) + _xs(n, "f"), apply(Var(f"f{j}"), *sub))
-
-    return apply(row(k), *[row(j) for j in range(1, n + 1)])
+    return apply(*[_row(binders, f"f{j}", xs, _vars(binders)) for j in (k, *range(1, n + 1))])
 
 
 def _fam_boehm(k: int, n: int) -> Term:
-    xs = _vars(_xs(n))
-    phis = _vars(_xs(n, "p"))
-    body = apply(Var(f"x{k}"), *[apply(p, *xs) for p in phis])
-    return lams(_xs(n, "p") + _xs(n), body)
+    return _row(_xs(n, "p") + _xs(n), f"x{k}", _vars(_xs(n, "p")), _vars(_xs(n)))
 
 
 # name -> (needs k, builder).  A family the meta-language can say is the

@@ -214,10 +214,10 @@ def _group_splice_spine(t):
     """A parenthesized spine of bare splices is one term, I at n = 0, not
     nothing: group its head.  None when t is no such spine."""
     args = []
-    while t.__class__ is App and t.arg.__class__ is Splice and not t.arg.grouped:
+    while type(t) is App and type(t.arg) is Splice and not t.arg.grouped:
         args.append(t.arg)
         t = t.fun
-    if t.__class__ is not Splice or t.grouped:
+    if type(t) is not Splice or t.grouped:
         return None
     t = grouped(t)
     for a in reversed(args):

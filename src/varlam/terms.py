@@ -258,7 +258,7 @@ class Splice(Term):
 
 def grouped(t: Term) -> Term:
     """t as one argument: a bare splice becomes grouped, anything else stays."""
-    return Splice(t.binder, True) if t.__class__ is Splice else t
+    return Splice(t.binder, True) if type(t) is Splice else t
 
 
 def apply(fun: Term, *args: Term) -> Term:
@@ -376,8 +376,8 @@ _UNBOUND = object()
 def _alpha(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:
     """ea and eb map each binder in scope on their side to the depth of its
     lambda.  A lambda binds its binder for the body and then puts back the
-    outer binding, so one dict per side serves the whole walk.  Only a True
-    answer restores them: a caller that reads them after a False passes copies.
+    outer binding, whatever the body's answer, so one dict per side serves
+    the whole walk and a caller's maps come back as they were given.
 
     An App pair compares its function parts, in place when a side's is a Var,
     and the loop goes on down the arguments: a numeral, nested to the right,
@@ -407,8 +407,7 @@ def _alpha(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:
             outer_b = eb.get(xb, _UNBOUND)
             ea[xa] = depth
             eb[xb] = depth
-            if not _alpha(a.body, b.body, ea, eb, depth + 1):
-                return False
+            same = _alpha(a.body, b.body, ea, eb, depth + 1)
             if outer_a is _UNBOUND:
                 del ea[xa]
             else:
@@ -417,7 +416,7 @@ def _alpha(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:
                 del eb[xb]
             else:
                 eb[xb] = outer_b
-            return True
+            return same
         if ca is Const:
             return a.name == b.name
         return ea.get(a.binder, a.binder) == eb.get(b.binder, b.binder) and a.grouped == b.grouped  # Splice
@@ -452,6 +451,8 @@ def _substitute(t: Term, name: str, repl: Term) -> Term:
         if name in arg.free:
             arg = repl if type(arg) is Var else _substitute(arg, name, repl)
         return App(fun, arg)
+    if c is Splice:  # name is a sequence binder: renaming one is not defined yet
+        raise LambdaError(f"cannot substitute for the sequence {name}")
     # Lam, with name free in the body (and binder != name, else name not free)
     binder = t.binder
     body = t.body

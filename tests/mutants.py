@@ -105,12 +105,24 @@ MUTANTS = [
      "elif False:",
      "a memo hit pushes an unbuilt spine's pieces again, so their App is never recorded or replayed",
      ["tests/test_engine.py::test_an_unbuilt_spine_is_built_at_its_first_hit_only"]),
-    ("src/varlam/engine.py",
-     "_alpha(m, n, dict(ea), dict(eb), depth)",
-     "_alpha(m, n, ea, eb, depth)",
-     "reduces_to keeps the binder maps a failed comparison left changed",
+    ("src/varlam/terms.py",
+     "            same = _alpha(a.body, b.body, ea, eb, depth + 1)\n",
+     "            same = _alpha(a.body, b.body, ea, eb, depth + 1)\n"
+     "            if not same:\n"
+     "                return False\n",
+     "_alpha returns False before it puts back its binder maps, and reduces_to reads them changed",
      ["tests/test_engine.py::test_reduces_to_under_binder_maps_examples",
       "tests/test_engine.py::test_reduces_to_matches_the_renaming_search"]),
+    ("src/varlam/engine.py",
+     "    if arg.free is _UNMADE:\n        free_set(arg)\n",
+     "",
+     "the beta loop substitutes a wide argument whose sets are not filled",
+     ["tests/test_kernel.py::test_beta_step_under_many_captured_wide_binders_takes_polynomial_time"]),
+    ("src/varlam/meta.py",
+     'f"f{j}", xs, xs) for j in (k, *range(1, n + 1))',
+     'f"f{j}", xs, xs) for j in (1, *range(1, n + 1))',
+     "Curry's k-th multiple fixed point starts with row 1 instead of row k",
+     ["tests/test_meta.py::test_family_fixed_point_rows_at_n2[ycurry-2]"]),
     ("src/varlam/engine.py",
      "{**ea, m.binder: depth}",
      "{**ea}",

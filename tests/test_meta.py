@@ -148,6 +148,29 @@ def test_family_fixed_point_shapes():
     assert alpha_eq(build("boehm", 1, 1), m11)
 
 
+# at n = 2 the rows are told apart by their head f_j or x_k, so a member that
+# starts with the wrong row, or heads Boehm's step with the wrong x, differs
+_ROW_GOLDENS = {
+    ("ycurry", 1): r"\f1 f2.(\x1 x2.f1 (x1 x1 x2) (x2 x1 x2)) (\x1 x2.f1 (x1 x1 x2) (x2 x1 x2))"
+                   r" (\x1 x2.f2 (x1 x1 x2) (x2 x1 x2))",
+    ("ycurry", 2): r"\f1 f2.(\x1 x2.f2 (x1 x1 x2) (x2 x1 x2)) (\x1 x2.f1 (x1 x1 x2) (x2 x1 x2))"
+                   r" (\x1 x2.f2 (x1 x1 x2) (x2 x1 x2))",
+    ("yturing", 1): r"(\x1 x2 f1 f2.f1 (x1 x1 x2 f1 f2) (x2 x1 x2 f1 f2))"
+                    r" (\x1 x2 f1 f2.f1 (x1 x1 x2 f1 f2) (x2 x1 x2 f1 f2))"
+                    r" (\x1 x2 f1 f2.f2 (x1 x1 x2 f1 f2) (x2 x1 x2 f1 f2))",
+    ("yturing", 2): r"(\x1 x2 f1 f2.f2 (x1 x1 x2 f1 f2) (x2 x1 x2 f1 f2))"
+                    r" (\x1 x2 f1 f2.f1 (x1 x1 x2 f1 f2) (x2 x1 x2 f1 f2))"
+                    r" (\x1 x2 f1 f2.f2 (x1 x1 x2 f1 f2) (x2 x1 x2 f1 f2))",
+    ("boehm", 1): r"\p1 p2 x1 x2.x1 (p1 x1 x2) (p2 x1 x2)",
+    ("boehm", 2): r"\p1 p2 x1 x2.x2 (p1 x1 x2) (p2 x1 x2)",
+}
+
+
+@pytest.mark.parametrize("name, k", sorted(_ROW_GOLDENS))
+def test_family_fixed_point_rows_at_n2(name, k):
+    assert print_term(build(name, 2, k)) == _ROW_GOLDENS[name, k]
+
+
 def test_family_errors():
     assert IndexOutOfRange is church_mod.IndexOutOfRange  # one class for every index error
     with pytest.raises(UnknownFamily):
