@@ -46,7 +46,6 @@ def turner(t: Term) -> Term:
     if c is Lam:
         x = t.binder
         body = turner(t.body)
-        free_set(body)  # fills a wide body's sets: _abstract reads them all the way down
         if type(x) is SeqBinder:
             n = Var(x.index)
             return _abstract(x, body, [App(Const(name), n) for name in _SEQ_BASIS])
@@ -55,10 +54,8 @@ def turner(t: Term) -> Term:
 
 
 def _abstract(x: str, b: Term, basis) -> Term:
-    """[x]b by Turner's rules over basis, the I, K, S, C and B of x's kind.
-
-    b's set and every set below it are filled (see ``turner``)."""
-    if x not in b.free:
+    """[x]b by Turner's rules over basis, the I, K, S, C and B of x's kind."""
+    if x not in free_set(b):
         return App(basis[1], grouped(b))
     if b.size == 1:  # x itself, or a splice of it
         return basis[0]
@@ -66,15 +63,15 @@ def _abstract(x: str, b: Term, basis) -> Term:
     # left, and the two cases above dispose of variables, constants and splices.
     p, q = b.fun, b.arg
     cq = type(q)
+    in_p = x in free_set(p)
     if cq is Splice and not q.grouped:
         # n separate arguments, which only sequence-eta can absorb
-        if q.binder != x or x in p.free:
+        if q.binder != x or in_p:
             raise MixedSequenceUse(f"cannot abstract {x} over a spine ending in the sequence {q.binder}")
         return grouped(p)
-    if cq is Var and q.name == x and x not in p.free:
+    if cq is Var and q.name == x and not in_p:
         return grouped(p)
-    in_p = x in p.free
-    in_q = x in q.free
+    in_q = x in free_set(q)
     if in_p and in_q:
         return App(App(basis[2], _abstract(x, p, basis)), _abstract(x, q, basis))
     if in_p:

@@ -24,8 +24,8 @@ import gc
 from collections import namedtuple
 from enum import Enum
 
-from .terms import (_UNMADE, App, Lam, Term, Var, _alpha, _substitute, alpha_eq, expand_consts, free_set,
-                    gc_paused, substitute)
+from .terms import (App, Lam, Term, Var, _alpha, _contract, alpha_eq, expand_consts, free_set, gc_paused,
+                    substitute)
 
 
 class Status(Enum):
@@ -90,44 +90,6 @@ _MEMO_CAP = 1 << 16
 _KNOT_SWEEP = 1 << 16
 
 
-def _contract(lam: Lam, arg: Term):
-    """The reduct of the redex (lam arg), for the beta loop, which calls it
-    once per contraction it performs (a miss of its memo).  The sets of a
-    wide body or argument are filled first, as ``substitute`` fills them.
-
-    When the body is an App that mentions the binder, the reduct's left spine
-    is not built: the result is (head, args, size), the reduct being head
-    applied to args[-1], ..., args[0] (the order the loop pushes them) and
-    size its size.  The spine is walked while the binder is free in the
-    function part; the first spine App that does not mention it is the head,
-    kept as it is.
-    """
-    body = lam.body
-    x = lam.binder
-    bf = body.free
-    if bf is _UNMADE:
-        bf = free_set(body)
-    if arg.free is _UNMADE:
-        free_set(arg)
-    if x not in bf:
-        return body
-    if type(body) is not App:
-        return arg if type(body) is Var else _substitute(body, x, arg)
-    args = []
-    size = 0
-    u = body
-    while type(u) is App and x in u.free:
-        a = u.arg
-        if x in a.free:
-            a = arg if type(a) is Var else _substitute(a, x, arg)
-        args.append(a)
-        size += 1 + a.size
-        u = u.fun
-    if x in u.free:
-        u = arg if type(u) is Var else _substitute(u, x, arg)
-    return u, args, size + u.size
-
-
 def _beta_normalize(t: Term, fuel: int, max_size: int, eta: bool):
     """Iterative leftmost-outermost machine over an explicit context stack.
 
@@ -165,10 +127,10 @@ def _beta_normalize(t: Term, fuel: int, max_size: int, eta: bool):
     objects were built since the last one.
 
     A reduct's left spine is not built just to be taken apart (push/enter,
-    as in the STG and Krivine machines): ``_contract`` returns the spine's
-    head and substituted arguments, the arguments go on the stack as the
-    frames the spine's Apps would have pushed, and the loop goes on with the
-    head.  The memo keeps these pieces.  The first hit builds the spine once
+    as in the STG and Krivine machines): ``terms._contract`` returns the
+    spine's head and substituted arguments, the arguments go on the stack as
+    the frames the spine's Apps would have pushed, and the loop goes on with
+    the head.  The memo keeps these pieces.  The first hit builds the spine once
     (``_rebuild``), keeps it in their place and enters it as an ordinary
     App, so it is recorded and a later hit replays it.  A fuel or size stop
     rebuilds the same term from the stack.

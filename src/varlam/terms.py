@@ -1,27 +1,28 @@
 """Lambda-term representation and the basic syntactic operations.
 
-Terms are immutable. Every node caches its size and whether it mentions a
+Terms are immutable.  Every node caches its size and whether it mentions a
 named constant, and nearly every node its free-variable set, so the reducer
 can skip substitution into subterms that do not mention the variable at all
-(the shared subterm is returned as-is).  A node reuses a child's free set (or
-the empty one) when its own is equal to it, so most nodes allocate no set of
-their own.  An App whose new set would hold more than ``_WIDE`` names, and a
-Lam that would remove its binder from a body's set of more than ``_WIDE``,
-are *wide*: their ``free`` slot holds ``_UNMADE``, which is no set, and so
-does that of every node built above a wide one.  An ellipsis x[1..n] expands
-to n binders and n-argument spines, so a set made in each of them would copy
-up to n names, quadratic time and memory in n; with wide nodes, building,
-printing, parsing and comparing such a term take linear time and memory.
-Every reader sees exact sets.  ``free_vars``, the public reader, walks a
-wide term once and fills nothing.  The other readers (``substitute``, the
-beta loop, bracket abstraction) call ``free_set``, which fills the set of a
-wide node, and of every wide node below it, on the first read and keeps
-them.  The leaves are shared: ``Var(name)`` and ``Const(name)`` return the
-one object of that name, made at the first call and kept in a module table
-that grows only with the distinct names ever built.  A leaf is immutable
-and all that is read of it follows from its name, so sharing it changes no
-answer, only memory and time (the redex memo of ``engine`` hits more
-often).  An App also
+(the shared subterm is returned as-is).  A node reuses a child's free set
+(or the empty one) when its own is equal to it, so most nodes allocate no
+set of their own.  An App whose new set would hold more than ``_WIDE``
+names, and a Lam that would remove its binder from a body's set of more than
+``_WIDE``, are *wide*: their ``free`` slot holds ``None`` (``_UNMADE``), and
+so does that of every node built above a wide one.  An ellipsis x[1..n]
+expands to n binders and n-argument spines, so a set made in each of them
+would copy up to n names, quadratic time and memory in n; with wide nodes,
+building, printing, parsing and comparing such a term take linear time and
+memory.  Only this module reads a ``free`` slot, and every reader sees exact
+sets.  ``free_vars`` walks a wide term once and fills nothing.  ``free_set``
+(the reader of bracket abstraction and of the beta loop's eta test) fills
+the set of a wide node, and of every wide node below it, on the first read
+and keeps them; ``substitute`` and ``_contract``, the beta loop's
+contraction, call it before they read the slots below.  The leaves are
+shared: ``Var(name)`` and ``Const(name)`` return the one object of that
+name, made at the first call and kept in a module table that grows only with
+the distinct names ever built.  A leaf is immutable and all that is read of
+it follows from its name, so sharing it changes no answer, only memory and
+time (the redex memo of ``engine`` hits more often).  An App also
 has one cache slot, ``whnf``, which the reducer fills with the lambda the App
 weak-head reduces to (see ``engine._beta_normalize``).  Meta-terms (see
 ``meta``) are terms too: a sequence binder is a ``SeqBinder`` string and a
@@ -41,9 +42,10 @@ import functools
 import gc
 import sys
 
-# substitute, step_once, bracket.turner and meta.expand recurse on term depth;
-# alpha_eq and the printer loop down an App's argument but recurse on a
-# function part that is no Var (and alpha_eq on a lambda's body).  The check
+# substitute (and _contract through it), step_once, expand_consts,
+# engine.reduces_to's reach, bracket.turner and meta.expand recurse on term
+# depth; alpha_eq and the printer loop down an App's argument but recurse on
+# a function part that is no Var (and alpha_eq on a lambda's body).  The check
 # suites stay within the default limit; a left spine of thousands of
 # applications, compared or printed, and a numeral substituted into do not.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
@@ -114,24 +116,7 @@ _EMPTY = frozenset()
 _WIDE = 32
 
 
-class _Unmade:
-    """The free slot of a wide node.  It is no set, and a reader tests for it
-    with ``is _UNMADE`` before it reads a slot as one.  Only the subset test
-    is defined, as if it were a superset of every set, so that App's
-    constructor makes a node above a wide one wide with no test of its own:
-    its two subset tests run for every App, and ``meta.expand`` at n = 300
-    builds thousands of wide ones."""
-
-    __slots__ = ()
-
-    def __ge__(self, other):
-        return True
-
-    def __le__(self, other):
-        return other is self
-
-
-_UNMADE = _Unmade()
+_UNMADE = None  # the free slot of a wide node
 _VARS: dict = {}  # name -> the one Var of that name
 _CONSTS: dict = {}  # name -> the one Const of that name
 
@@ -187,7 +172,9 @@ class App(Term):
         self.whnf = None  # (lambda, beta-steps, peak size) once reduced; see engine
         ff = fun.free
         af = arg.free
-        if af <= ff:  # _UNMADE is above every set: a wide child makes a wide App
+        if ff is _UNMADE or af is _UNMADE:  # a wide child makes a wide App
+            self.free = _UNMADE
+        elif af <= ff:
             self.free = ff
         elif ff <= af:
             self.free = af
@@ -429,10 +416,8 @@ def substitute(t: Term, name: str, repl: Term) -> Term:
     ``_substitute`` reads every slot below them as a set without testing it
     for ``_UNMADE`` in every recursive call.
     """
-    if t.free is _UNMADE:
-        free_set(t)
-    if repl.free is _UNMADE:
-        free_set(repl)
+    free_set(t)
+    free_set(repl)
     return _substitute(t, name, repl)
 
 
@@ -461,6 +446,44 @@ def _substitute(t: Term, name: str, repl: Term) -> Term:
         # the renamed body is built anew and may have wide sets to fill
         return Lam(new, substitute(_substitute(body, binder, Var(new)), name, repl))
     return Lam(binder, repl if type(body) is Var else _substitute(body, name, repl))
+
+
+def _contract(lam: Lam, arg: Term):
+    """The reduct of the redex (lam arg), for engine's beta loop, which calls
+    it once per contraction it performs (a miss of its memo).  The sets of a
+    wide body or argument are filled first, as ``substitute`` fills them.
+
+    When the body is an App that mentions the binder, the reduct's left spine
+    is not built: the result is (head, args, size), the reduct being head
+    applied to args[-1], ..., args[0] (the order the loop pushes them) and
+    size its size.  The spine is walked while the binder is free in the
+    function part; the first spine App that does not mention it is the head,
+    kept as it is.
+    """
+    body = lam.body
+    x = lam.binder
+    bf = body.free
+    if bf is _UNMADE:
+        bf = free_set(body)
+    if arg.free is _UNMADE:
+        free_set(arg)
+    if x not in bf:
+        return body
+    if type(body) is not App:
+        return arg if type(body) is Var else _substitute(body, x, arg)
+    args = []
+    size = 0
+    u = body
+    while type(u) is App and x in u.free:
+        a = u.arg
+        if x in a.free:
+            a = arg if type(a) is Var else _substitute(a, x, arg)
+        args.append(a)
+        size += 1 + a.size
+        u = u.fun
+    if x in u.free:
+        u = arg if type(u) is Var else _substitute(u, x, arg)
+    return u, args, size + u.size
 
 
 def expand_consts(t: Term, env) -> Term:

@@ -42,6 +42,11 @@ MUTANTS = [
      "substitute reads the unfilled sets of a renamed wide body",
      ["tests/test_kernel.py::test_substitute_into_wide_chains_as_into_eager_ones"]),
     ("src/varlam/terms.py",
+     "if ff is _UNMADE or af is _UNMADE:  # a wide child makes a wide App",
+     "if ff is _UNMADE:  # a wide child makes a wide App",
+     "App's constructor tests only its function part for a wide child, and reads a wide argument's slot as a set",
+     ["tests/test_kernel.py::test_alpha_eq_agrees_with_de_bruijn_on_large_families[B]"]),
+    ("src/varlam/terms.py",
      "ea.get(fa.name, fa.name) != eb.get(fb.name, fb.name)",
      "fa.name != fb.name",
      "alpha_eq compares a variable in function position by its bare name, ignoring the binder maps",
@@ -94,7 +99,7 @@ MUTANTS = [
      "the beta loop pushes an unbuilt spine's arguments in reverse order",
      ["tests/test_engine.py::test_shared_reducts_stop_where_trace_does",
       "tests/test_engine.py::test_memo_started_afresh_keeps_steps_and_results"]),
-    ("src/varlam/engine.py",
+    ("src/varlam/terms.py",
      "size += 1 + a.size",
      "size += a.size",
      "the beta loop counts an unbuilt spine's size without its Apps",
@@ -113,7 +118,7 @@ MUTANTS = [
      "_alpha returns False before it puts back its binder maps, and reduces_to reads them changed",
      ["tests/test_engine.py::test_reduces_to_under_binder_maps_examples",
       "tests/test_engine.py::test_reduces_to_matches_the_renaming_search"]),
-    ("src/varlam/engine.py",
+    ("src/varlam/terms.py",
      "    if arg.free is _UNMADE:\n        free_set(arg)\n",
      "",
      "the beta loop substitutes a wide argument whose sets are not filled",

@@ -691,3 +691,15 @@ def test_no_module_reads_the_class_attribute():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "__class__"]
     assert reads == []
+
+
+def test_only_terms_reads_a_free_slot():
+    # the free-set format (a wide node's slot is _UNMADE) is terms' own:
+    # every other module reads sets through free_set or free_vars
+    reads = [f"{path.name}:{node.lineno}"
+             for path in sorted(pathlib.Path(kernel.__file__).parent.glob("*.py")) if path.name != "terms.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "free"
+             or isinstance(node, ast.Name) and node.id == "_UNMADE"
+             or isinstance(node, ast.alias) and node.name == "_UNMADE"]
+    assert reads == []
