@@ -3,9 +3,10 @@
 Each library entry of variadic.lam is registered with a generator of its
 (label, lhs, rhs) instances, from the oracles of ``meta``, and so are the
 kernel arithmetic and the bracket encodings; ``_eq_cases`` normalizes both
-sides and ``engine.verdict`` rules on the two outcomes.  The fixed-point
-combinators, which have no normal form, are checked on probes whose fixed
-points are computable.
+sides under ``cfg`` and ``engine.verdict`` rules on the two outcomes, so
+``eta=False``, which no command asks for, decides beta-equality.  The
+fixed-point combinators, which have no normal form, are checked on probes
+whose fixed points are computable.
 """
 
 from __future__ import annotations
@@ -67,13 +68,10 @@ def _compared(suite, label, ra, rb) -> CaseResult:
                       v is Verdict.UNKNOWN)
 
 
-def _eq_case(suite, label, lhs, rhs, env, cfg) -> CaseResult:
-    return _compared(suite, label, normalize(lhs, env, cfg), normalize(rhs, env, cfg))
-
-
 def _eq_cases(suite, instances, cfg, env) -> list[CaseResult]:
     """One case per (label, lhs, rhs) instance, in order."""
-    return [_eq_case(suite, label, lhs, rhs, env, cfg) for label, lhs, rhs in instances]
+    return [_compared(suite, label, normalize(lhs, env, cfg), normalize(rhs, env, cfg))
+            for label, lhs, rhs in instances]
 
 
 # -- random closed terms -------------------------------------------------------
@@ -385,7 +383,7 @@ def check_boehm(max_n: int, cfg: ReductionConfig, env) -> list[CaseResult]:
     holds observationally (the chain probe).  (b) and (c) are checked at
     every 1 <= k <= n <= max_n; the variadic suite checks VarM's family.
     """
-    cases = [_eq_case("boehm", "VarM 1 1 = S I", parse("VarM #1 #1"), parse("S I"), env, cfg)]
+    cases = _eq_cases("boehm", [("VarM 1 1 = S I", parse("VarM #1 #1"), parse("S I"))], cfg, env)
     for n in range(1, max_n + 1):
         steps = [meta.build("boehm", n, j) for j in range(1, n + 1)]
         for k in range(1, n + 1):

@@ -9,19 +9,19 @@
     varlam check      --suite all --max-n 3       verification suites
     varlam repl                                   interactive loop
 
-Expressions come from -e, from a file argument, or from stdin.  Names come
-from the packaged prelude.lam and variadic.lam (not with --no-prelude), then
-from each --defs file; expand, church and bracket without --n read no names
-and take neither option.  The limits --max-steps, --max-size and --no-eta are
-taken where terms are reduced: not by parse, nor by bracket without --n, and
-unchurch takes no --no-eta, for it reads the beta-eta-normal form as a
-numeral.  An option a command does not apply is a usage error.  When a term
-is certified to have no normal form, or the fuel or size limit stops the
-reducer, normalize, bracket --n and unchurch print "<status> after N steps"
-(no-normal-form, fuel-exhausted or size-exceeded) on stderr and exit 2; the
-REPL prints the same line and reads on.  A term nested too deeply for the
-recursive kernel is an error ("term too deep"), not a verdict.  normalize
---trace prints each step up to where normalize stops.  A file that cannot be
+Expressions come from -e, from a file argument, or from stdin.  Names come from
+the packaged prelude.lam and variadic.lam (not with --no-prelude), then from
+each --defs file; expand, church and bracket without --n read no names and take
+neither option.  The limits --max-steps and --max-size are taken where terms
+are reduced (not by parse, nor by bracket without --n), and --no-eta where a
+normal form is printed (normalize, bracket --n, repl).  An option a command
+does not apply is a usage error.  When a term is certified to have no normal
+form, or the fuel or size limit stops the reducer, normalize, bracket --n and
+unchurch print "<status> after N steps" (no-normal-form, fuel-exhausted or
+size-exceeded) on stderr and exit 2; the REPL prints the same line and reads
+on.  A term nested too deeply for the recursive kernel is an error ("term too
+deep"), not a verdict.  normalize --trace prints each beta-step up to where
+normalize stops, and ends with what normalize prints.  A file that cannot be
 read, or is not UTF-8, prints "varlam: <reason>: <path>" and exits 1 (3 for
 eq); a REPL line's error is reported the same way, and the REPL reads on.  A
 closed stdout (varlam check | head) prints "varlam: Broken pipe" and exits 1.
@@ -40,7 +40,7 @@ from .engine import ReductionConfig, Status, Verdict, beta_eta_equal, normalize,
 from .env import Env, read_source, standard_env
 from .meta import expand
 from .syntax import parse, parse_meta, print_term
-from .terms import App, LambdaError
+from .terms import App, LambdaError, alpha_eq
 
 USAGE_ERROR = 64
 EQ_ERROR = 3  # eq's 1 means NOT-EQUAL, so its errors need a code of their own
@@ -108,7 +108,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sugar", action="store_true")
     p.add_argument("--trace", action="store_true", help="print every reduction step")
 
-    p = _command(sub, "eq", "decide beta-eta-equality of two terms", _add_defs, _add_limits, _add_eta)
+    p = _command(sub, "eq", "decide beta-eta-equality of two terms", _add_defs, _add_limits)
     p.add_argument("lhs")
     p.add_argument("rhs")
 
@@ -125,10 +125,9 @@ def build_parser() -> _Parser:
     p = _command(sub, "church", "print the n-th Church numeral")
     p.add_argument("n", type=natural)
 
-    p = _command(sub, "unchurch", "print the natural a term denotes", _add_expr, _add_defs, _add_limits)
-    p.set_defaults(no_eta=None)  # a numeral is read from the beta-eta-normal form
+    _command(sub, "unchurch", "print the natural a term denotes", _add_expr, _add_defs, _add_limits)
 
-    p = _command(sub, "check", "run the verification suites", _add_defs, _add_limits, _add_eta)
+    p = _command(sub, "check", "run the verification suites", _add_defs, _add_limits)
     p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--max-n", type=natural, default=3)
 
@@ -146,7 +145,8 @@ def _make_env(args):
 
 def _make_cfg(args) -> ReductionConfig:
     limits = {"fuel": args.max_steps, "max_term_size": args.max_size}
-    return ReductionConfig(eta=not args.no_eta, **{k: v for k, v in limits.items() if v is not None})
+    eta = not getattr(args, "no_eta", None)  # eq, check and unchurch compare beta-eta-normal forms
+    return ReductionConfig(eta=eta, **{k: v for k, v in limits.items() if v is not None})
 
 
 def _read_expr(args) -> str:
@@ -261,12 +261,13 @@ def _eq(lhs: str, rhs: str, env, cfg) -> int:
 def _normalize(source: str, env, cfg, sugar: bool, traced: bool = False) -> int:
     t = parse(source, env)
     outcome = normalize(t, env, cfg)
-    if not traced:
-        return _print_outcome(outcome, lambda nf: print_term(nf, sugar=sugar))
-    # the trace ends where normalize stopped, a certified no-normal-form too
-    for step in trace(t, env, cfg._replace(fuel=outcome.steps)):
-        print(print_term(step, sugar=sugar))
-    return _print_outcome(outcome, None)
+    if traced:  # the beta-steps end where normalize stopped, a certified no-normal-form too
+        steps = trace(t, env, cfg._replace(fuel=outcome.steps))
+        for step in steps:
+            print(print_term(step, sugar=sugar))
+        if alpha_eq(steps[-1], outcome.result):  # no eta-redex erased: the trace ends on the normal form
+            return _print_outcome(outcome, None)
+    return _print_outcome(outcome, lambda nf: print_term(nf, sugar=sugar))
 
 
 def _repl(env, cfg) -> int:
@@ -290,7 +291,7 @@ def _repl_line(line: str, env, cfg) -> None:
     elif line.startswith(":eq "):
         lhs, _, rhs = line[len(":eq "):].partition("=")
         if rhs:
-            _eq(lhs, rhs, env, cfg)
+            _eq(lhs, rhs, env, cfg._replace(eta=True))  # --no-eta changes a printed form, not a verdict
         else:
             print("usage: :eq TERM = TERM", file=sys.stderr)
     else:

@@ -295,11 +295,11 @@ def trace(t: Term, env=None, cfg: ReductionConfig = DEFAULT_CONFIG) -> list[Term
 def verdict(ra: ReductionOutcome, rb: ReductionOutcome) -> Verdict:
     """The verdict on a = b from the normalize outcomes ra and rb of its sides.
 
-    EQUAL when the beta-eta-normal forms are alpha-equal.  NOT_EQUAL when they
-    differ, and also when one side is certified to have no normal form and the
-    other has one: by Church-Rosser and eta-postponement, a term beta-eta-equal
-    to a normal form has a beta-normal form itself.  UNKNOWN when either side
-    ran out of fuel or size, or when both sides have no normal form.
+    EQUAL when the normal forms cfg asked for are alpha-equal.  NOT_EQUAL when
+    they differ, and also when one side is certified to have no normal form and
+    the other has one: by Church-Rosser and eta-postponement, a term
+    beta-eta-equal to a normal form has a beta-normal form itself.  UNKNOWN when
+    either side ran out of fuel or size, or when both sides have no normal form.
     """
     decided = (Status.NORMAL_FORM, Status.NO_NORMAL_FORM)
     if (ra.status not in decided or rb.status not in decided
@@ -311,7 +311,8 @@ def verdict(ra: ReductionOutcome, rb: ReductionOutcome) -> Verdict:
 
 
 def beta_eta_equal(a: Term, b: Term, env=None, cfg: ReductionConfig = DEFAULT_CONFIG) -> Verdict:
-    """The ``verdict`` on a = b; b is not reduced when a stops at a limit."""
+    """The ``verdict`` on a = b, on beta-equality if not ``cfg.eta`` (no command
+    asks for that); b is not reduced when a stops at a limit."""
     ra = normalize(a, env, cfg)
     if ra.status in (Status.FUEL_EXHAUSTED, Status.SIZE_EXCEEDED):
         return Verdict.UNKNOWN

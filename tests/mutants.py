@@ -136,6 +136,17 @@ MUTANTS = [
       "tests/test_engine.py::test_reduces_to_matches_the_renaming_search",
       "tests/test_engine.py::test_reduces_to_boehm",
       "tests/test_engine.py::test_reduces_to_node_cap"]),
+    ("src/varlam/cli.py",
+     "_eq(lhs, rhs, env, cfg._replace(eta=True))",
+     "_eq(lhs, rhs, env, cfg)",
+     "the REPL's :eq decides beta-equality under --no-eta",
+     ["tests/test_cli.py::test_repl_no_eta_keeps_eta_redexes_in_printed_forms_only"]),
+    ("src/varlam/cli.py",
+     "if alpha_eq(steps[-1], outcome.result):",
+     "if True:",
+     "normalize --trace stops at the beta-normal form, before the eta erasure that normalize prints",
+     ["tests/test_cli.py::test_normalize_trace_prints_the_eta_erasure_as_one_more_line",
+      "tests/test_cli.py::test_normalize_trace_ends_with_what_normalize_prints"]),
 ]
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varlam.cli import main
@@ -53,6 +53,14 @@ def test_normalize_no_eta(capsys):
 def test_normalize_trace(capsys):
     code, out, _ = run(capsys, "normalize", "--trace", "-e", r"(\x.x) y")
     assert code == 0 and out.splitlines() == [r"(\x.x) y", "y"]
+
+
+def test_normalize_trace_prints_the_eta_erasure_as_one_more_line(capsys):
+    # the beta-steps end on \x.f x; eta erasure makes the normal form f one line more
+    code, out, _ = run(capsys, "normalize", "--trace", "-e", r"(\y. \x. y x) f")
+    assert code == 0 and out.splitlines() == [r"(\y x.y x) f", r"\x.f x", "f"]
+    code, out, _ = run(capsys, "normalize", "--trace", "--no-eta", "-e", r"(\y. \x. y x) f")
+    assert code == 0 and out.splitlines() == [r"(\y x.y x) f", r"\x.f x"]
 
 
 def test_normalize_trace_stops_where_normalize_does(capsys):
@@ -221,6 +229,8 @@ def test_negative_limits_are_usage_errors(capsys, argv):
     pytest.param(["expand", "--n", "1", "--defs", "x.lam", "-e", r"\x[1..n]. x[1..n]"],
                  id="expand --defs"),
     pytest.param(["unchurch", "--no-eta", "-e", r"\f x y. f x y"], id="unchurch --no-eta"),
+    pytest.param(["eq", "--no-eta", r"\x. f x", "f"], id="eq --no-eta"),
+    pytest.param(["check", "--no-eta", "--suite", "kernel", "--max-n", "0"], id="check --no-eta"),
 ])
 def test_options_a_command_does_not_apply_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -302,6 +312,13 @@ def test_repl_session(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines() == ["#5", "EQUAL"]
+
+
+def test_repl_no_eta_keeps_eta_redexes_in_printed_forms_only(capsys, monkeypatch):
+    # --no-eta changes what a term line prints, not what :eq decides
+    monkeypatch.setattr("sys.stdin", io.StringIO("\\x. f x\n:eq \\x. f x = f\n"))
+    code = main(["repl", "--no-eta"])
+    assert (code, capsys.readouterr().out.splitlines()) == (0, [r"\x.f x", "EQUAL"])
 
 
 def test_repl_reads_on_after_a_too_deep_line(capsys, monkeypatch):
@@ -443,3 +460,22 @@ def test_cli_contract(argv, stdin):
     assert code in (None, 0, 1, 2, 3), argv
     if argv[0] == "check" and code is not None:
         assert err.getvalue() == "", argv
+
+
+def _stdout(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=100)
+@given(_TERM, st.booleans())
+@example(r"(\y. \x. y x) f", True)
+def test_normalize_trace_ends_with_what_normalize_prints(term, eta):
+    """Whenever normalize prints a normal form, normalize --trace ends with it."""
+    options = ["--max-steps", "200", *([] if eta else ["--no-eta"]), "-e", term]
+    code, out = _stdout(["normalize", *options])
+    if code == 0:
+        traced = _stdout(["normalize", "--trace", *options])
+        assert traced[0] == 0 and traced[1].splitlines()[-1] == out.rstrip("\n")

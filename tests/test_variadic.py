@@ -181,11 +181,11 @@ def test_upgrade_probe_uses_the_callers_fuel(env):
 
 def test_eq_case_names_the_stop(env):
     omega = parse(r"(\x.x x) (\x.x x)")
-    case = checks._eq_case("t", "omega", omega, Const("I"), env, ReductionConfig(fuel=100))
+    case = checks._eq_cases("t", [("omega", omega, Const("I"))], ReductionConfig(fuel=100), env)[0]
     assert (case.ok, case.detail, case.inconclusive) == (False, "fuel-exhausted after 100 steps", True)
     # a certificate is a definite failure, not an inconclusive one
     phi = parse("VarPhi #1 #1", env)
-    case = checks._eq_case("t", "phi", phi, Const("I"), env, CFG)
+    case = checks._eq_cases("t", [("phi", phi, Const("I"))], CFG, env)[0]
     assert (case.ok, case.detail, case.inconclusive) == (False, "no-normal-form after 551 steps", False)
     assert case.steps == 551
 
@@ -193,7 +193,7 @@ def test_eq_case_names_the_stop(env):
 def test_eq_case_two_certificates_are_inconclusive(env):
     # neither side has a normal form, and two such terms may still be equal
     phi, psi = parse("VarPhi #1 #1", env), parse("VarPsi #1 #1", env)
-    case = checks._eq_case("t", "phi-psi", phi, psi, env, CFG)
+    case = checks._eq_cases("t", [("phi-psi", phi, psi)], CFG, env)[0]
     assert (case.ok, case.detail, case.inconclusive) == (False, "no-normal-form after 551 steps", True)
     assert case.steps == 1243
 
