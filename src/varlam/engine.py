@@ -7,7 +7,8 @@ beta-steps only: an App reached again replays the weak-head reduct recorded
 in ``App.whnf`` and adds the steps it took, and a contraction met again
 within one call reuses its reduct, so the count is normal order's.  It stops
 early with ``NO_NORMAL_FORM`` when an argument it starts to normalize is
-alpha-equal to an argument it is still normalizing (see ``_beta_normalize``).
+alpha-equal to an argument it is still normalizing, and when an App it is
+weak-head reducing reduces back into itself (see ``_beta_normalize``).
 
 ``trace`` is an independent, deliberately naive implementation of the same
 strategy (one global leftmost-outermost step at a time); the test suite holds
@@ -100,6 +101,15 @@ def _beta_normalize(t: Term, fuel: int, max_size: int, eta: bool):
     an open argument M, NF(M) would contain NF(N) = NF(M) as a proper subterm,
     so neither has a normal form: the regress is certified ``NO_NORMAL_FORM``.
 
+    The head loop is certified too (blackholing, as in the STG machine): an
+    App without a recorded reduct, entered at the depth where that same
+    object is still pending (below), has been weak-head reduced back into
+    itself with no argument started and no frame below it changed.  The
+    machine is deterministic, one contraction giving one reduct object (the
+    memo, below), so it is in the same state again and would never halt.
+    Only recorded Apps are seen, so a loop through more than ``_CHAIN`` Apps
+    at one depth, or one that grows its spine, runs on to a limit.
+
     Weak-head reducts are shared (Wadsworth's graph reduction, on the named
     terms): an App M entered at stack depth d is pending until its reduct is
     a lambda at depth d, when M.whnf records that lambda, the steps taken and
@@ -127,12 +137,12 @@ def _beta_normalize(t: Term, fuel: int, max_size: int, eta: bool):
     objects were built since the last one.
 
     A reduct's left spine is not built just to be taken apart (push/enter,
-    as in the STG and Krivine machines): ``terms._contract`` returns the
-    spine's head and substituted arguments, the arguments go on the stack as
-    the frames the spine's Apps would have pushed, and the loop goes on with
-    the head.  The memo keeps these pieces.  The first hit builds the spine once
-    (``_rebuild``), keeps it in their place and enters it as an ordinary
-    App, so it is recorded and a later hit replays it.  A fuel or size stop
+    as in the STG and Krivine machines): ``terms._contract`` returns every
+    reduct as (head, args, size), the args going on the stack as the frames
+    the spine's Apps would have pushed, and the loop goes on with the head.
+    The memo keeps these pieces.  The first hit builds a spine once
+    (``_rebuild``), keeps it as (spine, (), size) and enters it as an
+    ordinary App, so it is recorded and a later hit replays it.  A stop
     rebuilds the same term from the stack.
 
     With ``eta`` the up pass erases an eta-redex lam x.(P x), x not free in
@@ -160,6 +170,12 @@ def _beta_normalize(t: Term, fuel: int, max_size: int, eta: bool):
                 shared = t.whnf
                 if shared is None:
                     depth = len(stack)
+                    if top == depth:  # is t being weak-head reduced at this depth already?
+                        i = len(pending)
+                        while i and pending[i - 1][1] == depth:
+                            i -= 1
+                            if pending[i][0] is t:
+                                return Status.NO_NORMAL_FORM, _rebuild(t, stack), steps
                     if len(pending) < _CHAIN or pending[-_CHAIN][1] != depth:
                         pending.append((t, depth, steps, total - t.size, peak))
                         top = depth
@@ -197,15 +213,11 @@ def _beta_normalize(t: Term, fuel: int, max_size: int, eta: bool):
                             if gc.get_count()[0] > _KNOT_SWEEP:
                                 gc.collect()
                         reduct = contracted[key] = _contract(t, arg)
-                    elif type(reduct) is tuple:  # met again: build the spine once
-                        reduct = contracted[key] = _rebuild(reduct[0], reduct[1])
-                    if type(reduct) is tuple:
-                        t, args, size = reduct
-                        stack += args
-                        total += size
-                    else:
-                        t = reduct
-                        total += t.size
+                    elif reduct[1]:  # met again: build the spine once
+                        reduct = contracted[key] = (_rebuild(reduct[0], reduct[1]), (), reduct[2])
+                    t, args, size = reduct
+                    stack += args
+                    total += size
                     steps += 1
                     if total > max_size:
                         return Status.SIZE_EXCEEDED, _rebuild(t, stack), steps

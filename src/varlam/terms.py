@@ -412,22 +412,20 @@ def _alpha(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:
 def substitute(t: Term, name: str, repl: Term) -> Term:
     """Capture-avoiding t[name := repl]; binders are primed when needed.
 
-    The sets of a wide t or repl are filled first (see ``free_set``), so that
-    ``_substitute`` reads every slot below them as a set without testing it
-    for ``_UNMADE`` in every recursive call.
+    It fills the sets of a wide t or repl (see ``free_set``) and calls
+    ``_substitute`` only on a t that is no Var and mentions name, so that
+    ``_substitute`` reads every slot below as a set and tests nothing twice.
     """
-    free_set(t)
     free_set(repl)
-    return _substitute(t, name, repl)
+    if name not in free_set(t):
+        return t
+    return repl if type(t) is Var else _substitute(t, name, repl)
 
 
 def _substitute(t: Term, name: str, repl: Term) -> Term:
-    """substitute, on a t and a repl whose sets are filled."""
-    if name not in t.free:
-        return t
+    """substitute, on a t that is no Var and mentions name, with the sets of t
+    and repl filled: every caller tests a node before it passes it down."""
     c = type(t)  # faster than t.__class__ (see engine._beta_normalize)
-    if c is Var:
-        return repl
     if c is App:  # a child is passed down only if it contains name, and a Var child is name
         fun = t.fun
         arg = t.arg
@@ -443,22 +441,21 @@ def _substitute(t: Term, name: str, repl: Term) -> Term:
     body = t.body
     if binder in repl.free:
         new = fresh_name(binder, repl.free | body.free)
-        # the renamed body is built anew and may have wide sets to fill
-        return Lam(new, substitute(_substitute(body, binder, Var(new)), name, repl))
+        if binder in body.free:  # so body is no Var; renamed, it may have wide sets to fill
+            body = _substitute(body, binder, Var(new))
+        return Lam(new, substitute(body, name, repl))
     return Lam(binder, repl if type(body) is Var else _substitute(body, name, repl))
 
 
 def _contract(lam: Lam, arg: Term):
     """The reduct of the redex (lam arg), for engine's beta loop, which calls
-    it once per contraction it performs (a miss of its memo).  The sets of a
-    wide body or argument are filled first, as ``substitute`` fills them.
-
-    When the body is an App that mentions the binder, the reduct's left spine
-    is not built: the result is (head, args, size), the reduct being head
-    applied to args[-1], ..., args[0] (the order the loop pushes them) and
-    size its size.  The spine is walked while the binder is free in the
-    function part; the first spine App that does not mention it is the head,
-    kept as it is.
+    it once per contraction it performs (a miss of its memo).  It fills the
+    sets of a wide body or argument and calls ``_substitute`` as ``substitute``
+    does.  The result is (head, args, size): the reduct is head applied to
+    args[-1], ..., args[0] (the order the loop pushes them), and size is its
+    size.  args is empty unless the body is an App that mentions the binder.
+    Then the spine is walked while the binder is free in the function part,
+    and the first spine App that does not mention it is the head, as it is.
     """
     body = lam.body
     x = lam.binder
@@ -468,9 +465,10 @@ def _contract(lam: Lam, arg: Term):
     if arg.free is _UNMADE:
         free_set(arg)
     if x not in bf:
-        return body
+        return body, (), body.size
     if type(body) is not App:
-        return arg if type(body) is Var else _substitute(body, x, arg)
+        body = arg if type(body) is Var else _substitute(body, x, arg)
+        return body, (), body.size
     args = []
     size = 0
     u = body

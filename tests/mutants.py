@@ -37,8 +37,8 @@ MUTANTS = [
      "filling a wide Lam's set keeps the binder in it",
      ["tests/test_kernel.py::test_free_vars_agrees_with_a_naive_reference"]),
     ("src/varlam/terms.py",
-     "return Lam(new, substitute(_substitute(body, binder, Var(new)), name, repl))",
-     "return Lam(new, _substitute(_substitute(body, binder, Var(new)), name, repl))",
+     "return Lam(new, substitute(body, name, repl))",
+     "return Lam(new, _substitute(body, name, repl))",
      "substitute reads the unfilled sets of a renamed wide body",
      ["tests/test_kernel.py::test_substitute_into_wide_chains_as_into_eager_ones"]),
     ("src/varlam/terms.py",
@@ -106,10 +106,27 @@ MUTANTS = [
      ["tests/test_engine.py::test_shared_reducts_stop_where_trace_does",
       "tests/test_engine.py::test_size_limit_is_exact"]),
     ("src/varlam/engine.py",
-     "elif type(reduct) is tuple:  # met again: build the spine once",
+     "elif reduct[1]:  # met again: build the spine once",
      "elif False:",
      "a memo hit pushes an unbuilt spine's pieces again, so their App is never recorded or replayed",
      ["tests/test_engine.py::test_an_unbuilt_spine_is_built_at_its_first_hit_only"]),
+    ("src/varlam/terms.py",
+     "        return body, (), body.size\n    args = []",
+     "        return body, (), 0\n    args = []",
+     "a contraction whose reduct is no spine counts its size as 0, so no size limit sees it",
+     ["tests/test_engine.py::test_contract_builds_what_substitute_builds",
+      "tests/test_engine.py::test_size_limit_is_exact"]),
+    ("src/varlam/engine.py",
+     "while i and pending[i - 1][1] == depth:",
+     "while i:",
+     "the head-loop certificate matches a pending App of another depth, and certifies a growing loop",
+     ["tests/test_engine.py::test_head_loops_the_certificate_does_not_cover"]),
+    ("src/varlam/engine.py",
+     "                    pending.clear()\n",
+     "",
+     "pending Apps are kept across a variable head, so the certificate and the whnf records read stale entries",
+     ["tests/test_engine.py::test_certificate_never_fires_on_a_normalizing_term",
+      "tests/test_engine.py::test_trace_agrees_with_normalize"]),
     ("src/varlam/terms.py",
      "            same = _alpha(a.body, b.body, ea, eb, depth + 1)\n",
      "            same = _alpha(a.body, b.body, ea, eb, depth + 1)\n"

@@ -32,7 +32,7 @@ def test_normalize_sugar(capsys):
 
 
 def test_normalize_fuel_diagnostic(capsys):
-    code, out, err = run(capsys, "normalize", "-e", r"(\x.x x) (\x.x x)", "--max-steps", "20")
+    code, out, err = run(capsys, "normalize", "-e", r"(\x.x x x) (\x.x x x)", "--max-steps", "20")
     assert code == 2 and "fuel-exhausted" in err and out == ""
 
 
@@ -41,6 +41,11 @@ def test_no_normal_form_diagnostic(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.strip() == "varlam: no-normal-form after 551 steps"
+    # a head loop is certified as soon as the machine is back where it was
+    for source, steps in ((r"(\x.x x)(\x.x x)", 4), (r"y ((\x.x x)(\y.y y)) z", 4),
+                          (r"(\x. x x) (\x. (\y. y) x x)", 6)):
+        code, out, err = run(capsys, "normalize", "-e", source)
+        assert (code, out, err.strip()) == (2, "", f"varlam: no-normal-form after {steps} steps")
 
 
 def test_normalize_no_eta(capsys):
@@ -76,10 +81,12 @@ def test_eq_exit_codes(capsys):
     assert run(capsys, "eq", "Plus #1 #2", "#3")[0] == 0
     code, out, _ = run(capsys, "eq", "K", "S")
     assert code == 1 and out.strip() == "NOT-EQUAL"
-    code, out, _ = run(capsys, "eq", "--max-steps", "30", r"(\x.x x) (\x.x x)", "K")
+    code, out, _ = run(capsys, "eq", "--max-steps", "30", r"(\x.x x x) (\x.x x x)", "K")
     assert code == 2 and out.strip() == "UNKNOWN"
     # one side certified to have no normal form, the other normalizing
     code, out, _ = run(capsys, "eq", "VarPhi #1 #1", "K")
+    assert code == 1 and out.strip() == "NOT-EQUAL"
+    code, out, _ = run(capsys, "eq", r"(\x.x x)(\x.x x)", r"\x.x")
     assert code == 1 and out.strip() == "NOT-EQUAL"
     # errors have a code of their own, distinct from NOT-EQUAL
     code, out, err = run(capsys, "eq", "(K", "K")

@@ -30,16 +30,21 @@ from varlam.terms import (
     Term,
     UnexpandedConstant,
     Var,
+    _contract,
     alpha_eq,
     apply,
     expand_consts,
     free_vars,
     fresh_name,
+    lams,
     size,
     substitute,
 )
 
 OMEGA = r"(\x.x x) (\x.x x)"
+# grows by one copy of \x.x x x a step, so no certificate covers it: it stops
+# only on fuel or size
+OMEGA3 = r"(\x.x x x) (\x.x x x)"
 
 
 def nf(t, env=None, cfg=ReductionConfig()):
@@ -64,10 +69,10 @@ def test_normalize_discards_divergent_argument(env):
 
 
 def test_fuel_exhaustion():
-    out = normalize(parse(OMEGA), None, ReductionConfig(fuel=100))
+    out = normalize(parse(OMEGA3), None, ReductionConfig(fuel=100))
     assert out.status is Status.FUEL_EXHAUSTED
     assert out.steps == 100
-    assert alpha_eq(out.result, parse(OMEGA))
+    assert alpha_eq(out.result, parse(" ".join([r"(\x.x x x)"] * 102)))
 
 
 def test_size_exceeded():
@@ -86,7 +91,7 @@ def test_records_keep_their_fields_defaults_and_text():
     assert cfg == ReductionConfig() and hash(cfg) == hash(ReductionConfig())
     assert repr(cfg) == "ReductionConfig(fuel=1000000, max_term_size=1000000, eta=True)"
     assert cfg._replace(fuel=7) == ReductionConfig(fuel=7) and cfg.fuel == 1_000_000
-    out = normalize(parse(OMEGA), None, ReductionConfig(fuel=100))
+    out = normalize(parse(OMEGA3), None, ReductionConfig(fuel=100))
     assert str(out) == "fuel-exhausted after 100 steps"
     assert out == ReductionOutcome(status=out.status, result=out.result, steps=100)
     assert ReachResult(True) == ReachResult(found=True, inconclusive=False, explored=0, generated=0)
@@ -127,12 +132,12 @@ def eta_reference(t: Term) -> Term:
 
 
 def test_eta_erased_in_the_finished_parts_of_a_stopped_result():
-    t = parse(r"x (\y. f y) ((\x.x x) (\x.x x))")
-    on = normalize(t, None, ReductionConfig(fuel=5))
-    off = normalize(t, None, ReductionConfig(fuel=5, eta=False))
-    assert (on.status, on.steps) == (off.status, off.steps) == (Status.FUEL_EXHAUSTED, 5)
-    assert print_term(on.result) == r"x f ((\x.x x) (\x.x x))"
-    assert print_term(off.result) == r"x (\y.f y) ((\x.x x) (\x.x x))"
+    t = parse(r"x (\y. f y) ((\x.x x x) (\x.x x x))")
+    on = normalize(t, None, ReductionConfig(fuel=2))
+    off = normalize(t, None, ReductionConfig(fuel=2, eta=False))
+    assert (on.status, on.steps) == (off.status, off.steps) == (Status.FUEL_EXHAUSTED, 2)
+    assert print_term(on.result) == r"x f ((\x.x x x) (\x.x x x) (\x.x x x) (\x.x x x))"
+    assert print_term(off.result) == r"x (\y.f y) ((\x.x x x) (\x.x x x) (\x.x x x) (\x.x x x))"
 
 
 @pytest.mark.parametrize("source, name", [("x (K y) S", "K"), (r"\x. x (I (K x))", "I")])
@@ -153,7 +158,7 @@ def test_beta_eta_equal_examples(env):
     assert beta_eta_equal(parse("#1"), parse(r"\s.s"), env) is Verdict.EQUAL
     assert beta_eta_equal(parse("K", env), parse("S", env), env) is Verdict.NOT_EQUAL
     small = ReductionConfig(fuel=50)
-    assert beta_eta_equal(parse(OMEGA), Var("f"), env, small) is Verdict.UNKNOWN
+    assert beta_eta_equal(parse(OMEGA3), Var("f"), env, small) is Verdict.UNKNOWN
 
 
 def test_beta_eta_equal_certified_side(env):
@@ -161,10 +166,11 @@ def test_beta_eta_equal_certified_side(env):
     phi, psi = parse("VarPhi #1 #1", env), parse("VarPsi #1 #1", env)
     assert beta_eta_equal(phi, parse("K", env), env) is Verdict.NOT_EQUAL
     assert beta_eta_equal(Var("f"), phi, env) is Verdict.NOT_EQUAL
+    assert beta_eta_equal(parse(OMEGA), parse(r"\x.x"), env) is Verdict.NOT_EQUAL
     # two certified sides, or a fuel stop on either side, decide nothing
     assert beta_eta_equal(phi, psi, env) is Verdict.UNKNOWN
-    assert beta_eta_equal(phi, parse(OMEGA), env, ReductionConfig(fuel=1000)) is Verdict.UNKNOWN
-    assert beta_eta_equal(parse(OMEGA), phi, env, ReductionConfig(fuel=1000)) is Verdict.UNKNOWN
+    assert beta_eta_equal(phi, parse(OMEGA3), env, ReductionConfig(fuel=1000)) is Verdict.UNKNOWN
+    assert beta_eta_equal(parse(OMEGA3), phi, env, ReductionConfig(fuel=1000)) is Verdict.UNKNOWN
     assert beta_eta_equal(phi, parse("K", env), env, ReductionConfig(fuel=100)) is Verdict.UNKNOWN
 
 
@@ -513,14 +519,31 @@ def test_size_limit_is_exact(env):
 
 
 def test_certified_no_normal_form_examples(env):
-    # Curry's Y and Turing's Theta regress at once; Omega only cycles, which
-    # the certificate does not cover, so it runs out of fuel (test_fuel_exhaustion)
+    # Curry's Y and Turing's Theta regress at once; Omega and its variants
+    # weak-head reduce back into an App that is still being reduced
     for source, steps in ((r"\f.(\x.f (x x)) (\x.f (x x))", 2),
-                          (r"(\x y. y (x x y)) (\x y. y (x x y))", 3)):
+                          (r"(\x y. y (x x y)) (\x y. y (x x y))", 3),
+                          (OMEGA, 4), (r"y ((\x.x x)(\y.y y)) z", 4),
+                          (r"(\x. x x) (\x. (\y. y) x x)", 6)):
         out = normalize(parse(source), None, ReductionConfig(fuel=100))
         assert out.status is Status.NO_NORMAL_FORM and out.steps == steps
         # the result is the term the machine stopped on: the trace's last term
         assert alpha_eq(out.result, trace(parse(source), None, ReductionConfig(fuel=steps))[-1])
+
+
+def test_head_loops_the_certificate_does_not_cover(env):
+    # each round enters a new App one frame deeper: the machine never comes
+    # back to the same state, so it stops where normal order does
+    out = normalize(parse(OMEGA3))
+    assert (out.status, out.steps) == (Status.SIZE_EXCEEDED, 142_856)
+    out = normalize(parse(OMEGA3), None, ReductionConfig(max_term_size=2_000))
+    assert (out.status, out.steps) == (Status.SIZE_EXCEEDED, 284)
+    # Omega with a detour of nine identity steps cycles through more Apps at
+    # one depth than the machine keeps pending (_CHAIN): its size stays
+    # bounded, and only fuel stops it
+    detour = r"(\x. #9 I (x x)) (\x. #9 I (x x))"
+    out = normalize(parse(detour, env), env, ReductionConfig(fuel=2_000))
+    assert (out.status, out.steps, out.result.size) == (Status.FUEL_EXHAUSTED, 2_000, 71)
 
 
 def test_certificate_spares_normalizing_terms(env):
@@ -620,8 +643,25 @@ def _reference_run(t: Term, fuel: int, max_size: int):
         t = nxt
 
 
+# Self-application-heavy terms: Omega's variants meet each other, free
+# variables and discarders, so that the head-loop certificate fires too.
+_SELF_APPLYING_PARTS = [parse(s) for s in (
+    r"\x.x x", r"\x.x x x", r"\x.(\y.y) x x", r"\x y.x x y", r"\x.x x y", r"\x y.y",
+)]
+self_applying_terms = st.recursive(
+    reach_names.map(Var) | st.sampled_from(_SELF_APPLYING_PARTS),
+    lambda sub: st.builds(Lam, reach_names, sub) | st.builds(App, sub, sub),
+    max_leaves=8,
+)
+
+
 @settings(max_examples=300)
-@given(mixed_terms)
+@given(mixed_terms | self_applying_terms)
+@example(parse(r"y ((\x.x x) (\y.y y)) z"))
+@example(parse(r"(\x y.y) ((\x.x x) (\x.x x)) ((\x.(\y.y) x x) (\x.(\y.y) x x))"))
+# m is one object, weak-head reduced to a variable head at one depth and then
+# reached again at that depth: an App pending across that head would certify it
+@example(parse(r"(\m. f m (\v. (\w. w) m)) ((\z. z) y)"))
 def test_certificate_never_fires_on_a_normalizing_term(t):
     fuel, max_size = 200, 2_000
     out = normalize(t, None, ReductionConfig(fuel=fuel, max_term_size=max_size, eta=False))
@@ -668,6 +708,43 @@ def _identical(a: Term, b: Term) -> bool:
         elif a.name != b.name:
             return False
     return True
+
+
+# Four names, one of them primed: binders capture the argument's free names
+# often, and a renamed binder meets a name that is already free.
+_capture_names = st.sampled_from(["x", "y", "z", "x'"])
+capturing_terms = st.recursive(
+    _capture_names.map(Var),
+    lambda sub: st.builds(Lam, _capture_names, sub) | st.builds(App, sub, sub),
+    max_leaves=16,
+)
+
+
+@st.composite
+def _wide_chains(draw):
+    """Lambdas over some of 33-80 names, more than a node's set holds before
+    it is left wide, around a capturing term applied to all of them and to
+    one more."""
+    width = draw(st.integers(33, 80))
+    xs = ["x", "x'", *(f"v{i}" for i in range(width - 2))]
+    spine = apply(draw(capturing_terms), *map(Var, xs), draw(capturing_terms))
+    return lams(xs[:draw(st.integers(0, width))], spine)
+
+
+_contracted_terms = capturing_terms | _wide_chains()
+
+
+@given(st.builds(Lam, _capture_names, _contracted_terms), _contracted_terms)
+@example(parse(r"\x. y"), parse("z"))  # the binder is not free: the body itself
+@example(parse(r"\x. x"), parse("z"))  # the body is the binder: the argument itself
+@example(parse(r"\y. \x. y x"), parse("x x'"))  # x captures, and is renamed past x' to x''
+def test_contract_builds_what_substitute_builds(lam, arg):
+    # the pieces the beta loop pushes make the reduct substitute makes, binder
+    # names included, and their size is its size
+    head, args, size = _contract(lam, arg)
+    reduct = engine._rebuild(head, args)
+    assert _identical(reduct, substitute(lam.body, lam.binder, arg))
+    assert size == reduct.size
 
 
 def _assert_stops_match_trace(t: Term):
@@ -814,7 +891,7 @@ def _record_collector(monkeypatch) -> list[bool]:
 
 @pytest.mark.parametrize("source, cfg, status", [
     ("Succ #2", ReductionConfig(), Status.NORMAL_FORM),
-    (OMEGA, ReductionConfig(fuel=100), Status.FUEL_EXHAUSTED),
+    (OMEGA3, ReductionConfig(fuel=100), Status.FUEL_EXHAUSTED),
     ("#9 #9", ReductionConfig(max_term_size=5000), Status.SIZE_EXCEEDED),
     (r"\f.(\x.f (x x)) (\x.f (x x))", ReductionConfig(), Status.NO_NORMAL_FORM),
 ], ids=["normal-form", "fuel-exhausted", "size-exceeded", "no-normal-form"])

@@ -47,7 +47,9 @@ def test_unchurch_no_normal_form_messages(env):
     with pytest.raises(NotANumeral, match=r"^no normal form \(certified after 551 steps\)$"):
         unchurch(parse("VarPhi #1 #1", env), env)
     with pytest.raises(NotANumeral, match=r"^no normal form within limits \(fuel-exhausted\)$"):
-        unchurch(parse(r"(\x.x x) (\x.x x)"), env, ReductionConfig(fuel=100))
+        unchurch(parse(r"(\x.x x x) (\x.x x x)"), env, ReductionConfig(fuel=100))
+    with pytest.raises(NotANumeral, match=r"^no normal form \(certified after 4 steps\)$"):
+        unchurch(parse(r"(\x.x x) (\x.x x)"), env)
     with pytest.raises(NotANumeral, match=r"^no normal form within limits \(size-exceeded\)$"):
         unchurch(parse("Plus #1", env), env, ReductionConfig(max_term_size=5))
 

@@ -180,8 +180,8 @@ def test_upgrade_probe_uses_the_callers_fuel(env):
 
 
 def test_eq_case_names_the_stop(env):
-    omega = parse(r"(\x.x x) (\x.x x)")
-    case = checks._eq_cases("t", [("omega", omega, Const("I"))], ReductionConfig(fuel=100), env)[0]
+    omega3 = parse(r"(\x.x x x) (\x.x x x)")
+    case = checks._eq_cases("t", [("omega3", omega3, Const("I"))], ReductionConfig(fuel=100), env)[0]
     assert (case.ok, case.detail, case.inconclusive) == (False, "fuel-exhausted after 100 steps", True)
     # a certificate is a definite failure, not an inconclusive one
     phi = parse("VarPhi #1 #1", env)
@@ -204,7 +204,7 @@ _OUTCOMES = {
     "nf-same": r"(\x.x) K",
     "nf-other": "S",
     "no-nf": "VarPhi #1 #1",
-    "fuel": r"(\x.x x) (\x.x x)",
+    "fuel": r"(\x. #20 I x x y) (\x. #20 I x x y)",  # grows by one y every 23 steps
     "size": r"(\x.x x x) (\x.x x x)",
 }
 _RULE_CFG = ReductionConfig(fuel=2000, max_term_size=2000)
