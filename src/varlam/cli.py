@@ -284,18 +284,23 @@ def _repl(env, cfg) -> int:
             _guarded(lambda: _repl_line(command, env, cfg), 1)
 
 
+_REPL_USAGE = {":def": "usage: :def NAME := TERM", ":eq": "usage: :eq TERM = TERM"}
+
+
 def _repl_line(line: str, env, cfg) -> None:
-    if line.startswith(":def "):
-        body = line[len(":def "):].strip().rstrip(";").rstrip()
-        env.load_text(body + " ;")
-    elif line.startswith(":eq "):
-        lhs, _, rhs = line[len(":eq "):].partition("=")
-        if rhs:
-            _eq(lhs, rhs, env, cfg._replace(eta=True))  # --no-eta changes a printed form, not a verdict
-        else:
-            print("usage: :eq TERM = TERM", file=sys.stderr)
-    else:
+    """A REPL line: a term, or a command named by its first word."""
+    if not line.startswith(":"):
         _normalize(line, env, cfg, sugar=True)
+        return
+    command, _, operands = line.partition(" ")
+    if command == ":def" and operands.strip():
+        env.load_text(operands.strip().rstrip(";").rstrip() + " ;")
+        return
+    lhs, _, rhs = operands.partition("=")
+    if command == ":eq" and rhs:
+        _eq(lhs, rhs, env, cfg._replace(eta=True))  # --no-eta changes a printed form, not a verdict
+        return
+    print(_REPL_USAGE.get(command, "usage: :def NAME := TERM | :eq TERM = TERM | :quit"), file=sys.stderr)
 
 
 if __name__ == "__main__":

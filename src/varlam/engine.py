@@ -80,8 +80,8 @@ def normalize(t: Term, env=None, cfg: ReductionConfig = DEFAULT_CONFIG) -> Reduc
     return ReductionOutcome(*_beta_normalize(t, cfg.fuel, cfg.max_term_size, cfg.eta))
 
 
-_ARGDONE, _LAM = 0, 1  # tags of the stack's tuple frames; an argument to apply is the bare term
-_CHAIN = 4  # pending Apps per stack depth, each a reduct of the one before
+_ARGDONE, _LAM, _PENDING = 0, 1, 2  # tags of the stack's tuple frames; an argument to apply is the bare term
+_CHAIN = 4  # update frames adjacent on the stack, each App a reduct of the one below
 # Contractions memoized per call before the memo starts afresh: a reduction
 # that never repeats a contraction would otherwise hold every reduct it made.
 # The largest memo of `check --max-n 10` holds 8,785.
@@ -92,7 +92,7 @@ _KNOT_SWEEP = 1 << 16
 
 
 def _beta_normalize(t: Term, fuel: int, max_size: int, eta: bool):
-    """Iterative leftmost-outermost machine over an explicit context stack.
+    """Iterative leftmost-outermost machine over one explicit context stack.
 
     Normal order starts on an argument N only once the head of its spine is a
     variable, so from then on every frame on the stack is final: the normal
@@ -101,26 +101,30 @@ def _beta_normalize(t: Term, fuel: int, max_size: int, eta: bool):
     an open argument M, NF(M) would contain NF(N) = NF(M) as a proper subterm,
     so neither has a normal form: the regress is certified ``NO_NORMAL_FORM``.
 
-    The head loop is certified too (blackholing, as in the STG machine): an
-    App without a recorded reduct, entered at the depth where that same
-    object is still pending (below), has been weak-head reduced back into
-    itself with no argument started and no frame below it changed.  The
-    machine is deterministic, one contraction giving one reduct object (the
-    memo, below), so it is in the same state again and would never halt.
-    Only recorded Apps are seen, so a loop through more than ``_CHAIN`` Apps
-    at one depth, or one that grows its spine, runs on to a limit.
-
     Weak-head reducts are shared (Wadsworth's graph reduction, on the named
-    terms): an App M entered at stack depth d is pending until its reduct is
-    a lambda at depth d, when M.whnf records that lambda, the steps taken and
-    the peak of M's reduct sizes; a variable head drops every pending App.
+    terms), with update frames as in the STG machine: an App M entered with
+    no recorded reduct pushes a ``_PENDING`` frame.  Its arguments go above
+    the frame, so when the head is a lambda with the frame on top, that
+    lambda is M's weak-head normal form, and M.whnf records it, the steps
+    taken and the peak of M's reduct sizes.  Update frames adjacent at the
+    top are Apps each a reduct of the one below, and a lambda head records
+    them all.  A variable head records none: the up pass drops the frames.
     M's weak-head reduction neither depends on its context nor starts an
     argument, so reaching M again (a copy of a duplicated argument) adds the
     recorded steps and resumes at the lambda, unless fuel or size would run
     out on the way: then M is reduced for real, to stop where normal order
     does.  Steps, stops and results are normal order's.  Not recorded: an App
-    at a depth that already has ``_CHAIN`` pending (a head loop would
-    otherwise keep one App per step).
+    entered over ``_CHAIN`` adjacent update frames (a head loop would
+    otherwise keep one frame per step).
+
+    The head loop is certified too (blackholing, as in the STG machine): an
+    App without a recorded reduct, entered when its own update frame is among
+    those adjacent at the top, has been weak-head reduced back into itself
+    with no argument started and no frame below it changed.  The machine is
+    deterministic, one contraction giving one reduct object (the memo,
+    below), so it is in the same state again and would never halt.  Only
+    framed Apps are seen, so a loop through more than ``_CHAIN`` Apps, or one
+    that grows its spine, runs on to a limit.
 
     Contractions are shared too: normal order applies the same lambda object
     to the same argument object again and again (a duplicated closure is
@@ -143,7 +147,7 @@ def _beta_normalize(t: Term, fuel: int, max_size: int, eta: bool):
     The memo keeps these pieces.  The first hit builds a spine once
     (``_rebuild``), keeps it as (spine, (), size) and enters it as an
     ordinary App, so it is recorded and a later hit replays it.  A stop
-    rebuilds the same term from the stack.
+    rebuilds the same term from the stack, passing over update frames.
 
     With ``eta`` the up pass erases an eta-redex lam x.(P x), x not free in
     P, post-order, where it would build its Lam.  P is beta-normal, so no
@@ -151,34 +155,29 @@ def _beta_normalize(t: Term, fuel: int, max_size: int, eta: bool):
     erasure makes no beta-redex.  The down pass never sees it, so steps and
     statuses do not depend on ``eta``.
     """
-    stack: list = []  # an argument to apply, or an (_ARGDONE, fun) or (_LAM, binder) frame
+    # an argument to apply, or a frame: (_ARGDONE, fun, the argument's size),
+    # (_LAM, binder) or the update frame (_PENDING, App, steps, context size, enclosing peak)
+    stack: list = []
     open_args: dict[int, list[Term]] = {}  # size -> open arguments of that size
-    open_sizes: list[int] = []  # sizes of the open arguments, innermost last
-    pending: list = []  # (App, depth, steps, context size, enclosing peak), innermost last
     contracted: dict[tuple, object] = {}  # (lam, arg) -> the redex's reduct, or its pieces
-    top = -1  # stack depth of the innermost pending App
-    peak = 0  # largest total since the innermost pending App was entered
+    peak = 0  # largest total since the innermost update frame was pushed
     total = t.size
     steps = 0
-    down = True
     while True:
-        if down:
+        while True:  # down, to the head of t's spine
             # type(x), not x.__class__, in this loop and its callees: Python
             # 3.11 specializes the call and not the attribute read
             cls = type(t)
             if cls is App:
                 shared = t.whnf
                 if shared is None:
-                    depth = len(stack)
-                    if top == depth:  # is t being weak-head reduced at this depth already?
-                        i = len(pending)
-                        while i and pending[i - 1][1] == depth:
-                            i -= 1
-                            if pending[i][0] is t:
-                                return Status.NO_NORMAL_FORM, _rebuild(t, stack), steps
-                    if len(pending) < _CHAIN or pending[-_CHAIN][1] != depth:
-                        pending.append((t, depth, steps, total - t.size, peak))
-                        top = depth
+                    i = n = len(stack)  # is t in an update frame at the top: reduced back into itself?
+                    while i and type(stack[i - 1]) is tuple and stack[i - 1][0] == _PENDING:
+                        i -= 1
+                        if stack[i][1] is t:
+                            return Status.NO_NORMAL_FORM, _rebuild(t, stack), steps
+                    if n - i < _CHAIN:
+                        stack.append((_PENDING, t, steps, total - t.size, peak))
                         peak = total
                 else:
                     lam, k, rise = shared
@@ -193,11 +192,9 @@ def _beta_normalize(t: Term, fuel: int, max_size: int, eta: bool):
                 stack.append(t.arg)
                 t = t.fun
             elif cls is Lam:
-                depth = len(stack)
-                while top == depth:  # t is the weak-head normal form of these Apps
-                    node, _, start, context, outer = pending.pop()
+                while stack and type(stack[-1]) is tuple and stack[-1][0] == _PENDING:
+                    _, node, start, context, outer = stack.pop()  # t is node's whnf
                     node.whnf = (t, steps - start, peak - context)
-                    top = pending[-1][1] if pending else -1
                     if outer > peak:
                         peak = outer
                 if stack and type(stack[-1]) is not tuple:
@@ -227,35 +224,33 @@ def _beta_normalize(t: Term, fuel: int, max_size: int, eta: bool):
                     stack.append((_LAM, t.binder))
                     t = t.body
             else:
-                if pending:  # a variable head: no pending App reduces to a lambda
-                    pending.clear()
-                    top = -1
-                down = False
-        else:
+                break
+        while True:  # up, to the next argument to start
             if not stack:
                 return Status.NORMAL_FORM, t, steps
             frame = stack.pop()
             if type(frame) is not tuple:  # an argument; t is no lambda: the down pass contracts those
-                stack.append((_ARGDONE, t))
                 size = frame.size
+                stack.append((_ARGDONE, t, size))
                 same = open_args.setdefault(size, [])
                 for m in same:
                     if alpha_eq(m, frame):
                         return Status.NO_NORMAL_FORM, _rebuild(frame, stack), steps
                 same.append(frame)
-                open_sizes.append(size)
                 t = frame
-                down = True
-                continue
-            tag, payload = frame
+                break
+            tag = frame[0]
             if tag == _ARGDONE:
-                open_args[open_sizes.pop()].pop()
-                t = App(payload, t)
-            elif (eta and type(t) is App and type(t.arg) is Var and t.arg.name == payload
-                  and payload not in free_set(t.fun)):
-                t = t.fun  # an eta-redex: t.fun is beta-normal, so no lambda
-            else:
-                t = Lam(payload, t)
+                open_args[frame[2]].pop()
+                t = App(frame[1], t)
+            elif tag == _LAM:
+                binder = frame[1]
+                if (eta and type(t) is App and type(t.arg) is Var and t.arg.name == binder
+                        and binder not in free_set(t.fun)):
+                    t = t.fun  # an eta-redex: t.fun is beta-normal, so no lambda
+                else:
+                    t = Lam(binder, t)
+            # an update frame is dropped: a variable head reduces its App to no lambda
 
 
 def _rebuild(t: Term, stack: list) -> Term:
@@ -265,7 +260,7 @@ def _rebuild(t: Term, stack: list) -> Term:
             t = App(t, frame)
         elif frame[0] == _ARGDONE:
             t = App(frame[1], t)
-        else:
+        elif frame[0] == _LAM:
             t = Lam(frame[1], t)
     return t
 

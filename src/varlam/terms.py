@@ -309,9 +309,7 @@ def free_set(t: Term) -> frozenset:
     stack = [t]
     while stack:
         u = stack[-1]
-        if u.free is not _UNMADE:  # filled since it was pushed: shared below two parents
-            stack.pop()
-        elif type(u) is Lam:
+        if type(u) is Lam:
             bf = u.body.free
             if bf is _UNMADE:
                 stack.append(u.body)

@@ -84,13 +84,13 @@ MUTANTS = [
      "import varlam loads dataclasses, and with it inspect, in every fresh process",
      ["tests/test_cli.py::test_import_loads_neither_dataclasses_nor_inspect"]),
     ("src/varlam/engine.py",
-     "\n                  and payload not in free_set(t.fun)):",
+     "\n                        and binder not in free_set(t.fun)):",
      "):",
      r"the beta loop erases \x. x x as if it were an eta-redex",
      ["tests/test_engine.py::test_eta_only_when_not_free"]),
     ("src/varlam/engine.py",
-     "elif (eta and type(t) is App",
-     "elif (type(t) is App",
+     "if (eta and type(t) is App",
+     "if (type(t) is App",
      "the beta loop erases eta-redexes under --no-eta",
      ["tests/test_engine.py::test_eta_postpass"]),
     ("src/varlam/engine.py",
@@ -117,16 +117,35 @@ MUTANTS = [
      ["tests/test_engine.py::test_contract_builds_what_substitute_builds",
       "tests/test_engine.py::test_size_limit_is_exact"]),
     ("src/varlam/engine.py",
-     "while i and pending[i - 1][1] == depth:",
-     "while i:",
-     "the head-loop certificate matches a pending App of another depth, and certifies a growing loop",
+     "while i and type(stack[i - 1]) is tuple and stack[i - 1][0] == _PENDING:\n"
+     "                        i -= 1\n"
+     "                        if stack[i][1] is t:",
+     "while i:\n"
+     "                        i -= 1\n"
+     "                        if type(stack[i]) is tuple and stack[i][0] == _PENDING and stack[i][1] is t:",
+     "the head-loop certificate matches an App pending under another frame, and certifies a growing loop",
      ["tests/test_engine.py::test_head_loops_the_certificate_does_not_cover"]),
     ("src/varlam/engine.py",
-     "                    pending.clear()\n",
-     "",
-     "pending Apps are kept across a variable head, so the certificate and the whnf records read stale entries",
+     "            if tag == _ARGDONE:\n",
+     "            if tag != _LAM:\n",
+     "the up pass reads an update frame that a variable head left as an _ARGDONE frame: it closes an open argument and applies the App",
      ["tests/test_engine.py::test_certificate_never_fires_on_a_normalizing_term",
       "tests/test_engine.py::test_trace_agrees_with_normalize"]),
+    ("src/varlam/engine.py",
+     "            elif tag == _LAM:\n",
+     "            else:\n",
+     "the up pass builds a lambda from an update frame that a variable head left",
+     ["tests/test_engine.py::test_trace_agrees_with_normalize"]),
+    ("src/varlam/engine.py",
+     "        elif frame[0] == _LAM:\n",
+     "        else:\n",
+     "a stop rebuilds a lambda from each update frame on the stack",
+     ["tests/test_engine.py::test_shared_reducts_stop_where_trace_does"]),
+    ("src/varlam/engine.py",
+     "while stack and type(stack[-1]) is tuple and stack[-1][0] == _PENDING:",
+     "if stack and type(stack[-1]) is tuple and stack[-1][0] == _PENDING:",
+     "a lambda head records only the top update frame, and is read as a whnf with no argument",
+     ["tests/test_engine.py::test_a_lambda_head_records_every_update_frame_at_the_top"]),
     ("src/varlam/terms.py",
      "            same = _alpha(a.body, b.body, ea, eb, depth + 1)\n",
      "            same = _alpha(a.body, b.body, ea, eb, depth + 1)\n"

@@ -486,3 +486,14 @@ def test_normalize_trace_ends_with_what_normalize_prints(term, eta):
     if code == 0:
         traced = _stdout(["normalize", "--trace", *options])
         assert traced[0] == 0 and traced[1].splitlines()[-1] == out.rstrip("\n")
+
+
+def test_repl_commands_parse_by_their_first_word(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(":eq\n:def\n:q\nK\n:eq K\n:def A := \\x.x\n:eq A = I\n"))
+    code = main(["repl"])
+    out, err = capsys.readouterr()
+    assert code == 0 and out.splitlines() == [r"\x y.x", "EQUAL"]
+    assert err.splitlines() == ["usage: :eq TERM = TERM",
+                                "usage: :def NAME := TERM",
+                                "usage: :def NAME := TERM | :eq TERM = TERM | :quit",
+                                "usage: :eq TERM = TERM"]

@@ -858,6 +858,53 @@ def test_replayed_reduct_raises_the_enclosing_peak():
     _assert_stops_match_trace(e)
 
 
+def _recorded(t: Term) -> int:
+    """The Apps reachable from t, through recorded reducts too, that hold a whnf record."""
+    seen, todo, count = set(), [t], 0
+    while todo:
+        u = todo.pop()
+        if id(u) in seen:
+            continue
+        seen.add(id(u))
+        if type(u) is App:
+            todo += (u.fun, u.arg)
+            if u.whnf is not None:
+                count += 1
+                todo.append(u.whnf[0])
+        elif type(u) is Lam:
+            todo.append(u.body)
+    return count
+
+
+# Each term in a fresh env: its status and steps, the contractions the beta
+# loop performs, and the Apps that end up with a whnf record.
+@pytest.mark.parametrize("source, cfg, status, steps, contractions, records", [
+    ("VarS #8", ReductionConfig(), Status.NORMAL_FORM, 10_869, 450, 212),
+    ("VarPhi #2 #3", ReductionConfig(), Status.NO_NORMAL_FORM, 3_850, 835, 196),
+    (OMEGA, ReductionConfig(), Status.NO_NORMAL_FORM, 4, 2, 0),
+    (r"y ((\x.x x)(\y.y y)) z", ReductionConfig(), Status.NO_NORMAL_FORM, 4, 2, 0),
+    (r"(\x. #3 I (x x)) (\x. #3 I (x x))", ReductionConfig(fuel=20_000), Status.FUEL_EXHAUSTED, 20_000, 12, 2),
+    (r"VarPsi #1 #2 (\a b. a) (\a b. b)", ReductionConfig(max_term_size=3_000), Status.SIZE_EXCEEDED, 170, 117, 40),
+])
+def test_steps_contractions_and_records_pinned(monkeypatch, source, cfg, status, steps, contractions, records):
+    env = standard_env()
+    t = expand_consts(parse(source, env), env)
+    performed = _count_calls(monkeypatch, "_contract")
+    out = normalize(t, None, cfg)
+    assert (out.status, out.steps, performed[0], _recorded(t)) == (status, steps, contractions, records)
+
+
+def test_a_lambda_head_records_every_update_frame_at_the_top():
+    # I M reduces to M, an App, and takes no argument: the update frames of
+    # both lie at the top when M's head becomes \z.z, and both record it
+    t = parse(r"(\x.x) ((\y z.z) w) v")
+    i_m, m = t.fun, t.fun.arg
+    out = normalize(t)
+    assert (out.status, out.steps, print_term(out.result)) == (Status.NORMAL_FORM, 3, "v")
+    assert (i_m.whnf[1:], m.whnf[1:]) == ((2, 8), (1, 5))
+    assert i_m.whnf[0] is m.whnf[0]
+
+
 @settings(max_examples=300)
 @given(mixed_terms, st.integers(0, 60), st.integers(1, 300))
 def test_shared_reducts_match_trace_exactly(t, fuel, max_size):

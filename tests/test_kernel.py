@@ -394,6 +394,29 @@ def test_only_wide_nodes_wait_for_their_sets():
     assert free_set(wide) == free_vars(wide) == wide.free
 
 
+def _nodes(t):
+    """Every node of t once, shared ones too."""
+    seen, todo = {}, [t]
+    while todo:
+        u = todo.pop()
+        if id(u) not in seen:
+            seen[id(u)] = u
+            todo += (u.body,) if type(u) is Lam else (u.fun, u.arg) if type(u) is App else ()
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("wide", [_chain(40, 10), _chain(40, 0)], ids=["Lam", "App"])
+@pytest.mark.parametrize("levels", [1, 3])
+def test_free_set_fills_shared_wide_nodes(wide, levels):
+    # App(W, W) pushes W twice: the second pop finds W filled and makes its set again
+    t = _copy(wide)
+    for _ in range(levels):
+        t = App(t, t)
+    assert free_set(t) == _naive_free(t)
+    for u in _nodes(t):
+        assert u.free == _naive_free(u)
+
+
 _SMALL = ReductionConfig(fuel=200, max_term_size=20_000)
 
 
@@ -640,6 +663,11 @@ def test_env_rejects_forward_reference():
     env = Env()
     with pytest.raises(UnboundName):
         parse_definitions("A := B ; B := \\x.x ;", env)
+
+
+def test_env_expanded_rejects_an_unbound_name():
+    with pytest.raises(UnboundName):
+        Env().expanded("Nope")
 
 
 def test_env_rejects_open_definition():

@@ -187,6 +187,11 @@ def test_family_errors():
         build("K", -1)
 
 
+def test_builtin_meta_rejects_an_unknown_family():
+    with pytest.raises(UnknownFamily):
+        meta.builtin_meta("nope")
+
+
 def test_cross_oracle_selectors():
     for n in range(1, 5):
         xs = " ".join(f"x{i}" for i in range(1, n + 1))

@@ -1,3 +1,4 @@
+import functools
 from itertools import product
 
 import pytest
@@ -132,6 +133,13 @@ def test_boehm_report(env):
     labels = [c.name for c in cases]
     assert "VarM 1 1 = S I" in labels
     assert any(c.name.startswith("reduces-to") for c in cases)
+
+
+def test_boehm_report_names_a_search_that_hit_its_cap(env, monkeypatch):
+    monkeypatch.setattr(checks, "reduces_to", functools.partial(checks.reduces_to, node_cap=1))
+    [case] = [c for c in checks.check_boehm(1, cfg=CFG, env=env) if c.name.startswith("reduces-to")]
+    assert case.detail == "explored 1 pairs (cap hit: inconclusive)"
+    assert not case.ok and case.inconclusive
 
 
 def test_check_entry_observational_names(env):
