@@ -7,26 +7,29 @@ can skip substitution into subterms that do not mention the variable at all
 (or the empty one) when its own is equal to it, so most nodes allocate no
 set of their own.  An App whose new set would hold more than ``_WIDE``
 names, and a Lam that would remove its binder from a body's set of more than
-``_WIDE``, are *wide*: their ``free`` slot holds ``None`` (``_UNMADE``), and
-so does that of every node built above a wide one.  An ellipsis x[1..n]
-expands to n binders and n-argument spines, so a set made in each of them
-would copy up to n names, quadratic time and memory in n; with wide nodes,
-building, printing, parsing and comparing such a term take linear time and
-memory.  Only this module reads a ``free`` slot, and every reader sees exact
-sets.  ``free_vars`` walks a wide term once and fills nothing.  ``free_set``
-(the reader of bracket abstraction and of the beta loop's eta test) fills
-the set of a wide node, and of every wide node below it, on the first read
-and keeps them; ``substitute`` and ``_contract``, the beta loop's
-contraction, call it before they read the slots below.  The leaves are
-shared: ``Var(name)`` and ``Const(name)`` return the one object of that
-name, made at the first call and kept in a module table that grows only with
-the distinct names ever built.  A leaf is immutable and all that is read of
-it follows from its name, so sharing it changes no answer, only memory and
-time (the redex memo of ``engine`` hits more often).  An App also
-has one cache slot, ``whnf``, which the reducer fills with the lambda the App
-weak-head reduces to (see ``engine._beta_normalize``).  Meta-terms (see
-``meta``) are terms too: a sequence binder is a ``SeqBinder`` string and a
-splice a ``Splice`` leaf.
+``_WIDE``, are *wide*: their ``free`` slot holds ``_UNMADE``, whose ``in``
+answers True for every name (the node may mention any name), and so does
+that of every node built above a wide one.  An ellipsis x[1..n] expands to n
+binders and n-argument spines, so a set made in each of them would copy up
+to n names, quadratic time and memory in n; with wide nodes, building,
+printing, parsing and comparing such a term take linear time and memory,
+and so does each beta step on it.  Only this module reads a ``free`` slot.
+``_substitute`` (under ``substitute``) and ``_contract``, the beta loop's
+contraction, test every slot as ``name in u.free``: a narrow slot answers
+exactly, and they walk down through a wide node, rebuilding it, to the
+narrow nodes below.  Only ``free_vars`` and ``free_set`` give exact sets.
+``free_vars`` walks a wide term once and fills nothing.  ``free_set`` (the
+reader of bracket abstraction, of the beta loop's eta test and of
+substitution's capture test) walks a wide node the same way and keeps the
+set in that node's slot alone.  The leaves are shared: ``Var(name)`` and
+``Const(name)`` return the one object of that name, made at the first call
+and kept in a module table that grows only with the distinct names ever
+built.  A leaf is immutable and all that is read of it follows from its
+name, so sharing it changes no answer, only memory and time (the redex memo
+of ``engine`` hits more often).  An App also has one cache slot, ``whnf``,
+which the reducer fills with the lambda the App weak-head reduces to (see
+``engine._beta_normalize``).  Meta-terms (see ``meta``) are terms too: a
+sequence binder is a ``SeqBinder`` string and a splice a ``Splice`` leaf.
 
 A term is built from children that already exist, so its ``fun``, ``arg``
 and ``body`` edges never form a cycle and reference counting frees every
@@ -111,12 +114,20 @@ def gc_paused(fn):
 _EMPTY = frozenset()
 # An App whose own free set would hold more names than this, or a Lam whose
 # body's set does, is left wide (see the module docstring).  At this width
-# `check --max-n 6` builds no wide node, and at n = 10 substitute meets one
-# 16,640 times in 83 million beta steps.
+# `check --max-n 10` builds no wide node.
 _WIDE = 32
 
 
-_UNMADE = None  # the free slot of a wide node
+class _Unmade:
+    """The free slot of a wide node: it may mention any name."""
+
+    __slots__ = ()
+
+    def __contains__(self, name) -> bool:
+        return True
+
+
+_UNMADE = _Unmade()
 _VARS: dict = {}  # name -> the one Var of that name
 _CONSTS: dict = {}  # name -> the one Const of that name
 
@@ -298,36 +309,15 @@ def free_vars(t: Term) -> set[str]:
 def free_set(t: Term) -> frozenset:
     """The free set of t: its ``free`` slot, filled first if t is wide.
 
-    Filling computes the sets of t and of every wide node below it,
-    bottom-up without recursion, and keeps them, so that a reader walking
-    down from t (bracket abstraction, say) finds every set below t in its
-    slot.
+    Filling walks t as ``free_vars`` does and keeps the set in t's slot
+    alone: the wide nodes below t stay unmade, so a reader that walks down
+    from t and asks each node in turn (bracket abstraction, the beta loop's
+    eta test) walks each wide node it asks about again.
     """
     f = t.free
-    if f is not _UNMADE:
-        return f
-    stack = [t]
-    while stack:
-        u = stack[-1]
-        if type(u) is Lam:
-            bf = u.body.free
-            if bf is _UNMADE:
-                stack.append(u.body)
-            else:
-                stack.pop()
-                u.free = bf - {u.binder} if u.binder in bf else bf
-        else:
-            ff = u.fun.free
-            af = u.arg.free
-            if ff is _UNMADE or af is _UNMADE:
-                if ff is _UNMADE:
-                    stack.append(u.fun)
-                if af is _UNMADE:
-                    stack.append(u.arg)
-            else:
-                stack.pop()
-                u.free = ff if af <= ff else af if ff <= af else ff | af
-    return t.free
+    if f is _UNMADE:
+        f = t.free = frozenset(free_vars(t))
+    return f
 
 
 def size(t: Term) -> int:
@@ -410,9 +400,9 @@ def _alpha(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:
 def substitute(t: Term, name: str, repl: Term) -> Term:
     """Capture-avoiding t[name := repl]; binders are primed when needed.
 
-    It fills the sets of a wide t or repl (see ``free_set``) and calls
-    ``_substitute`` only on a t that is no Var and mentions name, so that
-    ``_substitute`` reads every slot below as a set and tests nothing twice.
+    t itself comes back if name is not free in it.  Else ``_substitute``
+    builds the result, with repl's slot filled (see ``free_set``): its
+    capture test reads that slot, and must read it exactly.
     """
     free_set(repl)
     if name not in free_set(t):
@@ -421,10 +411,13 @@ def substitute(t: Term, name: str, repl: Term) -> Term:
 
 
 def _substitute(t: Term, name: str, repl: Term) -> Term:
-    """substitute, on a t that is no Var and mentions name, with the sets of t
-    and repl filled: every caller tests a node before it passes it down."""
+    """substitute, on a t that is no Var and may mention name, with repl's slot
+    filled: every caller tests a node's slot before it passes the node down.
+    A wide node's slot answers that it may mention any name, so the walk goes
+    down through wide nodes without making their sets, rebuilding them, and
+    tests each narrow node below exactly."""
     c = type(t)  # faster than t.__class__ (see engine._beta_normalize)
-    if c is App:  # a child is passed down only if it contains name, and a Var child is name
+    if c is App:  # a child is passed down only if it may contain name, and a Var child is name
         fun = t.fun
         arg = t.arg
         if name in fun.free:
@@ -434,35 +427,37 @@ def _substitute(t: Term, name: str, repl: Term) -> Term:
         return App(fun, arg)
     if c is Splice:  # name is a sequence binder: renaming one is not defined yet
         raise LambdaError(f"cannot substitute for the sequence {name}")
-    # Lam, with name free in the body (and binder != name, else name not free)
-    binder = t.binder
+    binder = t.binder  # a Lam: a narrow one has name free in its body
+    if binder == name:  # a wide Lam that binds name
+        return t
     body = t.body
     if binder in repl.free:
-        new = fresh_name(binder, repl.free | body.free)
-        if binder in body.free:  # so body is no Var; renamed, it may have wide sets to fill
+        bf = free_set(body)
+        if name not in bf:  # a wide Lam that does not mention name: no renaming
+            return t
+        new = fresh_name(binder, repl.free | bf)
+        if binder in bf:  # so body is no Var
             body = _substitute(body, binder, Var(new))
-        return Lam(new, substitute(body, name, repl))
+        binder = new
     return Lam(binder, repl if type(body) is Var else _substitute(body, name, repl))
 
 
 def _contract(lam: Lam, arg: Term):
     """The reduct of the redex (lam arg), for engine's beta loop, which calls
-    it once per contraction it performs (a miss of its memo).  It fills the
-    sets of a wide body or argument and calls ``_substitute`` as ``substitute``
-    does.  The result is (head, args, size): the reduct is head applied to
-    args[-1], ..., args[0] (the order the loop pushes them), and size is its
-    size.  args is empty unless the body is an App that mentions the binder.
-    Then the spine is walked while the binder is free in the function part,
-    and the first spine App that does not mention it is the head, as it is.
+    it once per contraction it performs (a miss of its memo).  It fills a wide
+    argument's slot, which the capture test of ``_substitute`` reads, and
+    walks down through a wide body as ``_substitute`` does.  The result is
+    (head, args, size): the reduct is head applied to args[-1], ..., args[0]
+    (the order the loop pushes them), and size is its size.  args is empty
+    unless the body is an App that may mention the binder.  Then the spine is
+    walked while the function part may mention the binder, and the first
+    spine App that does not is the head, as it is.
     """
     body = lam.body
     x = lam.binder
-    bf = body.free
-    if bf is _UNMADE:
-        bf = free_set(body)
     if arg.free is _UNMADE:
         free_set(arg)
-    if x not in bf:
+    if x not in body.free:
         return body, (), body.size
     if type(body) is not App:
         body = arg if type(body) is Var else _substitute(body, x, arg)

@@ -27,19 +27,30 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # (file, old text, new text, what the mutant breaks, tests that must fail)
 MUTANTS = [
     ("src/varlam/terms.py",
-     "new = fresh_name(binder, repl.free | body.free)",
+     "new = fresh_name(binder, repl.free | bf)",
      "new = fresh_name(binder, repl.free)",
      "substitute renames a binder to a name free in the body, and captures it",
      ["tests/test_cli.py::test_normalize_renames_past_primed_free_names"]),
     ("src/varlam/terms.py",
-     "u.free = bf - {u.binder} if u.binder in bf else bf",
-     "u.free = bf",
-     "filling a wide Lam's set keeps the binder in it",
-     ["tests/test_kernel.py::test_free_vars_agrees_with_a_naive_reference"]),
+     "        binder = new\n",
+     "",
+     "substitute renames a capturing binder's occurrences but keeps the binder, which captures repl",
+     ["tests/test_kernel.py::test_substitute_capture_avoidance"]),
     ("src/varlam/terms.py",
-     "return Lam(new, substitute(body, name, repl))",
-     "return Lam(new, _substitute(body, name, repl))",
-     "substitute reads the unfilled sets of a renamed wide body",
+     "def __contains__(self, name) -> bool:\n        return True\n",
+     "def __contains__(self, name) -> bool:\n        return False\n",
+     "a wide node's slot answers that it mentions no name, so substitution skips it",
+     ["tests/test_kernel.py::test_substitute_into_wide_chains_as_into_eager_ones",
+      "tests/test_kernel.py::test_a_wide_family_member_reduces_in_linear_memory"]),
+    ("src/varlam/terms.py",
+     "    if binder == name:  # a wide Lam that binds name\n        return t\n",
+     "",
+     "substitute replaces the bound occurrences under a wide lambda that binds the name",
+     ["tests/test_kernel.py::test_substitute_into_wide_chains_as_into_eager_ones"]),
+    ("src/varlam/terms.py",
+     "        if name not in bf:  # a wide Lam that does not mention name: no renaming\n            return t\n",
+     "",
+     "substitute renames a capturing binder of a wide lambda that does not mention the name",
      ["tests/test_kernel.py::test_substitute_into_wide_chains_as_into_eager_ones"]),
     ("src/varlam/terms.py",
      "if ff is _UNMADE or af is _UNMADE:  # a wide child makes a wide App",

@@ -330,10 +330,24 @@ def _copy(t):
     return t
 
 
+def _nodes(t):
+    """Every node of t once, shared ones too."""
+    seen, todo = {}, [t]
+    while todo:
+        u = todo.pop()
+        if id(u) not in seen:
+            seen[id(u)] = u
+            todo += (u.body,) if type(u) is Lam else (u.fun, u.arg) if type(u) is App else ()
+    return list(seen.values())
+
+
 def _forced(t):
-    """A copy of t whose wide sets are all filled."""
+    """A copy of t whose wide sets are all filled: free_set fills only the
+    slot of the node it is asked about, so every node is asked, children
+    first, so that each walk stops at filled slots."""
     t = _copy(t)
-    free_set(t)
+    for u in reversed(_nodes(t)):
+        free_set(u)
     return t
 
 
@@ -394,27 +408,17 @@ def test_only_wide_nodes_wait_for_their_sets():
     assert free_set(wide) == free_vars(wide) == wide.free
 
 
-def _nodes(t):
-    """Every node of t once, shared ones too."""
-    seen, todo = {}, [t]
-    while todo:
-        u = todo.pop()
-        if id(u) not in seen:
-            seen[id(u)] = u
-            todo += (u.body,) if type(u) is Lam else (u.fun, u.arg) if type(u) is App else ()
-    return list(seen.values())
-
-
 @pytest.mark.parametrize("wide", [_chain(40, 10), _chain(40, 0)], ids=["Lam", "App"])
 @pytest.mark.parametrize("levels", [1, 3])
 def test_free_set_fills_shared_wide_nodes(wide, levels):
-    # App(W, W) pushes W twice: the second pop finds W filled and makes its set again
+    # App(W, W) meets W twice: free_set fills t's slot alone, and a slot below
+    # is either unmade or exact
     t = _copy(wide)
     for _ in range(levels):
         t = App(t, t)
-    assert free_set(t) == _naive_free(t)
+    assert free_set(t) == _naive_free(t) and t.free == _naive_free(t)
     for u in _nodes(t):
-        assert u.free == _naive_free(u)
+        assert u.free is kernel._UNMADE or u.free == _naive_free(u)
 
 
 _SMALL = ReductionConfig(fuel=200, max_term_size=20_000)
@@ -459,6 +463,11 @@ def _within(seconds, fn, *args):
 # every binder of a wide chain captures the wide repl, and is primed
 @example(_chain(200, 200, "p"), "p", _chain(200, 0, "y"))
 @example(Lam("y", _chain(60, 60, "p")), "p", App(_chain(40, 0, "y"), Var("a'")))
+# a wide lambda that binds the name keeps its body: (\x.a x a' ...) x to (\x.a x a' ...) a
+@example(App(Lam("x", apply(Var("a"), Var("x"), Var("a'"), *[Var(f"v{i}") for i in range(38)])), Var("x")),
+         "x", Var("a"))
+# a wide lambda that captures repl but does not mention the name keeps its binder
+@example(App(_chain(40, 1), Var("p")), "p", Var("x"))
 def test_substitute_into_wide_chains_as_into_eager_ones(t, x, r):
     lazy = _within(10, substitute, _copy(t), x, _copy(r))
     assert print_term(lazy) == print_term(substitute(_eager(t), x, _eager(r)))
@@ -489,6 +498,22 @@ def test_wide_family_members_build_print_parse_and_compare_in_linear_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+def test_a_wide_family_member_reduces_in_linear_memory():
+    # S_200 a b c1 ... c200: each contraction substitutes into a wide body,
+    # and filling the set of every wide node of it traced 390 MB
+    cs = [Var(f"c{i}") for i in range(1, 201)]
+    t = apply(meta.build("S", 200), Var("a"), Var("b"), *cs)
+    tracemalloc.start()
+    try:
+        out = normalize(t, _ENV)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.status.value, out.steps) == ("normal-form", 202)
+    assert alpha_eq(out.result, App(apply(Var("a"), *cs), apply(Var("b"), *cs)))
+    assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_size_examples():
