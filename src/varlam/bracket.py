@@ -21,7 +21,7 @@ binds the index variable.
 
 from __future__ import annotations
 
-from .terms import App, Const, Lam, LambdaError, SeqBinder, Splice, Term, Var, free_set, fresh_name, grouped
+from .terms import App, Const, Lam, LambdaError, SeqBinder, Splice, Term, Var, free_vars, fresh_name, grouped, may_mention
 
 
 class MixedSequenceUse(LambdaError):
@@ -46,37 +46,37 @@ def turner(t: Term) -> Term:
     if c is Lam:
         x = t.binder
         body = turner(t.body)
-        if type(x) is SeqBinder:
-            n = Var(x.index)
-            return _abstract(x, body, [App(Const(name), n) for name in _SEQ_BASIS])
-        return _abstract(x, body, _BASIS)
+        basis = [App(Const(name), Var(x.index)) for name in _SEQ_BASIS] if type(x) is SeqBinder else _BASIS
+        abstracted = _abstract(x, body, basis)
+        return App(basis[1], grouped(body)) if abstracted is None else abstracted
     return t
 
 
-def _abstract(x: str, b: Term, basis) -> Term:
-    """[x]b by Turner's rules over basis, the I, K, S, C and B of x's kind."""
-    if x not in free_set(b):
-        return App(basis[1], grouped(b))
-    if b.size == 1:  # x itself, or a splice of it
+def _abstract(x: str, b: Term, basis) -> Term | None:
+    """[x]b by Turner's rules over basis, the I, K, S, C and B of x's kind, or
+    None if x is not free in b (then [x]b is K b).  Where x is in b is learnt
+    from the calls on b's parts: ``may_mention`` is exact for a narrow node and
+    True for a wide one, so the walk goes down through wide nodes as
+    substitution does."""
+    if not may_mention(b, x):
+        return None
+    if type(b) is not App:  # x itself, or a splice of it: a bracketed body has no lambdas
         return basis[0]
-    # b is an application: after the body was bracketed there are no lambdas
-    # left, and the two cases above dispose of variables, constants and splices.
     p, q = b.fun, b.arg
-    cq = type(q)
-    in_p = x in free_set(p)
-    if cq is Splice and not q.grouped:
+    ap = _abstract(x, p, basis)
+    if type(q) is Splice and not q.grouped:
         # n separate arguments, which only sequence-eta can absorb
-        if q.binder != x or in_p:
+        if ap is not None:
             raise MixedSequenceUse(f"cannot abstract {x} over a spine ending in the sequence {q.binder}")
+        return grouped(p) if q.binder == x else None
+    if type(q) is Var and q.name == x and ap is None:
         return grouped(p)
-    if cq is Var and q.name == x and not in_p:
-        return grouped(p)
-    in_q = x in free_set(q)
-    if in_p and in_q:
-        return App(App(basis[2], _abstract(x, p, basis)), _abstract(x, q, basis))
-    if in_p:
-        return App(App(basis[3], _abstract(x, p, basis)), q)
-    return App(App(basis[4], grouped(p)), _abstract(x, q, basis))
+    aq = _abstract(x, q, basis)
+    if aq is None:
+        return None if ap is None else App(App(basis[3], ap), q)
+    if ap is None:
+        return App(App(basis[4], grouped(p)), aq)
+    return App(App(basis[2], ap), aq)
 
 
 # -- meta-terms -----------------------------------------------------------------
@@ -93,7 +93,7 @@ def extended_bound(m: Term) -> Term:
     variable, free or bound, raises ``MixedSequenceUse``.
     """
     index, binders = _index_and_binders(m)
-    free = free_set(m)
+    free = free_vars(m)
     if index is None:
         return Lam(fresh_name("n", free) if "n" in free else "n", turner(m))
     if index in free or index in binders:

@@ -14,14 +14,14 @@ binders and n-argument spines, so a set made in each of them would copy up
 to n names, quadratic time and memory in n; with wide nodes, building,
 printing, parsing and comparing such a term take linear time and memory,
 and so does each beta step on it.  Only this module reads a ``free`` slot.
-``_substitute`` (under ``substitute``) and ``_contract``, the beta loop's
-contraction, test every slot as ``name in u.free``: a narrow slot answers
-exactly, and they walk down through a wide node, rebuilding it, to the
-narrow nodes below.  Only ``free_vars`` and ``free_set`` give exact sets.
-``free_vars`` walks a wide term once and fills nothing.  ``free_set`` (the
-reader of bracket abstraction, of the beta loop's eta test and of
-substitution's capture test) walks a wide node the same way and keeps the
-set in that node's slot alone.  The leaves are shared: ``Var(name)`` and
+``_substitute`` (under ``substitute``), ``_contract``, the beta loop's
+contraction, and bracket abstraction (through ``may_mention``) test every
+slot as ``name in u.free``: a narrow slot answers exactly, and they walk
+down through a wide node to the narrow nodes below.  Only ``free_vars`` and
+``free_set`` give exact sets.  ``free_vars`` walks a wide term once and
+fills nothing.  ``free_set`` walks a wide node the same way and keeps the
+set in that node's slot alone; only substitution's capture test and the beta
+loop's eta test make a wide set.  The leaves are shared: ``Var(name)`` and
 ``Const(name)`` return the one object of that name, made at the first call
 and kept in a module table that grows only with the distinct names ever
 built.  A leaf is immutable and all that is read of it follows from its
@@ -311,13 +311,18 @@ def free_set(t: Term) -> frozenset:
 
     Filling walks t as ``free_vars`` does and keeps the set in t's slot
     alone: the wide nodes below t stay unmade, so a reader that walks down
-    from t and asks each node in turn (bracket abstraction, the beta loop's
-    eta test) walks each wide node it asks about again.
+    from t and asks each node in turn (the beta loop's eta test, which needs
+    an exact answer) walks each wide node it asks about again.
     """
     f = t.free
     if f is _UNMADE:
         f = t.free = frozenset(free_vars(t))
     return f
+
+
+def may_mention(t: Term, name: str) -> bool:
+    """Whether name may be free in t: exact for a narrow t, True for a wide one."""
+    return name in t.free
 
 
 def size(t: Term) -> int:

@@ -194,6 +194,26 @@ MUTANTS = [
      "normalize --trace stops at the beta-normal form, before the eta erasure that normalize prints",
      ["tests/test_cli.py::test_normalize_trace_prints_the_eta_erasure_as_one_more_line",
       "tests/test_cli.py::test_normalize_trace_ends_with_what_normalize_prints"]),
+    ("src/varlam/bracket.py",
+     "return grouped(p) if q.binder == x else None",
+     "return grouped(p)",
+     "bracket abstraction absorbs a trailing splice of another sequence by sequence-eta",
+     ["tests/test_bracket.py::test_extended_soundness_parsed_shapes"]),
+    ("src/varlam/bracket.py",
+     "if type(q) is Var and q.name == x and ap is None:",
+     "if type(q) is Var and q.name == x:",
+     r"bracket abstraction applies the eta rule [x](P x) = P where P mentions x",
+     ["tests/test_bracket.py::test_turner_self_application_golden"]),
+    ("src/varlam/bracket.py",
+     "App(App(basis[3], ap), q)\n    if ap is None:\n        return App(App(basis[4], ",
+     "App(App(basis[4], ap), q)\n    if ap is None:\n        return App(App(basis[3], ",
+     "bracket abstraction swaps the B and C rules",
+     ["tests/test_bracket.py::test_turner_more_shapes"]),
+    ("src/varlam/terms.py",
+     "    return name in t.free\n",
+     "    return True\n",
+     "may_mention answers that every node mentions every name, so bracket abstraction reads any leaf as its variable",
+     ["tests/test_bracket.py::test_turner_constant_golden"]),
 ]
 
 

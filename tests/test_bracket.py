@@ -94,12 +94,16 @@ def test_extended_soundness_parsed_shapes(env):
         r"\a x[1..n]. a x[1..n] (a x[1..n])",
         r"\x[1..n]. y (z x[1..n])",
     ]
+    wide = "f " + " ".join(f"v{i}" for i in range(40))
     # a splice that a rule moves into argument position stays one argument
     pinned = {
         r"\x[1..n] y[1..n]. x[1..n] (y[1..n])": r"\n.VarC n (VarB n (VarB n) (VarI n)) (VarI n)",
         r"\x[1..n]. \y. x[1..n]": r"\n.VarB n K (VarI n)",
         r"\p x[1..n]. (\y. x[1..n]) p": r"\n.VarC n (VarB n K (VarI n))",
         r"\g y[1..n] x. g x (y[1..n] x)": r"\n.C (B (VarB n) S) (VarI n)",
+        # a spine that ends in another sequence does not mention x, and its 41
+        # other names make it wide, so [x] walks it to the splice and gives K
+        rf"\y[1..n] x. {wide} y[1..n]": rf"\n.VarB n K ({wide})",
     }
     for src in sources + list(pinned):
         m = parse_meta(src)
