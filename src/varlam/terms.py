@@ -1,33 +1,33 @@
 """Lambda-term representation and the basic syntactic operations.
 
-Terms are immutable.  Every node caches its size and whether it mentions a
-named constant, and nearly every node its free-variable set, so the reducer
-can skip substitution into subterms that do not mention the variable at all
-(the shared subterm is returned as-is).  A node reuses a child's free set
-(or the empty one) when its own is equal to it, so most nodes allocate no
-set of their own.  An App whose new set would hold more than ``_WIDE``
-names, and a Lam that would remove its binder from a body's set of more than
-``_WIDE``, are *wide*: their ``free`` slot holds ``_UNMADE``, whose ``in``
-answers True for every name (the node may mention any name), and so does
-that of every node built above a wide one.  An ellipsis x[1..n] expands to n
-binders and n-argument spines, so a set made in each of them would copy up
-to n names, quadratic time and memory in n; with wide nodes, building,
-printing, parsing and comparing such a term take linear time and memory,
-and so does each beta step on it.  Only this module reads a ``free`` slot.
-``_substitute`` (under ``substitute``), ``_contract``, the beta loop's
-contraction, and bracket abstraction (through ``may_mention``) test every
-slot as ``name in u.free``: a narrow slot answers exactly, and they walk
-down through a wide node to the narrow nodes below.  Only ``free_vars`` and
-``free_set`` give exact sets.  ``free_vars`` walks a wide term once and
-fills nothing.  ``free_set`` walks a wide node the same way and keeps the
-set in that node's slot alone; only substitution's capture test and the beta
-loop's eta test make a wide set.  The leaves are shared: ``Var(name)`` and
-``Const(name)`` return the one object of that name, made at the first call
-and kept in a module table that grows only with the distinct names ever
-built.  A leaf is immutable and all that is read of it follows from its
-name, so sharing it changes no answer, only memory and time (the redex memo
-of ``engine`` hits more often).  An App also has one cache slot, ``whnf``,
-which the reducer fills with the lambda the App weak-head reduces to (see
+Terms are immutable, but for one cache slot.  Every node caches its size and
+whether it mentions a named constant, and nearly every node its free-variable
+set, so the reducer can skip substitution into subterms that do not mention
+the variable at all (the shared subterm is returned as-is).  A node reuses a
+child's free set (or the empty one) when its own is equal to it, so most
+nodes allocate no set of their own.  An App whose new set would hold more
+than ``_WIDE`` names, and a Lam that would remove its binder from a body's
+set of more than ``_WIDE``, are *wide*: their ``free`` slot holds
+``_UNMADE``, whose ``in`` answers True for every name (the node may mention
+any name), and so does that of every node built above a wide one.  An
+ellipsis x[1..n] expands to n binders and n-argument spines, so a set made in
+each of them would copy up to n names, quadratic time and memory in n; with
+wide nodes, building, printing, parsing and comparing such a term take linear
+time and memory, and so does each beta step on it.  Only this module reads a
+``free`` slot, and only a node's constructor writes one.  ``_substitute``
+(under ``substitute``), ``_contract``, the beta loop's contraction, and
+bracket abstraction (through ``may_mention``) test every slot as
+``name in u.free``: a narrow slot answers exactly, and they walk down through
+a wide node to the narrow nodes below.  ``free_vars`` is the one exact
+reader: a narrow node answers with its own set, and a wide one with a set
+made by one walk and kept nowhere, so each ask about a wide node walks it
+again.  The leaves are shared: ``Var(name)`` and ``Const(name)`` return the
+one object of that name, made at the first call and kept in a module table
+that grows only with the distinct names ever built.  A leaf is immutable and
+all that is read of it follows from its name, so sharing it changes no
+answer, only memory and time (the redex memo of ``engine`` hits more often).
+The one slot written after a node is built is an App's ``whnf``, which the
+reducer fills with the lambda the App weak-head reduces to (see
 ``engine._beta_normalize``).  Meta-terms (see ``meta``) are terms too: a
 sequence binder is a ``SeqBinder`` string and a splice a ``Splice`` leaf.
 
@@ -273,16 +273,17 @@ def lams(binders, body: Term) -> Term:
     return body
 
 
-def free_vars(t: Term) -> set[str]:
+def free_vars(t: Term) -> frozenset:
     """Free variables of t.  Constants contribute nothing (they are closed).
 
-    A wide t is read by one walk that keeps the binders in scope and stops at
-    every node with a set; it fills no slot, so reading the set of a wide
-    term costs time and memory linear in its size.
+    A narrow t answers with its own set.  A wide t is read by one walk that
+    keeps the binders in scope and stops at every node with a set; the set
+    it makes is stored nowhere, so reading the set of a wide term costs time
+    and memory linear in its size, at every ask.
     """
     f = t.free
     if f is not _UNMADE:
-        return set(f)
+        return f
     out = set()
     bound = {}  # binder -> how many lambdas of the walk's path bind it
     stack = [t]
@@ -303,21 +304,7 @@ def free_vars(t: Term) -> set[str]:
             stack += (b, u.body)
         else:  # only a Lam or an App is wide
             stack += (u.arg, u.fun)
-    return out
-
-
-def free_set(t: Term) -> frozenset:
-    """The free set of t: its ``free`` slot, filled first if t is wide.
-
-    Filling walks t as ``free_vars`` does and keeps the set in t's slot
-    alone: the wide nodes below t stay unmade, so a reader that walks down
-    from t and asks each node in turn (the beta loop's eta test, which needs
-    an exact answer) walks each wide node it asks about again.
-    """
-    f = t.free
-    if f is _UNMADE:
-        f = t.free = frozenset(free_vars(t))
-    return f
+    return frozenset(out)
 
 
 def may_mention(t: Term, name: str) -> bool:
@@ -406,29 +393,28 @@ def substitute(t: Term, name: str, repl: Term) -> Term:
     """Capture-avoiding t[name := repl]; binders are primed when needed.
 
     t itself comes back if name is not free in it.  Else ``_substitute``
-    builds the result, with repl's slot filled (see ``free_set``): its
-    capture test reads that slot, and must read it exactly.
+    builds the result, given repl's exact set, which its capture test reads.
     """
-    free_set(repl)
-    if name not in free_set(t):
+    if name not in free_vars(t):
         return t
-    return repl if type(t) is Var else _substitute(t, name, repl)
+    return repl if type(t) is Var else _substitute(t, name, repl, free_vars(repl))
 
 
-def _substitute(t: Term, name: str, repl: Term) -> Term:
-    """substitute, on a t that is no Var and may mention name, with repl's slot
-    filled: every caller tests a node's slot before it passes the node down.
-    A wide node's slot answers that it may mention any name, so the walk goes
-    down through wide nodes without making their sets, rebuilding them, and
-    tests each narrow node below exactly."""
+def _substitute(t: Term, name: str, repl: Term, rf: frozenset) -> Term:
+    """substitute, on a t that is no Var and may mention name; rf is repl's
+    exact free set, made once by the caller and passed down unchanged.  Every
+    caller tests a node's slot before it passes the node down.  A wide node's
+    slot answers that it may mention any name, so the walk goes down through
+    wide nodes without making their sets, rebuilding them, and tests each
+    narrow node below exactly."""
     c = type(t)  # faster than t.__class__ (see engine._beta_normalize)
     if c is App:  # a child is passed down only if it may contain name, and a Var child is name
         fun = t.fun
         arg = t.arg
         if name in fun.free:
-            fun = repl if type(fun) is Var else _substitute(fun, name, repl)
+            fun = repl if type(fun) is Var else _substitute(fun, name, repl, rf)
         if name in arg.free:
-            arg = repl if type(arg) is Var else _substitute(arg, name, repl)
+            arg = repl if type(arg) is Var else _substitute(arg, name, repl, rf)
         return App(fun, arg)
     if c is Splice:  # name is a sequence binder: renaming one is not defined yet
         raise LambdaError(f"cannot substitute for the sequence {name}")
@@ -436,21 +422,22 @@ def _substitute(t: Term, name: str, repl: Term) -> Term:
     if binder == name:  # a wide Lam that binds name
         return t
     body = t.body
-    if binder in repl.free:
-        bf = free_set(body)
+    if binder in rf:
+        bf = free_vars(body)
         if name not in bf:  # a wide Lam that does not mention name: no renaming
             return t
-        new = fresh_name(binder, repl.free | bf)
+        new = fresh_name(binder, rf | bf)
         if binder in bf:  # so body is no Var
-            body = _substitute(body, binder, Var(new))
+            fresh = Var(new)
+            body = _substitute(body, binder, fresh, fresh.free)
         binder = new
-    return Lam(binder, repl if type(body) is Var else _substitute(body, name, repl))
+    return Lam(binder, repl if type(body) is Var else _substitute(body, name, repl, rf))
 
 
 def _contract(lam: Lam, arg: Term):
     """The reduct of the redex (lam arg), for engine's beta loop, which calls
-    it once per contraction it performs (a miss of its memo).  It fills a wide
-    argument's slot, which the capture test of ``_substitute`` reads, and
+    it once per contraction it performs (a miss of its memo).  It makes the
+    argument's exact set once, for the capture test of ``_substitute``, and
     walks down through a wide body as ``_substitute`` does.  The result is
     (head, args, size): the reduct is head applied to args[-1], ..., args[0]
     (the order the loop pushes them), and size is its size.  args is empty
@@ -460,12 +447,11 @@ def _contract(lam: Lam, arg: Term):
     """
     body = lam.body
     x = lam.binder
-    if arg.free is _UNMADE:
-        free_set(arg)
     if x not in body.free:
         return body, (), body.size
+    rf = free_vars(arg)
     if type(body) is not App:
-        body = arg if type(body) is Var else _substitute(body, x, arg)
+        body = arg if type(body) is Var else _substitute(body, x, arg, rf)
         return body, (), body.size
     args = []
     size = 0
@@ -473,12 +459,12 @@ def _contract(lam: Lam, arg: Term):
     while type(u) is App and x in u.free:
         a = u.arg
         if x in a.free:
-            a = arg if type(a) is Var else _substitute(a, x, arg)
+            a = arg if type(a) is Var else _substitute(a, x, arg, rf)
         args.append(a)
         size += 1 + a.size
         u = u.fun
     if x in u.free:
-        u = arg if type(u) is Var else _substitute(u, x, arg)
+        u = arg if type(u) is Var else _substitute(u, x, arg, rf)
     return u, args, size + u.size
 
 

@@ -27,8 +27,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # (file, old text, new text, what the mutant breaks, tests that must fail)
 MUTANTS = [
     ("src/varlam/terms.py",
-     "new = fresh_name(binder, repl.free | bf)",
-     "new = fresh_name(binder, repl.free)",
+     "new = fresh_name(binder, rf | bf)",
+     "new = fresh_name(binder, rf)",
      "substitute renames a binder to a name free in the body, and captures it",
      ["tests/test_cli.py::test_normalize_renames_past_primed_free_names"]),
     ("src/varlam/terms.py",
@@ -36,6 +36,11 @@ MUTANTS = [
      "",
      "substitute renames a capturing binder's occurrences but keeps the binder, which captures repl",
      ["tests/test_kernel.py::test_substitute_capture_avoidance"]),
+    ("src/varlam/terms.py",
+     "body = _substitute(body, binder, fresh, fresh.free)",
+     "body = _substitute(body, binder, fresh, rf)",
+     "renaming a binder in its body tests capture against repl's set, not the fresh name's, and renames an inner binder",
+     ["tests/test_kernel.py::test_substitute_renames_a_binder_in_the_body_alone"]),
     ("src/varlam/terms.py",
      "def __contains__(self, name) -> bool:\n        return True\n",
      "def __contains__(self, name) -> bool:\n        return False\n",
@@ -95,7 +100,7 @@ MUTANTS = [
      "import varlam loads dataclasses, and with it inspect, in every fresh process",
      ["tests/test_cli.py::test_import_loads_neither_dataclasses_nor_inspect"]),
     ("src/varlam/engine.py",
-     "\n                        and binder not in free_set(t.fun)):",
+     "\n                        and binder not in free_vars(t.fun)):",
      "):",
      r"the beta loop erases \x. x x as if it were an eta-redex",
      ["tests/test_engine.py::test_eta_only_when_not_free"]),
@@ -166,9 +171,9 @@ MUTANTS = [
      ["tests/test_engine.py::test_reduces_to_under_binder_maps_examples",
       "tests/test_engine.py::test_reduces_to_matches_the_renaming_search"]),
     ("src/varlam/terms.py",
-     "    if arg.free is _UNMADE:\n        free_set(arg)\n",
-     "",
-     "the beta loop substitutes a wide argument whose sets are not filled",
+     "    rf = free_vars(arg)\n",
+     "    rf = arg.free\n",
+     "a contraction passes a wide argument's slot, not its exact set, to the capture test",
      ["tests/test_kernel.py::test_beta_step_under_many_captured_wide_binders_takes_polynomial_time"]),
     ("src/varlam/meta.py",
      'f"f{j}", xs, xs) for j in (k, *range(1, n + 1))',

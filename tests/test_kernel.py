@@ -12,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from varlam.church import church, numeral_value
-from varlam import meta, syntax, terms as kernel
+from varlam import bracket, meta, syntax, terms as kernel
 from varlam.bracket import turner
 from varlam.engine import ReductionConfig, normalize
 from varlam.env import Env, standard_env
@@ -30,7 +30,6 @@ from varlam.terms import (
     alpha_eq,
     apply,
     expand_consts,
-    free_set,
     free_vars,
     lams,
     size,
@@ -341,16 +340,6 @@ def _nodes(t):
     return list(seen.values())
 
 
-def _forced(t):
-    """A copy of t whose wide sets are all filled: free_set fills only the
-    slot of the node it is asked about, so every node is asked, children
-    first, so that each walk stops at filled slots."""
-    t = _copy(t)
-    for u in reversed(_nodes(t)):
-        free_set(u)
-    return t
-
-
 def _eager(t):
     """A copy of t built with no width limit, so that every node makes its set
     in its constructor: the representation before nodes could be wide."""
@@ -391,11 +380,10 @@ def _wide_terms(most_bound):
 def test_free_vars_agrees_with_a_naive_reference(t):
     want = _naive_free(t)
     assert free_vars(t) == want
-    forced = _forced(t)
-    assert free_set(forced) == want
-    assert free_vars(forced) == want
-    x = min(want, default="x")  # a lambda over a filled set, wide or not
-    assert free_vars(Lam(x, forced)) == want - {x}
+    eager = _eager(t)
+    assert free_vars(eager) == want
+    x = min(want, default="x")  # a lambda over an eager set, wide or not
+    assert free_vars(Lam(x, eager)) == want - {x}
 
 
 def test_only_wide_nodes_wait_for_their_sets():
@@ -405,20 +393,6 @@ def test_only_wide_nodes_wait_for_their_sets():
     assert wide.free is kernel._UNMADE and len(wide.fun.free) == kernel._WIDE
     assert wide.size == 2 * kernel._WIDE + 1 and not wide.has_const  # eager, as ever
     assert free_vars(wide) == _naive_free(wide) and wide.free is kernel._UNMADE  # the walk fills nothing
-    assert free_set(wide) == free_vars(wide) == wide.free
-
-
-@pytest.mark.parametrize("wide", [_chain(40, 10), _chain(40, 0)], ids=["Lam", "App"])
-@pytest.mark.parametrize("levels", [1, 3])
-def test_free_set_fills_shared_wide_nodes(wide, levels):
-    # App(W, W) meets W twice: free_set fills t's slot alone, and a slot below
-    # is either unmade or exact
-    t = _copy(wide)
-    for _ in range(levels):
-        t = App(t, t)
-    assert free_set(t) == _naive_free(t) and t.free == _naive_free(t)
-    for u in _nodes(t):
-        assert u.free is kernel._UNMADE or u.free == _naive_free(u)
 
 
 _SMALL = ReductionConfig(fuel=200, max_term_size=20_000)
@@ -438,25 +412,24 @@ def test_wide_sets_lazy_forced_or_eager_give_the_same_answers(t, x, r):
         return (print_term(substitute(u, x, r)), print_term(turner(u)),
                 out.status, out.steps, print_term(out.result))
 
-    lazy, forced, eager = _copy(t), _forced(t), _eager(t)
-    assert alpha_eq(lazy, forced) and alpha_eq(lazy, eager)
-    want = answers(eager)
-    assert answers(forced) == want
-    assert answers(lazy) == want
+    lazy, eager = _copy(t), _eager(t)
+    assert alpha_eq(lazy, eager)
+    assert answers(lazy) == answers(eager)
 
 
 def test_turner_fills_no_free_set(monkeypatch):
     # bracket abstraction asks each node only whether it may mention the
     # binder, so it walks down through wide nodes, as substitution does: an
     # exact set asked for at every level costs a walk of the wide nodes below
-    # per ask (5,888 here).  Fills are counted, not timed, through that walk.
+    # per ask (5,888 here).  Asks are counted, not timed, through that walk.
     t = _chain(200, 8)
-    want = print_term(turner(_forced(t)))
-    fills = []
+    want = print_term(turner(_eager(t)))
+    asks = []
     walk = kernel.free_vars
-    monkeypatch.setattr(kernel, "free_vars", lambda u: fills.append(u) or walk(u))
+    for module in (kernel, bracket):
+        monkeypatch.setattr(module, "free_vars", lambda u: asks.append(u) or walk(u))
     got = turner(t)
-    assert len(fills) == 0
+    assert len(asks) == 0
     assert print_term(got) == want
 
 
@@ -513,6 +486,26 @@ def test_wide_family_members_build_print_parse_and_compare_in_linear_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+def test_no_slot_holds_a_wide_set():
+    # only a constructor writes a free slot: free_vars, substitution's capture
+    # test, a contraction's wide argument and the eta test ask about wide
+    # nodes, and each slot stays unmade or exact, never wider than _WIDE
+    xs = [f"x{i}" for i in range(1, 41)]
+    chain = _chain(200, 8)
+    body, repl = _chain(200, 200, "p"), _chain(200, 0, "y")  # every binder captures
+    beta = App(lams(["p", *xs], apply(Var("p"), *map(Var, xs))), apply(Var("y"), *map(Var, xs)))
+    eta = Lam("x", apply(Var("f"), *map(Var, xs), Var("x"), Var("x")))  # keeps the wide f x1 ... x40 x
+    free_vars(chain)
+    seen = [chain, body, repl, substitute(body, "p", repl), beta, eta]
+    for t in (beta, eta):
+        out = normalize(t, _ENV, _SMALL)
+        assert out.status.value == "normal-form"
+        seen.append(out.result)
+    for t in seen:
+        for u in _nodes(t):
+            assert u.free is kernel._UNMADE or len(u.free) <= kernel._WIDE and u.free == _naive_free(u)
 
 
 def test_a_wide_family_member_reduces_in_linear_memory():
@@ -657,6 +650,13 @@ def test_leaves_are_shared():
     assert renamed.binder == "y'" and renamed.body.arg is Var("y'")
 
 
+def test_substitute_renames_a_binder_in_the_body_alone():
+    # y is renamed to y' in the body with y''s own set as repl's: z, which
+    # the outer repl y z would capture but y' does not, keeps its name
+    t = substitute(parse(r"\y. x (\z. y z)"), "x", parse("y z"))
+    assert print_term(t) == r"\y'.y z (\z.y' z)"
+
+
 @given(terms, names, terms)
 @example(parse(r"\a. x a'"), "x", Var("a"))  # a renamed to a' would capture the free a'
 def test_substitute_free_vars_law(t, x, r):
@@ -763,7 +763,7 @@ def test_no_module_reads_the_class_attribute():
 
 def test_only_terms_reads_a_free_slot():
     # the free-set format (a wide node's slot is _UNMADE) is terms' own:
-    # every other module reads sets through free_set or free_vars
+    # every other module reads sets through free_vars
     reads = [f"{path.name}:{node.lineno}"
              for path in sorted(pathlib.Path(kernel.__file__).parent.glob("*.py")) if path.name != "terms.py"
              for node in ast.walk(ast.parse(path.read_text()))
@@ -773,15 +773,23 @@ def test_only_terms_reads_a_free_slot():
     assert reads == []
 
 
-def test_only_the_kernel_makes_a_wide_set():
-    # free_set fills a wide node's slot; only substitution's capture test
-    # (terms) and the beta loop's eta test (engine) need an exact set, and
-    # every other module walks through wide nodes or reads free_vars
-    uses = [f"{path.name}:{node.lineno}"
-            for path in sorted(pathlib.Path(kernel.__file__).parent.glob("*.py"))
-            if path.name not in ("terms.py", "engine.py")
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Name) and node.id == "free_set"
-            or isinstance(node, ast.Attribute) and node.attr == "free_set"
-            or isinstance(node, ast.alias) and node.name == "free_set"]
-    assert uses == []
+def test_only_a_constructor_writes_a_free_slot():
+    # a node's free slot is written where the node is built and never after:
+    # an exact set of a wide node is made by free_vars and kept nowhere
+    def writes(node, scope):
+        """(names of the enclosing classes and defs, line) of each write to a .free."""
+        for child in ast.iter_child_nodes(node):
+            for target in getattr(child, "targets", [getattr(child, "target", None)]):
+                for part in ast.walk(target) if target else ():
+                    if isinstance(part, ast.Attribute) and part.attr == "free":
+                        yield scope, part.lineno
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from writes(child, (*scope, child.name) if named else scope)
+
+    constructors = {(name, method) for name, obj in vars(kernel).items()
+                    if isinstance(obj, type) and issubclass(obj, kernel.Term) for method in ("__init__", "__new__")}
+    found = [(path.name, *write)
+             for path in sorted(pathlib.Path(kernel.__file__).parent.glob("*.py"))
+             for write in writes(ast.parse(path.read_text()), ())]
+    assert found  # the constructors' own writes
+    assert [f"{path}:{line}" for path, scope, line in found if scope[-2:] not in constructors] == []
