@@ -384,8 +384,9 @@ def reduces_to(a: Term, target: Term, env=None, node_cap: int = 100_000, depth_c
                     if cls is App and reach(m.fun, n.fun, ea, eb, depth) and reach(m.arg, n.arg, ea, eb, depth):
                         return True
             same = seen.setdefault(m.size, [])
-            if any(alpha_eq(m, s) for s in same):
-                return False
+            for s in same:
+                if alpha_eq(m, s):
+                    return False
             same.append(m)
             head = m
             while type(head) is App:

@@ -1,27 +1,27 @@
 """Lambda-term representation and the basic syntactic operations.
 
-Terms are immutable, but for one cache slot.  Every node caches its size and
-whether it mentions a named constant, and nearly every node its free-variable
-set, so the reducer can skip substitution into subterms that do not mention
-the variable at all (the shared subterm is returned as-is).  A node reuses a
-child's free set (or the empty one) when its own is equal to it, so most
-nodes allocate no set of their own.  An App whose new set would hold more
-than ``_WIDE`` names, and a Lam that would remove its binder from a body's
-set of more than ``_WIDE``, are *wide*: their ``free`` slot holds
-``_UNMADE``, whose ``in`` answers True for every name (the node may mention
-any name), and so does that of every node built above a wide one.  An
-ellipsis x[1..n] expands to n binders and n-argument spines, so a set made in
-each of them would copy up to n names, quadratic time and memory in n; with
-wide nodes, building, printing, parsing and comparing such a term take linear
-time and memory, and so does each beta step on it.  Only this module reads a
-``free`` slot, and only a node's constructor writes one.  ``_substitute``
-(under ``substitute``), ``_contract``, the beta loop's contraction, and
-bracket abstraction (through ``may_mention``) test every slot as
-``name in u.free``: a narrow slot answers exactly, and they walk down through
-a wide node to the narrow nodes below.  ``free_vars`` is the one exact
-reader: a narrow node answers with its own set, and a wide one with a set
-made by one walk and kept nowhere, so each ask about a wide node walks it
-again.  The leaves are shared: ``Var(name)`` and ``Const(name)`` return the
+Terms are immutable, but for one cache slot.  Every node caches its size, and
+nearly every node its free-variable set, so the reducer can skip substitution
+into subterms that do not mention the variable at all (the shared subterm is
+returned as-is).  A Const's set holds only ``_CONST``, a private object, so a
+set also tells whether a constant occurs below.  A node reuses a child's free
+set (or the empty one) when its own is equal to it, so most nodes allocate no
+set of their own.  An App whose new set would hold more than ``_WIDE`` items,
+and a Lam that would remove its binder from a body's set of more than
+``_WIDE``, are *wide*: their ``free`` slot holds ``_UNMADE``, whose ``in``
+answers True for everything, and so does that of every node built above a wide
+one.  An ellipsis x[1..n] expands to n binders and n-argument spines, so a set
+made in each of them would copy up to n names, quadratic time and memory in n;
+with wide nodes, building, printing, parsing and comparing such a term take
+linear time and memory, and so does each beta step on it.  Only this module
+reads a ``free`` slot, and only a node's constructor writes one.
+``_substitute`` (under ``substitute``), the beta loop's ``_contract``, bracket
+abstraction (through ``may_mention``) and ``expand_consts`` test every slot
+with ``in``: a narrow slot answers exactly, and they walk down through a wide
+node to the narrow nodes below.  ``free_vars`` is the one exact reader, and
+drops ``_CONST``: a narrow node answers with its own set, and a wide one with
+a set made by one walk and kept nowhere, so each ask about a wide node walks
+it again.  The leaves are shared: ``Var(name)`` and ``Const(name)`` return the
 one object of that name, made at the first call and kept in a module table
 that grows only with the distinct names ever built.  A leaf is immutable and
 all that is read of it follows from its name, so sharing it changes no
@@ -128,6 +128,7 @@ class _Unmade:
 
 
 _UNMADE = _Unmade()
+_CONST = object()  # in the free set of a Const, so of every narrow node above one
 _VARS: dict = {}  # name -> the one Var of that name
 _CONSTS: dict = {}  # name -> the one Const of that name
 
@@ -137,7 +138,7 @@ class Term:
 
 
 class Var(Term):
-    __slots__ = ("name", "free", "size", "has_const")
+    __slots__ = ("name", "free", "size")
 
     def __new__(cls, name: str):
         try:
@@ -147,7 +148,6 @@ class Var(Term):
             self.name = name
             self.free = frozenset((name,))
             self.size = 1
-            self.has_const = False
             return self
 
     def __repr__(self):
@@ -155,13 +155,12 @@ class Var(Term):
 
 
 class Lam(Term):
-    __slots__ = ("binder", "body", "free", "size", "has_const")
+    __slots__ = ("binder", "body", "free", "size")
 
     def __init__(self, binder: str, body: Term):
         self.binder = binder
         self.body = body
         self.size = 1 + body.size
-        self.has_const = body.has_const
         bf = body.free
         if bf is not _UNMADE and binder in bf:  # a wide body makes a wide Lam
             width = len(bf)
@@ -173,13 +172,12 @@ class Lam(Term):
 
 
 class App(Term):
-    __slots__ = ("fun", "arg", "free", "size", "has_const", "whnf")
+    __slots__ = ("fun", "arg", "free", "size", "whnf")
 
     def __init__(self, fun: Term, arg: Term):
         self.fun = fun
         self.arg = arg
         self.size = 1 + fun.size + arg.size
-        self.has_const = fun.has_const or arg.has_const
         self.whnf = None  # (lambda, beta-steps, peak size) once reduced; see engine
         ff = fun.free
         af = arg.free
@@ -200,7 +198,7 @@ class App(Term):
 class Const(Term):
     """A reference to a named definition in an Env (e.g. K, Succ, VarPhi)."""
 
-    __slots__ = ("name", "free", "size", "has_const")
+    __slots__ = ("name", "free", "size")
 
     def __new__(cls, name: str):
         try:
@@ -208,9 +206,8 @@ class Const(Term):
         except KeyError:
             self = _CONSTS[name] = object.__new__(cls)
             self.name = name
-            self.free = _EMPTY
+            self.free = frozenset((_CONST,))
             self.size = 1
-            self.has_const = True
             return self
 
     def __repr__(self):
@@ -241,14 +238,13 @@ class Splice(Term):
     ``(x[1..n])``, is one argument, the chain (I at n = 0).
     """
 
-    __slots__ = ("binder", "grouped", "free", "size", "has_const")
+    __slots__ = ("binder", "grouped", "free", "size")
 
     def __init__(self, binder: SeqBinder, grouped: bool = False):
         self.binder = binder
         self.grouped = grouped
         self.free = frozenset((binder,))
         self.size = 1
-        self.has_const = False
 
     def __repr__(self):
         return f"Splice({self.binder!r}{', grouped=True' if self.grouped else ''})"
@@ -276,14 +272,14 @@ def lams(binders, body: Term) -> Term:
 def free_vars(t: Term) -> frozenset:
     """Free variables of t.  Constants contribute nothing (they are closed).
 
-    A narrow t answers with its own set.  A wide t is read by one walk that
-    keeps the binders in scope and stops at every node with a set; the set
-    it makes is stored nowhere, so reading the set of a wide term costs time
-    and memory linear in its size, at every ask.
+    A narrow t answers with its own set, without ``_CONST``.  A wide t is read
+    by one walk that keeps the binders in scope and stops at every node with
+    a set; the set it makes is stored nowhere, so reading the set of a wide
+    term costs time and memory linear in its size, at every ask.
     """
     f = t.free
     if f is not _UNMADE:
-        return f
+        return f - {_CONST} if _CONST in f else f
     out = set()
     bound = {}  # binder -> how many lambdas of the walk's path bind it
     stack = [t]
@@ -304,6 +300,7 @@ def free_vars(t: Term) -> frozenset:
             stack += (b, u.body)
         else:  # only a Lam or an App is wide
             stack += (u.arg, u.fun)
+    out.discard(_CONST)
     return frozenset(out)
 
 
@@ -472,9 +469,10 @@ def expand_consts(t: Term, env) -> Term:
     """Replace every Const by its (already closed) definition from env.
 
     Without an env (None) the first constant met, leftmost first, raises
-    ``UnexpandedConstant``; a constant-free term is returned as it is.
+    ``UnexpandedConstant``.  The walk ends at a slot without ``_CONST`` (never
+    at a wide one) and returns a node itself if no part changed.
     """
-    if not t.has_const:
+    if _CONST not in t.free:
         return t
     c = type(t)
     if c is Const:
@@ -482,5 +480,7 @@ def expand_consts(t: Term, env) -> Term:
             raise UnexpandedConstant(t.name)
         return env.expanded(t.name)
     if c is App:
-        return App(expand_consts(t.fun, env), expand_consts(t.arg, env))
-    return Lam(t.binder, expand_consts(t.body, env))
+        fun, arg = expand_consts(t.fun, env), expand_consts(t.arg, env)
+        return t if fun is t.fun and arg is t.arg else App(fun, arg)
+    body = expand_consts(t.body, env)
+    return t if body is t.body else Lam(t.binder, body)

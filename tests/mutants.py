@@ -215,6 +215,38 @@ MUTANTS = [
      "bracket abstraction swaps the B and C rules",
      ["tests/test_bracket.py::test_turner_more_shapes"]),
     ("src/varlam/terms.py",
+     "            self.free = frozenset((_CONST,))\n",
+     "            self.free = _EMPTY\n",
+     "a Const's set lacks the constants' mark, so expand_consts returns a term with constants as it is",
+     ["tests/test_kernel.py::test_expand_consts"]),
+    ("src/varlam/terms.py",
+     "        return f - {_CONST} if _CONST in f else f\n",
+     "        return f\n",
+     "free_vars returns a narrow node's set with the constants' mark in it",
+     ["tests/test_kernel.py::test_free_vars_examples",
+      "tests/test_kernel.py::test_free_vars_agrees_with_a_naive_reference"]),
+    ("src/varlam/terms.py",
+     "    out.discard(_CONST)\n",
+     "",
+     "free_vars returns a wide term's set with the constants' mark in it",
+     ["tests/test_kernel.py::test_free_vars_agrees_with_a_naive_reference"]),
+    ("src/varlam/terms.py",
+     "return t if fun is t.fun and arg is t.arg else App(fun, arg)",
+     "return App(fun, arg)",
+     "expand_consts rebuilds a wide App whose parts came back unchanged",
+     ["tests/test_kernel.py::test_only_wide_nodes_wait_for_their_sets",
+      "tests/test_kernel.py::test_expand_consts"]),
+    ("src/varlam/terms.py",
+     "return t if body is t.body else Lam(t.binder, body)",
+     "return Lam(t.binder, body)",
+     "expand_consts rebuilds a wide Lam whose body came back unchanged",
+     ["tests/test_kernel.py::test_expand_consts"]),
+    ("src/varlam/engine.py",
+     "                if alpha_eq(m, s):\n                    return False\n",
+     "                if alpha_eq(m, s):\n                    pass\n",
+     "reduces_to never ends a chain at a repeated term, so a loop runs to the depth cap",
+     ["tests/test_engine.py::test_reduces_to_cap_reported"]),
+    ("src/varlam/terms.py",
      "    return name in t.free\n",
      "    return True\n",
      "may_mention answers that every node mentions every name, so bracket abstraction reads any leaf as its variable",

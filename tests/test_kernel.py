@@ -38,8 +38,9 @@ from varlam.terms import (
 
 # primed names, so that a renamed binder (a to a') can meet a free name
 names = st.sampled_from(["a", "a'", "b", "b''", "c", "x", "y", "z"])
+consts = st.sampled_from(["K", "S"]).map(Const)
 terms = st.recursive(
-    names.map(Var) | st.sampled_from(["K", "S"]).map(Const),
+    names.map(Var) | consts,
     lambda sub: st.builds(Lam, names, sub) | st.builds(App, sub, sub),
     max_leaves=25,
 )
@@ -374,16 +375,17 @@ def _wide_terms(most_bound):
             | st.builds(Lam, names, chains))
 
 
-@given(terms | _wide_terms(200))
+@given(terms | _wide_terms(200) | st.builds(App, _wide_chains(200), consts))
 @example(_chain(40, 1))
 @example(App(_chain(200, 120), Lam("x", _chain(60, 60, "x"))))
+@example(App(_chain(40, 0), Const("K")))  # a constant below wide nodes and narrow ones
 def test_free_vars_agrees_with_a_naive_reference(t):
     want = _naive_free(t)
-    assert free_vars(t) == want
     eager = _eager(t)
-    assert free_vars(eager) == want
     x = min(want, default="x")  # a lambda over an eager set, wide or not
-    assert free_vars(Lam(x, eager)) == want - {x}
+    got = free_vars(t), free_vars(eager), free_vars(Lam(x, eager))
+    assert got == (want, want, want - {x})
+    assert not any(kernel._CONST in g for g in got)  # the constants' mark stays in the slots
 
 
 def test_only_wide_nodes_wait_for_their_sets():
@@ -391,7 +393,7 @@ def test_only_wide_nodes_wait_for_their_sets():
     assert narrow.free == {"f", *(f"v{i}" for i in range(1, kernel._WIDE - 3))}
     wide = _chain(kernel._WIDE, 0)
     assert wide.free is kernel._UNMADE and len(wide.fun.free) == kernel._WIDE
-    assert wide.size == 2 * kernel._WIDE + 1 and not wide.has_const  # eager, as ever
+    assert wide.size == 2 * kernel._WIDE + 1 and expand_consts(wide, None) is wide
     assert free_vars(wide) == _naive_free(wide) and wide.free is kernel._UNMADE  # the walk fills nothing
 
 
@@ -406,7 +408,7 @@ _SMALL = ReductionConfig(fuel=200, max_term_size=20_000)
 @example(_chain(40, 0), "v37", Var("y"))  # only the last argument of a wide spine changes
 # the beta step substitutes a' into a wide body that binds a': the binder is primed
 @example(App(Lam("f", _chain(50, 50)), Var("a'")), "x", Var("y"))
-def test_wide_sets_lazy_forced_or_eager_give_the_same_answers(t, x, r):
+def test_wide_sets_lazy_or_eager_give_the_same_answers(t, x, r):
     def answers(u):
         out = normalize(u, _ENV, _SMALL)
         return (print_term(substitute(u, x, r)), print_term(turner(u)),
@@ -417,7 +419,7 @@ def test_wide_sets_lazy_forced_or_eager_give_the_same_answers(t, x, r):
     assert answers(lazy) == answers(eager)
 
 
-def test_turner_fills_no_free_set(monkeypatch):
+def test_turner_asks_free_vars_of_no_wide_node(monkeypatch):
     # bracket abstraction asks each node only whether it may mention the
     # binder, so it walks down through wide nodes, as substitution does: an
     # exact set asked for at every level costs a walk of the wide nodes below
@@ -691,12 +693,35 @@ def test_substitute_noop_when_not_free(t, x, r):
         assert alpha_eq(substitute(t, x, r), t)
 
 
+def _naive_expand(t, env):
+    """t with every Const replaced by its definition, every node rebuilt."""
+    c = type(t)
+    if c is Const:
+        return env.expanded(t.name)
+    if c is Lam:
+        return Lam(t.binder, _naive_expand(t.body, env))
+    if c is App:
+        return App(_naive_expand(t.fun, env), _naive_expand(t.arg, env))
+    return t
+
+
 def test_expand_consts(env):
     assert alpha_eq(expand_consts(parse("K", env), env), parse(r"\x.\y.x"))
     assert alpha_eq(expand_consts(parse(r"\x.x", env), env), parse(r"\x.x"))
     sb = expand_consts(parse("S B", env), env)
-    assert not sb.has_const
+    assert expand_consts(sb, None) is sb
     assert alpha_eq(sb, App(parse(r"\x y z. x z (y z)"), parse(r"\x y z. x (y z)")))
+    for u in (_chain(8, 2), _chain(40, 40)):  # constant-free, narrow and wide
+        assert expand_consts(u, None) is u
+    # the constants end a wide spine, so only the wide nodes' slots lie above
+    # them: the walk goes down through those, and keeps the constant-free part
+    spine = _chain(40, 0)
+    t = apply(spine, Const("K"), Const("S"))
+    got = expand_consts(t, env)
+    assert alpha_eq(got, _naive_expand(t, env)) and got.fun.fun is spine
+    with pytest.raises(UnexpandedConstant) as raised:
+        expand_consts(t, None)
+    assert raised.value.name == "K"  # the leftmost constant
 
 
 def test_env_rejects_forward_reference():
@@ -762,14 +787,14 @@ def test_no_module_reads_the_class_attribute():
 
 
 def test_only_terms_reads_a_free_slot():
-    # the free-set format (a wide node's slot is _UNMADE) is terms' own:
-    # every other module reads sets through free_vars
+    # the free-set format (a wide node's slot is _UNMADE, a constant's set
+    # holds _CONST) is terms' own: every other module reads sets through free_vars
     reads = [f"{path.name}:{node.lineno}"
              for path in sorted(pathlib.Path(kernel.__file__).parent.glob("*.py")) if path.name != "terms.py"
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "free"
-             or isinstance(node, ast.Name) and node.id == "_UNMADE"
-             or isinstance(node, ast.alias) and node.name == "_UNMADE"]
+             or isinstance(node, ast.Name) and node.id in ("_UNMADE", "_CONST")
+             or isinstance(node, ast.alias) and node.name in ("_UNMADE", "_CONST")]
     assert reads == []
 
 
