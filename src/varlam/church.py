@@ -1,9 +1,10 @@
-"""Builders and recognizers for numerals, tuples, selectors and projections."""
+"""Builders and recognizers for Church numerals and ordered tuples.  Every
+indexed family, selectors and projections too, is built by ``meta.build``."""
 
 from __future__ import annotations
 
 from .engine import DEFAULT_CONFIG, Status, normalize
-from .terms import App, Lam, LambdaError, Term, Var, apply, free_vars, fresh_name, lams
+from .terms import App, Lam, LambdaError, Term, Var, apply, free_vars, fresh_name
 
 
 class NotANumeral(LambdaError):
@@ -66,17 +67,3 @@ def tuple_of(components) -> Term:
     avoid = set().union(*(free_vars(c) for c in components))
     z = "z" if "z" not in avoid else fresh_name("z", avoid)
     return Lam(z, apply(Var(z), *components))
-
-
-def selector(k: int, n: int) -> Term:
-    """lam x1 ... xn. xk (1-indexed)."""
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(f"selector {k} of {n}")
-    return lams([f"x{i}" for i in range(1, n + 1)], Var(f"x{k}"))
-
-
-def projection(k: int, n: int) -> Term:
-    """Extracts the k-th component of an ordered n-tuple."""
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(f"projection {k} of {n}")
-    return Lam("t", App(Var("t"), selector(k, n)))

@@ -7,19 +7,20 @@ reads them.  ``expand`` instantiates a meta-term at a concrete n.
 
 ``build`` makes members of the indexed combinator families (K_n, sigma_k^n,
 the multiple fixed-point combinators, ...); it is the brute-force oracle
-every arity-generic library entry is checked against.  The seven
-singly-indexed families of ``_META_SOURCES`` (I, K, S, B, C, ``tup``,
-``selfapp``) are the expansions of their ellipsis sources; the other eight
-are built in Python, selectors and projections by ``church``.  Curry's and
-Turing's multiple fixed points and Boehm's step between them share one row
-shape, h (p1 a...) ... (pn a...), and one builder of it, ``_row``.
+every arity-generic library entry is checked against, and the one builder of
+every member.  The seven singly-indexed families of ``_META_SOURCES`` (I, K,
+S, B, C, ``tup``, ``selfapp``) are the expansions of their ellipsis sources;
+the other eight are built in Python.  All of them but ``rightapp``, which
+nests to the right, have one row shape, h (p1 a...) ... (pm a...), and one
+builder of it, ``_row``: the selectors and projections, reversal, map,
+Curry's and Turing's multiple fixed points and Boehm's step between them.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .church import IndexOutOfRange, projection, selector
+from .church import IndexOutOfRange
 from .syntax import UnknownSequence, parse_meta  # parse_meta raises UnknownSequence
 from .terms import App, Lam, LambdaError, SeqBinder, Splice, Term, Var, apply, lams
 
@@ -106,6 +107,19 @@ def _vars(names):
     return [Var(x) for x in names]
 
 
+def _row(binders, head: Term, ps, args=()) -> Term:
+    """\\binders. head (p1 args) ... (pm args)."""
+    return lams(binders, apply(head, *[apply(p, *args) for p in ps]))
+
+
+def _fam_selector(k: int, n: int) -> Term:
+    return _row(_xs(n), Var(f"x{k}"), ())
+
+
+def _fam_projection(k: int, n: int) -> Term:
+    return _row(["t"], Var("t"), [_fam_selector(k, n)])
+
+
 def _fam_right_applicator(n: int) -> Term:
     body: Term = Var("z")
     for i in range(n, 0, -1):
@@ -114,36 +128,29 @@ def _fam_right_applicator(n: int) -> Term:
 
 
 def _fam_reverser(n: int) -> Term:
-    xs = [Var(f"x{i}") for i in range(n, 0, -1)]
-    return lams(_xs(n) + ["w"], apply(Var("w"), *xs))
+    return _row(_xs(n) + ["w"], Var("w"), _vars(_xs(n))[::-1])
 
 
 def _fam_mapper(n: int) -> Term:
-    args = [App(Var("f"), Var(f"x{i}")) for i in range(1, n + 1)]
-    q = lams(_xs(n) + ["z"], apply(Var("z"), *args))
-    return lams(["f", "v"], App(Var("v"), q))
-
-
-def _row(binders, head: str, ps, args) -> Term:
-    """\\binders. head (p1 args) ... (pn args): a row of Curry's or Turing's
-    multiple fixed point, and Boehm's step between them."""
-    return lams(binders, apply(Var(head), *[apply(p, *args) for p in ps]))
+    q = _row(_xs(n) + ["z"], Var("z"), [App(Var("f"), x) for x in _vars(_xs(n))])
+    return _row(["f", "v"], Var("v"), [q])
 
 
 def _fam_ycurry(k: int, n: int) -> Term:
     xs = _vars(_xs(n))
-    rows = [_row(_xs(n), f"f{j}", xs, xs) for j in (k, *range(1, n + 1))]
-    return lams(_xs(n, "f"), apply(*rows))
+    rows = [_row(_xs(n), Var(f"f{j}"), xs, xs) for j in (k, *range(1, n + 1))]
+    return _row(_xs(n, "f"), rows[0], rows[1:])
 
 
 def _fam_yturing(k: int, n: int) -> Term:
     binders = _xs(n) + _xs(n, "f")
     xs = _vars(_xs(n))
-    return apply(*[_row(binders, f"f{j}", xs, _vars(binders)) for j in (k, *range(1, n + 1))])
+    rows = [_row(binders, Var(f"f{j}"), xs, _vars(binders)) for j in (k, *range(1, n + 1))]
+    return _row((), rows[0], rows[1:])
 
 
 def _fam_boehm(k: int, n: int) -> Term:
-    return _row(_xs(n, "p") + _xs(n), f"x{k}", _vars(_xs(n, "p")), _vars(_xs(n)))
+    return _row(_xs(n, "p") + _xs(n), Var(f"x{k}"), _vars(_xs(n, "p")), _vars(_xs(n)))
 
 
 # name -> (needs k, builder).  A family the meta-language can say is the
@@ -151,8 +158,8 @@ def _fam_boehm(k: int, n: int) -> Term:
 # nesting, a mapped splice or a second index, and are built in Python.
 _FAMILIES = {
     **{name: (False, lambda n, name=name: expand(builtin_meta(name), n)) for name in _META_SOURCES},
-    "sel": (True, selector),
-    "proj": (True, projection),
+    "sel": (True, _fam_selector),
+    "proj": (True, _fam_projection),
     "rightapp": (False, _fam_right_applicator),
     "rev": (False, _fam_reverser),
     "map": (False, _fam_mapper),

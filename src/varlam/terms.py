@@ -6,12 +6,12 @@ into subterms that do not mention the variable at all (the shared subterm is
 returned as-is).  A Const's set holds only ``_CONST``, a private object, so a
 set also tells whether a constant occurs below.  A node reuses a child's free
 set (or the empty one) when its own is equal to it, so most nodes allocate no
-set of their own.  An App whose new set would hold more than ``_WIDE`` items,
-and a Lam that would remove its binder from a body's set of more than
-``_WIDE``, are *wide*: their ``free`` slot holds ``_UNMADE``, whose ``in``
-answers True for everything, and so does that of every node built above a wide
-one.  An ellipsis x[1..n] expands to n binders and n-argument spines, so a set
-made in each of them would copy up to n names, quadratic time and memory in n;
+set of their own.  An App whose new set would hold more than ``_WIDE`` items is
+*wide*: its ``free`` slot holds ``_UNMADE``, whose ``in`` answers True for
+everything, and so does that of every node built above a wide one.  A Lam's
+set is a subset of its body's, so a Lam is wide only over a wide body.  An
+ellipsis x[1..n] expands to n binders and n-argument spines, so a set made in
+each of them would copy up to n names, quadratic time and memory in n;
 with wide nodes, building, printing, parsing and comparing such a term take
 linear time and memory, and so does each beta step on it.  Only this module
 reads a ``free`` slot, and only a node's constructor writes one.
@@ -45,7 +45,7 @@ import functools
 import gc
 import sys
 
-# substitute (and _contract through it), step_once, expand_consts,
+# substitute (and _contract through it), step_once,
 # engine.reduces_to's reach, bracket.turner and meta.expand recurse on term
 # depth; alpha_eq and the printer loop down an App's argument but recurse on
 # a function part that is no Var (and alpha_eq on a lambda's body).  The check
@@ -112,9 +112,9 @@ def gc_paused(fn):
 
 
 _EMPTY = frozenset()
-# An App whose own free set would hold more names than this, or a Lam whose
-# body's set does, is left wide (see the module docstring).  At this width
-# `check --max-n 10` builds no wide node.
+# An App whose own free set would hold more names than this is left wide
+# (see the module docstring).  At this width `check --max-n 10` builds no
+# wide node.
 _WIDE = 32
 
 
@@ -163,8 +163,7 @@ class Lam(Term):
         self.size = 1 + body.size
         bf = body.free
         if bf is not _UNMADE and binder in bf:  # a wide body makes a wide Lam
-            width = len(bf)
-            bf = _EMPTY if width == 1 else bf - {binder} if width <= _WIDE else _UNMADE
+            bf = _EMPTY if len(bf) == 1 else bf - {binder}
         self.free = bf
 
     def __repr__(self):
@@ -470,17 +469,34 @@ def expand_consts(t: Term, env) -> Term:
 
     Without an env (None) the first constant met, leftmost first, raises
     ``UnexpandedConstant``.  The walk ends at a slot without ``_CONST`` (never
-    at a wide one) and returns a node itself if no part changed.
+    at a wide one) and returns a node itself if no part changed.  The walk
+    keeps its own stack, so it takes a term of any depth: a node whose parts
+    it must visit goes back on the stack under a ``None``, and is built once
+    its parts, function part first, are on ``done``.
     """
     if _CONST not in t.free:
         return t
-    c = type(t)
-    if c is Const:
-        if env is None:
-            raise UnexpandedConstant(t.name)
-        return env.expanded(t.name)
-    if c is App:
-        fun, arg = expand_consts(t.fun, env), expand_consts(t.arg, env)
-        return t if fun is t.fun and arg is t.arg else App(fun, arg)
-    body = expand_consts(t.body, env)
-    return t if body is t.body else Lam(t.binder, body)
+    done = []  # the expanded parts, in the order visited
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u is None:  # the node below has its parts on done: build it
+            u = stack.pop()
+            if type(u) is App:
+                arg = done.pop()
+                fun = done.pop()
+                done.append(u if fun is u.fun and arg is u.arg else App(fun, arg))
+            else:
+                body = done.pop()
+                done.append(u if body is u.body else Lam(u.binder, body))
+        elif _CONST not in u.free:
+            done.append(u)
+        elif type(u) is App:
+            stack += (u, None, u.arg, u.fun)
+        elif type(u) is Lam:
+            stack += (u, None, u.body)
+        elif env is None:
+            raise UnexpandedConstant(u.name)
+        else:
+            done.append(env.expanded(u.name))
+    return done[0]

@@ -176,8 +176,8 @@ MUTANTS = [
      "a contraction passes a wide argument's slot, not its exact set, to the capture test",
      ["tests/test_kernel.py::test_beta_step_under_many_captured_wide_binders_takes_polynomial_time"]),
     ("src/varlam/meta.py",
-     'f"f{j}", xs, xs) for j in (k, *range(1, n + 1))',
-     'f"f{j}", xs, xs) for j in (1, *range(1, n + 1))',
+     'Var(f"f{j}"), xs, xs) for j in (k, *range(1, n + 1))',
+     'Var(f"f{j}"), xs, xs) for j in (1, *range(1, n + 1))',
      "Curry's k-th multiple fixed point starts with row 1 instead of row k",
      ["tests/test_meta.py::test_family_fixed_point_rows_at_n2[ycurry-2]"]),
     ("src/varlam/engine.py",
@@ -231,16 +231,45 @@ MUTANTS = [
      "free_vars returns a wide term's set with the constants' mark in it",
      ["tests/test_kernel.py::test_free_vars_agrees_with_a_naive_reference"]),
     ("src/varlam/terms.py",
-     "return t if fun is t.fun and arg is t.arg else App(fun, arg)",
-     "return App(fun, arg)",
+     "done.append(u if fun is u.fun and arg is u.arg else App(fun, arg))",
+     "done.append(App(fun, arg))",
      "expand_consts rebuilds a wide App whose parts came back unchanged",
      ["tests/test_kernel.py::test_only_wide_nodes_wait_for_their_sets",
       "tests/test_kernel.py::test_expand_consts"]),
     ("src/varlam/terms.py",
-     "return t if body is t.body else Lam(t.binder, body)",
-     "return Lam(t.binder, body)",
+     "done.append(u if body is u.body else Lam(u.binder, body))",
+     "done.append(Lam(u.binder, body))",
      "expand_consts rebuilds a wide Lam whose body came back unchanged",
      ["tests/test_kernel.py::test_expand_consts"]),
+    ("src/varlam/terms.py",
+     "stack += (u, None, u.arg, u.fun)",
+     "stack += (u, None, u.fun, u.arg)",
+     "expand_consts visits an argument before its function part, and names a constant that is not the leftmost",
+     ["tests/test_kernel.py::test_expand_consts"]),
+    ("src/varlam/meta.py",
+     "_vars(_xs(n))[::-1])",
+     "_vars(_xs(n)))",
+     "the reverser applies w to x1 ... xn in order, not reversed",
+     ["tests/test_meta.py::test_python_family_members[rev]",
+      "tests/test_meta.py::test_every_family_member_repr_pinned"]),
+    ("src/varlam/meta.py",
+     "apply(head, *[apply(p, *args) for p in ps])",
+     "apply(head, *args, *ps)",
+     "a row applies its head, not each p, to the shared arguments",
+     ["tests/test_meta.py::test_family_fixed_point_rows_at_n2[boehm-1]",
+      "tests/test_meta.py::test_every_family_member_repr_pinned"]),
+    ("src/varlam/meta.py",
+     "[apply(p, *args) for p in ps]",
+     "[apply(p, *args[::-1]) for p in ps]",
+     "a row applies each p to the shared arguments in reverse order",
+     ["tests/test_meta.py::test_family_fixed_point_rows_at_n2[boehm-1]",
+      "tests/test_meta.py::test_every_family_member_repr_pinned"]),
+    ("src/varlam/meta.py",
+     'Var(f"x{k}"), ())',
+     'Var("x1"), ())',
+     "the k-th selector of n selects x1 whatever k is",
+     ["tests/test_prelude.py::test_selector_shapes",
+      "tests/test_meta.py::test_cross_oracle_selectors"]),
     ("src/varlam/engine.py",
      "                if alpha_eq(m, s):\n                    return False\n",
      "                if alpha_eq(m, s):\n                    pass\n",

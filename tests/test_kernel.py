@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from varlam.church import church, numeral_value
 from varlam import bracket, meta, syntax, terms as kernel
 from varlam.bracket import turner
-from varlam.engine import ReductionConfig, normalize
+from varlam.engine import ReductionConfig, Status, normalize
 from varlam.env import Env, standard_env
 from varlam.syntax import ParseError, parse, parse_definitions, parse_meta, print_term
 from varlam.terms import (
@@ -722,6 +722,21 @@ def test_expand_consts(env):
     with pytest.raises(UnexpandedConstant) as raised:
         expand_consts(t, None)
     assert raised.value.name == "K"  # the leftmost constant
+
+
+def test_expand_consts_walks_a_term_deeper_than_the_recursion_limit(env):
+    # 12,000 lambdas over a spine of 12,000 arguments: every node above the
+    # innermost spine is wide, so the walk goes down all of it, on its own stack
+    xs = [f"v{i}" for i in range(12_000)]
+    t = lams(xs, apply(Var("f"), *map(Var, reversed(xs))))
+    assert expand_consts(t, None) is t
+    out = normalize(t)
+    assert out.status is Status.NORMAL_FORM and out.steps == 0
+    assert out.result.size == t.size  # not alpha_eq: it recurses on lambda bodies
+    k = lams(xs, apply(Const("K"), *map(Var, xs)))
+    with pytest.raises(UnexpandedConstant):
+        expand_consts(k, None)
+    assert expand_consts(k, env).size == k.size - 1 + env.expanded("K").size
 
 
 def test_env_rejects_forward_reference():

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +170,33 @@ _ROW_GOLDENS = {
 @pytest.mark.parametrize("name, k", sorted(_ROW_GOLDENS))
 def test_family_fixed_point_rows_at_n2(name, k):
     assert print_term(build(name, 2, k)) == _ROW_GOLDENS[name, k]
+
+
+# the one-index families built in Python at n = 0..3, written out by hand;
+# with _FAMILY_GOLDENS, test_cross_oracle_selectors and _ROW_GOLDENS every
+# family is pinned from outside its builder
+_PYTHON_GOLDENS = {
+    "rightapp": [r"\z.z", r"\x1 z.x1 z", r"\x1 x2 z.x1 (x2 z)", r"\x1 x2 x3 z.x1 (x2 (x3 z))"],
+    "rev": [r"\w.w", r"\x1 w.w x1", r"\x1 x2 w.w x2 x1", r"\x1 x2 x3 w.w x3 x2 x1"],
+    "map": [r"\f v.v (\z.z)", r"\f v.v (\x1 z.z (f x1))", r"\f v.v (\x1 x2 z.z (f x1) (f x2))",
+            r"\f v.v (\x1 x2 x3 z.z (f x1) (f x2) (f x3))"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PYTHON_GOLDENS))
+def test_python_family_members(name):
+    assert [print_term(build(name, n)) for n in range(4)] == _PYTHON_GOLDENS[name]
+
+
+def test_every_family_member_repr_pinned():
+    # the md5 of the reprs of every member at n < 12 in registry order, each
+    # k = 1..n in turn: a builder that renames, reorders or reshapes a node shows
+    digest = hashlib.md5()
+    for name, (needs_k, _) in meta._FAMILIES.items():
+        for n in range(12):
+            for k in (range(1, n + 1) if needs_k else (None,)):
+                digest.update(repr(build(name, n, k)).encode())
+    assert digest.hexdigest() == "7c033173ce162e016cf5fe8d52037638"
 
 
 def test_family_errors():

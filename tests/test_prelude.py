@@ -1,7 +1,8 @@
 import pytest
 
-from varlam.church import IndexOutOfRange, NotANumeral, church, projection, selector, tuple_of, unchurch
+from varlam.church import IndexOutOfRange, NotANumeral, church, tuple_of, unchurch
 from varlam.engine import ReductionConfig, Verdict, beta_eta_equal
+from varlam.meta import build
 from varlam.syntax import parse, print_term
 from varlam.terms import App, Var, apply
 
@@ -74,22 +75,22 @@ def test_tuple_apply_law(env):
 
 
 def test_selector_shapes():
-    assert print_term(selector(2, 3)) == r"\x1 x2 x3.x2"
-    assert print_term(selector(1, 1)) == r"\x1.x1"
-    assert print_term(selector(3, 3)) == r"\x1 x2 x3.x3"
+    assert print_term(build("sel", 3, 2)) == r"\x1 x2 x3.x2"
+    assert print_term(build("sel", 1, 1)) == r"\x1.x1"
+    assert print_term(build("sel", 3, 3)) == r"\x1 x2 x3.x3"
     for k, n in ((0, 3), (4, 3), (1, 0)):
         with pytest.raises(IndexOutOfRange):
-            selector(k, n)
+            build("sel", n, k)
     with pytest.raises(IndexOutOfRange):
-        projection(2, 1)
+        build("proj", 1, 2)
 
 
 def test_projection_law(env):
     triple = tuple_of([Var("a"), Var("b"), Var("c")])
-    assert beta_eta_equal(App(projection(2, 3), triple), Var("b"), env) is Verdict.EQUAL
-    assert beta_eta_equal(App(projection(3, 3), triple), Var("c"), env) is Verdict.EQUAL
+    assert beta_eta_equal(App(build("proj", 3, 2), triple), Var("b"), env) is Verdict.EQUAL
+    assert beta_eta_equal(App(build("proj", 3, 3), triple), Var("c"), env) is Verdict.EQUAL
     pair00 = tuple_of([church(0), church(0)])
-    assert beta_eta_equal(App(projection(1, 2), pair00), church(0), env) is Verdict.EQUAL
+    assert beta_eta_equal(App(build("proj", 2, 1), pair00), church(0), env) is Verdict.EQUAL
 
 
 def test_iterated_succ_demo(env):
