@@ -1,12 +1,13 @@
 """Verification suites behind the `check` command (and the acceptance tests).
 
-Each library entry of variadic.lam is registered with a generator of its
-(label, lhs, rhs) instances, from the oracles of ``meta``, and so are the
-kernel arithmetic and the bracket encodings; ``_eq_cases`` normalizes both
-sides under ``cfg`` and ``engine.verdict`` rules on the two outcomes, so
-``eta=False``, which no command asks for, decides beta-equality.  The
-fixed-point combinators, which have no normal form, are checked on probes
-whose fixed points are computable.
+``VARIADIC`` maps each library entry of variadic.lam that normalizes to the
+generator of its (label, lhs, rhs) instances: a family row (VarX c_n [c_k] is
+the member ``meta.build`` makes), a law row or VarMakeX's recoveries.  The
+kernel arithmetic and the bracket encodings have instances too.  ``_eq_cases``
+normalizes both sides under ``cfg`` and ``engine.verdict`` rules on the two
+outcomes, so ``eta=False``, which no command asks for, decides beta-equality.
+The ``OBSERVATIONAL`` entries, the fixed-point combinators, have no normal
+form and are checked on probes whose fixed points are computable.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import operator
 import random
 from collections import namedtuple
-from itertools import product
+from itertools import chain, product
 
 from . import bracket, meta
 from .church import church, tuple_of
@@ -216,67 +217,24 @@ def size_observation(corpus: list[Term]) -> list[CaseResult]:
 
 # -- the library entries ----------------------------------------------------------
 
-# Entries whose identity (VarX c_n [c_k]) = X_n is decided by normalizing
-# both sides, keyed to the oracle family (whether it takes k: meta._FAMILIES).
-FAMILY_ORACLES = {
-    "VarI": "I",
-    "VarK": "K",
-    "VarS": "S",
-    "VarB": "B",
-    "VarBalt": "B",
-    "VarC": "C",
-    "VarCalt": "C",
-    "VarSel": "sel",
-    "VarProj": "proj",
-    "VarTup": "tup",
-    "VarRightApp": "rightapp",
-    "VarRev": "rev",
-    "VarMap": "map",
-    "VarM": "boehm",
-}
-
-# Entries checked against equational laws (both sides normalize): entry ->
-# (index names, each over 0..max_n; lhs builder; rhs builder), with free
-# a1 ... an and b1 ... bk.  VarMakeX is checked by check_makex.
-_LAWS = {
-    "Apply": (("n",),
-              lambda n: apply(Const("Apply"), Var("f"), tuple_of(_vars(_xs(n, "a")))),
-              lambda n: apply(Var("f"), *_vars(_xs(n, "a")))),
-    "VarExtend": (("n",),
-                  lambda n: apply(Const("VarExtend"), church(n),
-                                  tuple_of(_vars(_xs(n, "a"))), Var("b")),
-                  lambda n: tuple_of(_vars(_xs(n, "a") + ["b"]))),
-    "Catenate": (("n", "k"),
-                 lambda n, k: apply(Const("Catenate"), church(n), tuple_of(_vars(_xs(n, "a"))),
-                                    church(k), tuple_of(_vars(_xs(k, "b")))),
-                 lambda n, k: tuple_of(_vars(_xs(n, "a") + _xs(k, "b")))),
-    "Iota": (("n",),
-             lambda n: apply(Const("Iota"), church(n)),
-             lambda n: tuple_of([church(i) for i in range(n)])),
-}
-
-LAW_ENTRIES = (*_LAWS, "VarMakeX")
-
-# Entries with no normal form of their own, checked on probes, with the
-# family their upgrade probe certifies alongside (None: the tuple-valued Y*).
-_OBSERVED = {"VarPhi": "ycurry", "VarPsi": "yturing", "Ystar": None, "YstarCurried": None}
-OBSERVATIONAL = tuple(_OBSERVED)
+def _family(fam):
+    """The row VarX [c_k] c_n = meta.build(fam, n[, k]), 1 <= k <= n if fam takes k."""
+    def instances(name, max_n):
+        for n in range(max_n + 1):
+            if fam in meta.TAKES_K:
+                for k in range(1, n + 1):
+                    yield f"k={k} n={n}", apply(Const(name), church(k), church(n)), meta.build(fam, n, k)
+            else:
+                yield f"n={n}", apply(Const(name), church(n)), meta.build(fam, n)
+    return instances
 
 
-def _family_instances(name, max_n):
-    fam = FAMILY_ORACLES[name]
-    for n in range(max_n + 1):
-        if meta._FAMILIES[fam][0]:
-            for k in range(1, n + 1):
-                yield f"k={k} n={n}", apply(Const(name), church(k), church(n)), meta.build(fam, n, k)
-        else:
-            yield f"n={n}", apply(Const(name), church(n)), meta.build(fam, n)
-
-
-def _law_instances(name, max_n):
-    indices, lhs, rhs = _LAWS[name]
-    for vs in product(range(max_n + 1), repeat=len(indices)):
-        yield " ".join(f"{i}={v}" for i, v in zip(indices, vs)), lhs(*vs), rhs(*vs)
+def _law(indices, args, rhs):
+    """The row (entry args) = rhs at each value 0..max_n of every index name."""
+    def instances(name, max_n):
+        for vs in product(range(max_n + 1), repeat=len(indices)):
+            yield " ".join(f"{i}={v}" for i, v in zip(indices, vs)), apply(Const(name), *args(*vs)), rhs(*vs)
+    return instances
 
 
 def _makex_instances(name, max_n):
@@ -286,26 +244,52 @@ def _makex_instances(name, max_n):
         yield from _recoveries(n, [pool[i % len(pool)] for i in range(n)])
 
 
-def _observed_instances(name, max_n):
-    yield from _constant_probes(name, max_n)
-    yield from _even_odd_probes(name)
-
-
-# The registry: entry -> the generator of its instances.
-_INSTANCES = {
-    **dict.fromkeys(FAMILY_ORACLES, _family_instances),
-    **dict.fromkeys(_LAWS, _law_instances),
+# The entries decided by normalizing both sides, in report order.
+VARIADIC = {
+    "VarI": _family("I"),
+    "VarK": _family("K"),
+    "VarS": _family("S"),
+    "VarB": _family("B"),
+    "VarBalt": _family("B"),
+    "VarC": _family("C"),
+    "VarCalt": _family("C"),
+    "VarSel": _family("sel"),
+    "VarProj": _family("proj"),
+    "VarTup": _family("tup"),
+    "VarRightApp": _family("rightapp"),
+    "VarRev": _family("rev"),
+    "VarMap": _family("map"),
+    "VarM": _family("boehm"),
+    "Apply": _law(("n",),
+                  lambda n: [Var("f"), tuple_of(_vars(_xs(n, "a")))],
+                  lambda n: apply(Var("f"), *_vars(_xs(n, "a")))),
+    "VarExtend": _law(("n",),
+                      lambda n: [church(n), tuple_of(_vars(_xs(n, "a"))), Var("b")],
+                      lambda n: tuple_of(_vars(_xs(n, "a") + ["b"]))),
+    "Catenate": _law(("n", "k"),
+                     lambda n, k: [church(n), tuple_of(_vars(_xs(n, "a"))),
+                                   church(k), tuple_of(_vars(_xs(k, "b")))],
+                     lambda n, k: tuple_of(_vars(_xs(n, "a") + _xs(k, "b")))),
+    "Iota": _law(("n",),
+                 lambda n: [church(n)],
+                 lambda n: tuple_of([church(i) for i in range(n)])),
     "VarMakeX": _makex_instances,
-    **dict.fromkeys(OBSERVATIONAL, _observed_instances),
 }
+
+# Entries with no normal form of their own, checked on probes, with the
+# family their upgrade probe certifies alongside (None: the tuple-valued Y*).
+_OBSERVED = {"VarPhi": "ycurry", "VarPsi": "yturing", "Ystar": None, "YstarCurried": None}
+OBSERVATIONAL = tuple(_OBSERVED)
 
 
 def check_entry(name: str, max_n: int, cfg: ReductionConfig, env) -> list[CaseResult]:
     """Check one entry against its oracle for all indices up to max_n."""
-    if name not in _INSTANCES:
+    if name in VARIADIC:
+        return _eq_cases(name, VARIADIC[name](name, max_n), cfg, env)
+    if name not in _OBSERVED:
         raise KeyError(f"unknown library entry: {name}")
-    upgrade = [_upgrade_probe(name, max_n, cfg, env)] if name in _OBSERVED else []
-    return upgrade + _eq_cases(name, _INSTANCES[name](name, max_n), cfg, env)
+    probes = chain(_constant_probes(name, max_n), _even_odd_probes(name))
+    return [_upgrade_probe(name, max_n, cfg, env), *_eq_cases(name, probes, cfg, env)]
 
 
 def _upgrade_probe(name, max_n, cfg, env) -> CaseResult:
@@ -423,7 +407,7 @@ def _recoveries(n, terms):
 # -- suites ---------------------------------------------------------------------
 
 def suite_variadic(max_n: int, cfg: ReductionConfig, env) -> list[CaseResult]:
-    return [c for name in (*FAMILY_ORACLES, *LAW_ENTRIES) for c in check_entry(name, max_n, cfg, env)]
+    return [c for name in VARIADIC for c in check_entry(name, max_n, cfg, env)]
 
 
 def suite_fixpoint(max_n: int, cfg: ReductionConfig, env) -> list[CaseResult]:

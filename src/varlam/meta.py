@@ -153,9 +153,9 @@ def _fam_boehm(k: int, n: int) -> Term:
     return _row(_xs(n, "p") + _xs(n), Var(f"x{k}"), _vars(_xs(n, "p")), _vars(_xs(n)))
 
 
-# name -> (needs k, builder).  A family the meta-language can say is the
-# expansion of its ellipsis source; the rest need reversed ranges, right
-# nesting, a mapped splice or a second index, and are built in Python.
+# name -> (needs k, builder), and TAKES_K names the families that need k.  A
+# family the meta-language can say is the expansion of its ellipsis source; the
+# rest need reversed ranges, right nesting, a mapped splice or a second index.
 _FAMILIES = {
     **{name: (False, lambda n, name=name: expand(builtin_meta(name), n)) for name in _META_SOURCES},
     "sel": (True, _fam_selector),
@@ -167,6 +167,7 @@ _FAMILIES = {
     "yturing": (True, _fam_yturing),
     "boehm": (True, _fam_boehm),
 }
+TAKES_K = frozenset(name for name, (needs_k, _) in _FAMILIES.items() if needs_k)
 
 
 def build(name: str, n: int, k: int | None = None) -> Term:
@@ -176,10 +177,10 @@ def build(name: str, n: int, k: int | None = None) -> Term:
     needs_k, builder = _FAMILIES[name]
     if needs_k != (k is not None):
         raise IndexOutOfRange(f"family {name} {'requires' if needs_k else 'does not take'} an index k")
-    if n < 0:
-        raise IndexOutOfRange(f"negative arity {n}")
+    if type(n) is not int or n < 0:  # a bool is no index
+        raise IndexOutOfRange(f"arity {n!r} is not a natural number")
     if needs_k:
-        if not 1 <= k <= n:
-            raise IndexOutOfRange(f"k = {k} out of range for n = {n}")
+        if type(k) is not int or not 1 <= k <= n:
+            raise IndexOutOfRange(f"k = {k!r} out of range for n = {n}")
         return builder(k, n)
     return builder(n)

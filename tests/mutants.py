@@ -270,6 +270,29 @@ MUTANTS = [
      "the k-th selector of n selects x1 whatever k is",
      ["tests/test_prelude.py::test_selector_shapes",
       "tests/test_meta.py::test_cross_oracle_selectors"]),
+    ("src/varlam/meta.py",
+     "if type(k) is not int or not 1 <= k <= n:",
+     "if not isinstance(k, int) or not 1 <= k <= n:",
+     r"build takes a bool k as an index, and sel(3, True) is the open term \x1 x2 x3. xTrue",
+     ["tests/test_meta.py::test_build_refuses_an_index_that_is_no_int"]),
+    ("src/varlam/meta.py",
+     "if type(n) is not int or n < 0:",
+     "if not isinstance(n, int) or n < 0:",
+     "build takes a bool n as an arity, and K(True) is K_1",
+     ["tests/test_meta.py::test_build_refuses_an_index_that_is_no_int"]),
+    ("src/varlam/checks.py",
+     '"VarBalt": _family("B"),',
+     '"VarBalt": _family("C"),',
+     "the VarBalt row checks the entry against the family C",
+     ["tests/test_variadic.py::test_basis_entries_against_families",
+      "tests/test_acceptance.py::test_criterion_2_basis_family_equivalence"]),
+    ("src/varlam/checks.py",
+     "for k in range(1, n + 1):\n                    yield f\"k={k} n={n}\"",
+     "for k in range(1, min(n, 1) + 1):\n                    yield f\"k={k} n={n}\"",
+     "a family row that takes k checks k = 1 alone",
+     ["tests/test_variadic.py::test_rows_name_every_index",
+      "tests/test_acceptance.py::test_criterion_2_basis_family_equivalence",
+      "tests/test_cli.py::test_check_all_matches_golden"]),
     ("src/varlam/engine.py",
      "                if alpha_eq(m, s):\n                    return False\n",
      "                if alpha_eq(m, s):\n                    pass\n",

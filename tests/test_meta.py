@@ -215,6 +215,15 @@ def test_family_errors():
         build("K", -1)
 
 
+def test_build_refuses_an_index_that_is_no_int():
+    # a bool passes the range tests (1 <= True <= 3) but is no index: sel(3, True)
+    # would be the open term \x1 x2 x3. xTrue, and K(True) would be K_1
+    for args in (("sel", 3, True), ("sel", True, 1), ("K", True), ("K", False),
+                 ("K", 2.0), ("sel", 3, 1.0)):
+        with pytest.raises(IndexOutOfRange):
+            build(*args)
+
+
 def test_builtin_meta_rejects_an_unknown_family():
     with pytest.raises(UnknownFamily):
         meta.builtin_meta("nope")
@@ -253,10 +262,10 @@ def test_families_normalize_or_are_exempt(env):
     # families are definitions, not computations: everything but the
     # fixed-point combinators has a normal form
     cfg = ReductionConfig(fuel=10_000)
-    needs_k = ("sel", "proj", "ycurry", "yturing", "boehm")
+    assert meta.TAKES_K == {"sel", "proj", "ycurry", "yturing", "boehm"}
     for name in meta._FAMILIES:
         for n in range(5):
-            ks = range(1, n + 1) if name in needs_k else (None,)
+            ks = range(1, n + 1) if name in meta.TAKES_K else (None,)
             for k in ks:
                 out = normalize(build(name, n, k), env, cfg)
                 if name in ("ycurry", "yturing"):

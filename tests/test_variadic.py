@@ -1,17 +1,21 @@
 import functools
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import varlam
 from varlam import checks
 from varlam.checks import all_ok
 from varlam.church import church, tuple_of
 from varlam.engine import ReductionConfig, Verdict, beta_eta_equal, normalize, verdict
 from varlam.env import Env
+from varlam.meta import build
 from varlam.syntax import parse, parse_definitions
-from varlam.terms import Const, Var, apply, free_vars
+from varlam.terms import Const, Var, alpha_eq, apply, free_vars
 
 CFG = ReductionConfig()
+DATA = Path(varlam.__file__).parent / "data"
 
 
 def eq(a, b, env):
@@ -19,9 +23,32 @@ def eq(a, b, env):
 
 
 def test_library_registry(env):
-    for name in (*checks.FAMILY_ORACLES, *checks.LAW_ENTRIES, *checks.OBSERVATIONAL):
+    for name in (*checks.VARIADIC, *checks.OBSERVATIONAL):
         assert name in env
         assert not free_vars(env.expanded(name))
+
+
+def test_every_library_entry_is_checked_by_exactly_one_suite():
+    # a definition added to variadic.lam without a row in either table fails here
+    env = Env()
+    env.load_file(DATA / "prelude.lam")
+    prelude = set(env.names())
+    env.load_file(DATA / "variadic.lam")
+    added = set(env.names()) - prelude
+    assert set(checks.VARIADIC).isdisjoint(checks.OBSERVATIONAL)
+    assert added == set(checks.VARIADIC) | set(checks.OBSERVATIONAL)
+
+
+def test_rows_name_every_index():
+    # the instances a row generates, before anything is normalized
+    def labels(name, max_n):
+        return [label for label, _, _ in checks.VARIADIC[name](name, max_n)]
+    assert labels("VarK", 2) == ["n=0", "n=1", "n=2"]
+    assert labels("VarSel", 3) == ["k=1 n=1", "k=1 n=2", "k=2 n=2", "k=1 n=3", "k=2 n=3", "k=3 n=3"]
+    assert labels("Catenate", 1) == ["n=0 k=0", "n=0 k=1", "n=1 k=0", "n=1 k=1"]
+    [(_, lhs, rhs)] = [i for i in checks.VARIADIC["VarProj"]("VarProj", 2) if i[0] == "k=2 n=2"]
+    assert alpha_eq(lhs, apply(Const("VarProj"), church(2), church(2)))
+    assert alpha_eq(rhs, build("proj", 2, 2))
 
 
 def test_basis_entries_against_families(env):
