@@ -241,7 +241,7 @@ def _makex_instances(name, max_n):
     # the basis constants, cycled so that every arity gets n terms
     pool = [Const(c) for c in ("K", "S", "B", "C", "I")]
     for n in range(2, max(max_n, 2) + 1):
-        yield from _recoveries(n, [pool[i % len(pool)] for i in range(n)])
+        yield from _recoveries([pool[i % len(pool)] for i in range(n)])
 
 
 # The entries decided by normalizing both sides, in report order.
@@ -278,15 +278,14 @@ VARIADIC = {
 
 # Entries with no normal form of their own, checked on probes, with the
 # family their upgrade probe certifies alongside (None: the tuple-valued Y*).
-_OBSERVED = {"VarPhi": "ycurry", "VarPsi": "yturing", "Ystar": None, "YstarCurried": None}
-OBSERVATIONAL = tuple(_OBSERVED)
+OBSERVATIONAL = {"VarPhi": "ycurry", "VarPsi": "yturing", "Ystar": None, "YstarCurried": None}
 
 
 def check_entry(name: str, max_n: int, cfg: ReductionConfig, env) -> list[CaseResult]:
     """Check one entry against its oracle for all indices up to max_n."""
     if name in VARIADIC:
         return _eq_cases(name, VARIADIC[name](name, max_n), cfg, env)
-    if name not in _OBSERVED:
+    if name not in OBSERVATIONAL:
         raise KeyError(f"unknown library entry: {name}")
     probes = chain(_constant_probes(name, max_n), _even_odd_probes(name))
     return [_upgrade_probe(name, max_n, cfg, env), *_eq_cases(name, probes, cfg, env)]
@@ -308,7 +307,7 @@ def _upgrade_probe(name, max_n, cfg, env) -> CaseResult:
 
 def _probe_sides(name, max_n):
     """The probed terms, one at a time: a normalized term keeps its reducts alive."""
-    fam = _OBSERVED[name]
+    fam = OBSERVATIONAL[name]
     for n in range(1, max_n + 1):
         if fam is None:
             yield f"{name} n={n}", apply(Const(name), church(n))
@@ -326,7 +325,7 @@ def _fixed_point(name, k, n, gens):
     """The k-th fixed point of F1 ... Fn: VarPhi/VarPsi c_k c_n F1 ... Fn, or
     the k-th component of the tuple of all n, Ystar c_n <F1, ..., Fn>
     (YstarCurried c_n F1 ... Fn), which is itself the fixed point at k None."""
-    if _OBSERVED[name]:
+    if OBSERVATIONAL[name]:
         return apply(Const(name), church(k), church(n), *gens)
     tup = apply(Const(name), church(n), *([tuple_of(gens)] if name == "Ystar" else gens))
     return tup if k is None else apply(Const("VarProj"), church(k), church(n), tup)
@@ -337,7 +336,7 @@ def _constant_probes(name, max_n):
     by one (indexed entries) or as their tuple (tupled entries)."""
     for n in range(1, max_n + 1):
         gens = _probe_generators(n)
-        if _OBSERVED[name]:
+        if OBSERVATIONAL[name]:
             for k in range(1, n + 1):
                 yield f"constant-probe k={k} n={n}", _fixed_point(name, k, n, gens), church(k)
         else:
@@ -350,7 +349,7 @@ def _even_odd_probes(name):
     k = 2 oddness."""
     gens = [parse(r"\e o m. Zero m True  (o (Pred m))"),
             parse(r"\e o m. Zero m False (e (Pred m))")]
-    label = "?" if _OBSERVED[name] else "-projection"
+    label = "?" if OBSERVATIONAL[name] else "-projection"
     for m in range(7):
         for k, test in ((1, "even"), (2, "odd")):
             want = Const("True" if (m % 2 == 0) == (k == 1) else "False")
@@ -391,14 +390,15 @@ def _chain_probes(max_n):
                    apply(Const("VarPsi"), church(k), church(n), *gens))
 
 
-def check_makex(n: int, terms: list[Term], cfg: ReductionConfig, env) -> list[CaseResult]:
-    """X = VarMakeX c_n E1...En satisfies X (X ... X) = E_k (k+1 X's inside)."""
-    if n != len(terms) or n < 2:
-        raise ValueError("need n = len(terms) >= 2")
-    return _eq_cases("VarMakeX", _recoveries(n, terms), cfg, env)
+def check_makex(terms: list[Term], cfg: ReductionConfig, env) -> list[CaseResult]:
+    """X = VarMakeX c_n E1...En (n terms) satisfies X (X ... X) = E_k (k+1 X's inside)."""
+    if len(terms) < 2:
+        raise ValueError("need at least two terms")
+    return _eq_cases("VarMakeX", _recoveries(terms), cfg, env)
 
 
-def _recoveries(n, terms):
+def _recoveries(terms):
+    n = len(terms)
     x = apply(Const("VarMakeX"), church(n), *terms)
     for k in range(1, n + 1):
         yield f"n={n} recover E{k}", apply(x, apply(*[x] * (k + 1))), terms[k - 1]

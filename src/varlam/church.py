@@ -15,13 +15,18 @@ class IndexOutOfRange(LambdaError):
     pass
 
 
+def natural(n) -> int:
+    """n, if it is a natural number: an int, not a bool, of at least 0."""
+    if type(n) is not int or n < 0:
+        raise IndexOutOfRange(f"index {n!r} is not a natural number")
+    return n
+
+
 def church(n: int) -> Term:
     """The n-th Church numeral lam s z. s^n z."""
-    if n < 0:
-        raise IndexOutOfRange(f"no Church numeral for {n}")
     s = Var("s")
     body: Term = Var("z")
-    for _ in range(n):
+    for _ in range(natural(n)):
         body = App(s, body)
     return Lam("s", Lam("z", body))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 
-from .church import IndexOutOfRange
+from .church import IndexOutOfRange, natural
 from .syntax import UnknownSequence, parse_meta  # parse_meta raises UnknownSequence
 from .terms import App, Lam, LambdaError, SeqBinder, Splice, Term, Var, apply, lams
 
@@ -42,9 +42,7 @@ def expand(m: Term, n: int) -> Term:
     vanish at n = 0 expands to the identity (so I_0 = I, matching the
     convention that the empty chain applied to nothing is I).
     """
-    if n < 0:
-        raise IndexOutOfRange(f"negative index {n}")
-    return _expand(m, n)
+    return _expand(m, natural(n))
 
 
 def _expand(u: Term, n: int) -> Term:
@@ -177,10 +175,9 @@ def build(name: str, n: int, k: int | None = None) -> Term:
     needs_k, builder = _FAMILIES[name]
     if needs_k != (k is not None):
         raise IndexOutOfRange(f"family {name} {'requires' if needs_k else 'does not take'} an index k")
-    if type(n) is not int or n < 0:  # a bool is no index
-        raise IndexOutOfRange(f"arity {n!r} is not a natural number")
+    natural(n)
     if needs_k:
-        if type(k) is not int or not 1 <= k <= n:
-            raise IndexOutOfRange(f"k = {k!r} out of range for n = {n}")
+        if not 1 <= natural(k) <= n:
+            raise IndexOutOfRange(f"k = {k} out of range for n = {n}")
         return builder(k, n)
     return builder(n)

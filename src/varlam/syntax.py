@@ -99,22 +99,21 @@ def _expect(source, kinds, texts, i, kind):
 
 
 def _term(source, kinds, texts, i, env, meta):
-    """Read the term that starts at token i.  Returns it, the index of the
-    token after it and, for a meta-term, the first splice of a sequence not
-    in scope (else None)."""
+    """Read the term that starts at token i.  Returns it and the index of the
+    token after it."""
     stack = []  # frames (application to the left, binders or None for '(', seqs, outer)
     left = None  # the application read so far in the innermost open term
     seqs = outer = frozenset()  # sequences in scope; enclosing sequence binders, shadowed ones too
-    index_var = unknown = None
+    index_var = None
     while True:
         kind = kinds[i]
         if kind == "lident":
             text = texts[i]
             if meta and kinds[i + 1] == "lbrack":
                 index_var = _seq_index(source, kinds, texts, i, index_var)
+                if text not in seqs:
+                    raise UnknownSequence(text)
                 atom = Splice(SeqBinder(text, index_var))
-                if text not in seqs and unknown is None:
-                    unknown = text
                 i += 5  # onto the ']' of '[1..n]'
             else:
                 if outer:
@@ -167,7 +166,7 @@ def _term(source, kinds, texts, i, env, meta):
                 if up is not None:
                     left = App(up, left)
             if not stack:
-                return left, i, unknown
+                return left, i
             _expect(source, kinds, texts, i, "rparen")  # only its ')' closes a '('
             up = stack.pop()[0]
             if meta:
@@ -229,7 +228,7 @@ def _group_splice_spine(t):
 def parse(source: str, env=None) -> Term:
     """Parse a term.  With an env, uppercase names must resolve in it."""
     kinds, texts = _tokens(source)
-    t, i, _ = _term(source, kinds, texts, 0, env, False)
+    t, i = _term(source, kinds, texts, 0, env, False)
     _expect(source, kinds, texts, i, "eof")
     return t
 
@@ -237,10 +236,8 @@ def parse(source: str, env=None) -> Term:
 def parse_meta(source: str) -> Term:
     """Parse a meta-term with sequence binders and splices."""
     kinds, texts = _tokens(source)
-    t, i, unknown = _term(source, kinds, texts, 0, None, True)
+    t, i = _term(source, kinds, texts, 0, None, True)
     _expect(source, kinds, texts, i, "eof")
-    if unknown is not None:
-        raise UnknownSequence(unknown)
     return t
 
 
@@ -251,7 +248,7 @@ def parse_definitions(text: str, env):
     while kinds[i] != "eof":
         _expect(text, kinds, texts, i, "uident")
         _expect(text, kinds, texts, i + 1, "define")
-        term, j, _ = _term(text, kinds, texts, i + 2, env, False)
+        term, j = _term(text, kinds, texts, i + 2, env, False)
         _expect(text, kinds, texts, j, "semi")
         env.define(texts[i], term)
         i = j + 1

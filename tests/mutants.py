@@ -270,16 +270,31 @@ MUTANTS = [
      "the k-th selector of n selects x1 whatever k is",
      ["tests/test_prelude.py::test_selector_shapes",
       "tests/test_meta.py::test_cross_oracle_selectors"]),
-    ("src/varlam/meta.py",
-     "if type(k) is not int or not 1 <= k <= n:",
-     "if not isinstance(k, int) or not 1 <= k <= n:",
-     r"build takes a bool k as an index, and sel(3, True) is the open term \x1 x2 x3. xTrue",
-     ["tests/test_meta.py::test_build_refuses_an_index_that_is_no_int"]),
-    ("src/varlam/meta.py",
+    ("src/varlam/church.py",
      "if type(n) is not int or n < 0:",
      "if not isinstance(n, int) or n < 0:",
-     "build takes a bool n as an arity, and K(True) is K_1",
-     ["tests/test_meta.py::test_build_refuses_an_index_that_is_no_int"]),
+     "natural takes a bool as an index, and church(True), K(True) and sel(3, True) are c_1, K_1 and an open term",
+     ["tests/test_meta.py::test_every_index_is_a_natural_number"]),
+    ("src/varlam/meta.py",
+     "if not 1 <= natural(k) <= n:",
+     "if not 1 <= k <= n:",
+     r"build takes a bool or float k as an index, and sel(3, True) is the open term \x1 x2 x3. xTrue",
+     ["tests/test_meta.py::test_every_index_is_a_natural_number"]),
+    ("src/varlam/meta.py",
+     "    natural(n)\n    if needs_k:",
+     "    if needs_k:",
+     "build takes a bool n as an arity, and sel(True, 1) is sel(1, 1)",
+     ["tests/test_meta.py::test_every_index_is_a_natural_number"]),
+    ("src/varlam/church.py",
+     "for _ in range(natural(n)):",
+     "for _ in range(n):",
+     "church takes a bool as an index, and church(True) is c_1",
+     ["tests/test_meta.py::test_every_index_is_a_natural_number"]),
+    ("src/varlam/meta.py",
+     "return _expand(m, natural(n))",
+     "return _expand(m, n)",
+     "expand takes a bool as an index, and K expanded at True is K_1",
+     ["tests/test_meta.py::test_every_index_is_a_natural_number"]),
     ("src/varlam/checks.py",
      '"VarBalt": _family("B"),',
      '"VarBalt": _family("C"),',

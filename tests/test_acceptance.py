@@ -123,8 +123,8 @@ def test_criterion_6_boehm_relation(env):
 
 def test_criterion_7_one_point_basis(env):
     started = time.perf_counter()
-    ok = all_ok(checks.check_makex(2, [Const("K"), Const("S")], CFG, env))
-    ok &= all_ok(checks.check_makex(3, [Const("I"), Const("K"), Const("S")], CFG, env))
+    ok = all_ok(checks.check_makex([Const("K"), Const("S")], CFG, env))
+    ok &= all_ok(checks.check_makex([Const("I"), Const("K"), Const("S")], CFG, env))
     _report(7, "one-point basis", started, 30.0, ok)
 
 

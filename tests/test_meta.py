@@ -57,6 +57,8 @@ def test_parse_meta_rejects_bad_sequences():
         parse_meta(r"\y. x[1..n]")  # splice of a sequence not in scope
     with pytest.raises(UnknownSequence):
         parse_meta(r"\x[1..n] x. x[1..n]")  # the single binder x shadows the sequence
+    with pytest.raises(UnknownSequence):
+        parse_meta(r"\y. x[1..n])")  # raised at the splice, before the later syntax error
 
 
 def test_parse_meta_names_outside_the_sequence_scope():
@@ -215,13 +217,19 @@ def test_family_errors():
         build("K", -1)
 
 
-def test_build_refuses_an_index_that_is_no_int():
+def test_every_index_is_a_natural_number():
     # a bool passes the range tests (1 <= True <= 3) but is no index: sel(3, True)
-    # would be the open term \x1 x2 x3. xTrue, and K(True) would be K_1
+    # would be the open term \x1 x2 x3. xTrue, and K(True) or church(True) would
+    # be K_1 or c_1; a float would reach range() and raise a bare TypeError
     for args in (("sel", 3, True), ("sel", True, 1), ("K", True), ("K", False),
                  ("K", 2.0), ("sel", 3, 1.0)):
         with pytest.raises(IndexOutOfRange):
             build(*args)
+    for n in (True, False, 2.0, -1):
+        with pytest.raises(IndexOutOfRange):
+            church(n)
+        with pytest.raises(IndexOutOfRange):
+            expand(meta.builtin_meta("K"), n)
 
 
 def test_builtin_meta_rejects_an_unknown_family():

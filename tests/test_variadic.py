@@ -127,18 +127,18 @@ def test_constant_fixed_point_probes(env):
 
 
 def test_makex_pair(env):
-    cases = checks.check_makex(2, [Const("K"), Const("S")], CFG, env)
+    cases = checks.check_makex([Const("K"), Const("S")], CFG, env)
     assert len(cases) == 2 and all_ok(cases)
 
 
 def test_makex_triple(env):
-    cases = checks.check_makex(3, [Const("I"), Const("K"), Const("S")], CFG, env)
+    cases = checks.check_makex([Const("I"), Const("K"), Const("S")], CFG, env)
     assert len(cases) == 3 and all_ok(cases)
 
 
 def test_makex_non_combinator_terms(env):
     # the packed terms need not be closed
-    cases = checks.check_makex(2, [Var("u"), parse(r"\x. x u")], CFG, env)
+    cases = checks.check_makex([Var("u"), parse(r"\x. x u")], CFG, env)
     assert all_ok(cases)
 
 
@@ -151,7 +151,7 @@ def test_makex_entry_beyond_the_basis(env):
 
 def test_makex_validates_arguments(env):
     with pytest.raises(ValueError):
-        checks.check_makex(1, [Const("K")], CFG, env)
+        checks.check_makex([Const("K")], CFG, env)
 
 
 def test_boehm_report(env):
