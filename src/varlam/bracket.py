@@ -54,10 +54,8 @@ def turner(t: Term) -> Term:
 
 def _abstract(x: str, b: Term, basis) -> Term | None:
     """[x]b by Turner's rules over basis, the I, K, S, C and B of x's kind, or
-    None if x is not free in b (then [x]b is K b).  Where x is in b is learnt
-    from the calls on b's parts: ``may_mention`` is exact for a narrow node and
-    True for a wide one, so the walk goes down through wide nodes as
-    substitution does."""
+    None if x is not free in b (then [x]b is K b).  Where x is in b is read
+    from the masks of b's parts through ``may_mention``, one bit test a node."""
     if not may_mention(b, x):
         return None
     if type(b) is not App:  # x itself, or a splice of it: a bracketed body has no lambdas
@@ -65,10 +63,11 @@ def _abstract(x: str, b: Term, basis) -> Term | None:
     p, q = b.fun, b.arg
     ap = _abstract(x, p, basis)
     if type(q) is Splice and not q.grouped:
-        # n separate arguments, which only sequence-eta can absorb
+        # n separate arguments, which only sequence-eta can absorb: q is x's
+        # own splice, since b mentions x and p does not
         if ap is not None:
             raise MixedSequenceUse(f"cannot abstract {x} over a spine ending in the sequence {q.binder}")
-        return grouped(p) if q.binder == x else None
+        return grouped(p)
     if type(q) is Var and q.name == x and ap is None:
         return grouped(p)
     aq = _abstract(x, q, basis)

@@ -25,7 +25,7 @@ import gc
 from collections import namedtuple
 from enum import Enum
 
-from .terms import (App, Lam, Term, Var, _alpha, _contract, alpha_eq, expand_consts, free_vars, gc_paused,
+from .terms import (App, Lam, Term, Var, _alpha, _contract, alpha_eq, expand_consts, gc_paused, may_mention,
                     substitute)
 
 
@@ -246,7 +246,7 @@ def _beta_normalize(t: Term, fuel: int, max_size: int, eta: bool):
             elif tag == _LAM:
                 binder = frame[1]
                 if (eta and type(t) is App and type(t.arg) is Var and t.arg.name == binder
-                        and binder not in free_vars(t.fun)):
+                        and not may_mention(t.fun, binder)):
                     t = t.fun  # an eta-redex: t.fun is beta-normal, so no lambda
                 else:
                     t = Lam(binder, t)

@@ -1,31 +1,37 @@
 """Lambda-term representation and the basic syntactic operations.
 
-Terms are immutable, but for one cache slot.  Every node caches its size, and
-nearly every node its free-variable set, so the reducer can skip substitution
-into subterms that do not mention the variable at all (the shared subterm is
-returned as-is).  A Const's set holds only ``_CONST``, a private object, so a
-set also tells whether a constant occurs below.  A node reuses a child's free
-set (or the empty one) when its own is equal to it, so most nodes allocate no
-set of their own.  An App whose new set would hold more than ``_WIDE`` items is
-*wide*: its ``free`` slot holds ``_UNMADE``, whose ``in`` answers True for
-everything, and so does that of every node built above a wide one.  A Lam's
-set is a subset of its body's, so a Lam is wide only over a wide body.  An
-ellipsis x[1..n] expands to n binders and n-argument spines, so a set made in
-each of them would copy up to n names, quadratic time and memory in n;
-with wide nodes, building, printing, parsing and comparing such a term take
-linear time and memory, and so does each beta step on it.  Only this module
+Terms are immutable, but for one cache slot.  Every node caches its size and
+its free-variable set, so the reducer can skip substitution into subterms
+that do not mention the variable at all (the shared subterm is returned
+as-is).  A free set is an int used as a bit mask, exact at every width: bit
+0 marks a constant below, and each name owns one bit while its Var lives.  A
+Var holds its name's bit and a Const holds bit 0; an App ORs its children's
+masks, a Lam clears its binder's bit, and a Splice holds the bit of its
+sequence name, whose Var it keeps alive.  An ellipsis x[1..n] expands to n
+binders and n-argument spines, about n nodes over n names; a mask takes a
+bit an index up to its highest, so their masks take about n*n/8 bytes in
+all, where a frozenset per node held n*n references (``expand`` of S at n =
+3000 peaks at 20 MB, against 633 MB with frozensets).  Only this module
 reads a ``free`` slot, and only a node's constructor writes one.
-``_substitute`` (under ``substitute``), the beta loop's ``_contract``, bracket
-abstraction (through ``may_mention``) and ``expand_consts`` test every slot
-with ``in``: a narrow slot answers exactly, and they walk down through a wide
-node to the narrow nodes below.  ``free_vars`` is the one exact reader, and
-drops ``_CONST``: a narrow node answers with its own set, and a wide one with
-a set made by one walk and kept nowhere, so each ask about a wide node walks
-it again.  The leaves are shared: ``Var(name)`` and ``Const(name)`` return the
-one object of that name, made at the first call and kept in a module table
-that grows only with the distinct names ever built.  A leaf is immutable and
-all that is read of it follows from its name, so sharing it changes no
-answer, only memory and time (the redex memo of ``engine`` hits more often).
+``free_vars`` decodes a mask into its names, and ``may_mention`` tests one
+name's bit.
+
+The leaves are shared: ``Var(name)`` returns the one live Var of that name
+and ``Const(name)`` the one Const, each made at the first call and kept in
+a module table.  A leaf is immutable and all that is read of it follows
+from its name, so sharing it changes no answer, only memory and time (the
+redex memo of ``engine`` hits more often).  The Consts are few and kept for
+good.  ``_VARS`` holds each Var weakly, with the index of its bit: a new
+name takes the lowest index that no live Var owns, and once the last
+reference to a Var dies, ``_release`` frees its index for the next new
+name.  That reuse is sound.  A mask has bit i only if a Var owning index i
+lies below the node (no other rule sets a name's bit), and the node keeps
+that Var alive, so the index is neither freed nor given to another name
+while any mask holding it lives.  A Lam whose binder has no live Var clears
+nothing, since no Var of its binder lies below.  So a long process that
+made and dropped many names keeps its masks as short as its live names;
+names that stay alive keep their bits (see README).
+
 The one slot written after a node is built is an App's ``whnf``, which the
 reducer fills with the lambda the App weak-head reduces to (see
 ``engine._beta_normalize``).  Meta-terms (see ``meta``) are terms too: a
@@ -44,6 +50,8 @@ from __future__ import annotations
 import functools
 import gc
 import sys
+from threading import RLock
+from weakref import ref
 
 # substitute (and _contract through it), step_once,
 # engine.reduces_to's reach, bracket.turner and meta.expand recurse on term
@@ -111,26 +119,34 @@ def gc_paused(fn):
     return paused
 
 
-_EMPTY = frozenset()
-# An App whose own free set would hold more names than this is left wide
-# (see the module docstring).  At this width `check --max-n 10` builds no
-# wide node.
-_WIDE = 32
-
-
-class _Unmade:
-    """The free slot of a wide node: it may mention any name."""
-
-    __slots__ = ()
-
-    def __contains__(self, name) -> bool:
-        return True
-
-
-_UNMADE = _Unmade()
-_CONST = object()  # in the free set of a Const, so of every narrow node above one
-_VARS: dict = {}  # name -> the one Var of that name
+_CONST = 1  # the constants' mark: bit 0 of the mask of a Const, so of every node above one
+_VARS: dict = {}  # name -> a _Leaf, the weak reference to the one live Var of that name
+_BITS: dict = {}  # name -> the bit of a name whose Var is alive
+_NAMES: list = [None]  # index -> the name that owns it, or None; index 0 is the constants' mark
+_SPARE = 0  # the indices below len(_NAMES) that no name owns, as a mask
 _CONSTS: dict = {}  # name -> the one Const of that name
+# Held while a Var is made or its index freed, so that two threads never take
+# one index.  Reentrant: a collection that the making starts may free an index.
+_LOCK = RLock()
+
+
+class _Leaf(ref):
+    """A weak reference to a Var, with the index of the Var's bit."""
+
+    __slots__ = ("index",)
+
+
+def _release(leaf: _Leaf) -> None:
+    """The Var that leaf pointed to died: no live mask holds its bit, so its
+    index is spare.  A Var of the same name made since keeps its entries."""
+    global _SPARE
+    with _LOCK:
+        i = leaf.index
+        name = _NAMES[i]
+        if _VARS.get(name) is leaf:
+            del _VARS[name], _BITS[name]
+        _NAMES[i] = None
+        _SPARE |= 1 << i
 
 
 class Term:
@@ -138,16 +154,34 @@ class Term:
 
 
 class Var(Term):
-    __slots__ = ("name", "free", "size")
+    __slots__ = ("name", "free", "size", "__weakref__")
 
     def __new__(cls, name: str):
+        global _SPARE
         try:
-            return _VARS[name]
+            self = _VARS[name]()
+            if self is not None:
+                return self
         except KeyError:
-            self = _VARS[name] = object.__new__(cls)
+            pass
+        with _LOCK:
+            leaf = _VARS.get(name)
+            if leaf is not None and (self := leaf()) is not None:  # made meanwhile by another thread
+                return self
+            self = object.__new__(cls)
             self.name = name
-            self.free = frozenset((name,))
             self.size = 1
+            if _SPARE:  # the lowest spare index
+                low = _SPARE & -_SPARE
+                _SPARE ^= low
+                i = low.bit_length() - 1
+                _NAMES[i] = name
+            else:
+                i = len(_NAMES)
+                _NAMES.append(name)
+            leaf = _VARS[name] = _Leaf(self, _release)
+            leaf.index = i
+            _BITS[name] = self.free = 1 << i
             return self
 
     def __repr__(self):
@@ -161,10 +195,9 @@ class Lam(Term):
         self.binder = binder
         self.body = body
         self.size = 1 + body.size
-        bf = body.free
-        if bf is not _UNMADE and binder in bf:  # a wide body makes a wide Lam
-            bf = _EMPTY if len(bf) == 1 else bf - {binder}
-        self.free = bf
+        f = body.free
+        bit = _BITS.get(binder, 0)
+        self.free = f ^ bit if f & bit else f
 
     def __repr__(self):
         return f"Lam({self.binder!r}, {self.body!r})"
@@ -178,17 +211,7 @@ class App(Term):
         self.arg = arg
         self.size = 1 + fun.size + arg.size
         self.whnf = None  # (lambda, beta-steps, peak size) once reduced; see engine
-        ff = fun.free
-        af = arg.free
-        if ff is _UNMADE or af is _UNMADE:  # a wide child makes a wide App
-            self.free = _UNMADE
-        elif af <= ff:
-            self.free = ff
-        elif ff <= af:
-            self.free = af
-        else:
-            union = ff | af
-            self.free = union if len(union) <= _WIDE else _UNMADE
+        self.free = fun.free | arg.free
 
     def __repr__(self):
         return f"App({self.fun!r}, {self.arg!r})"
@@ -205,7 +228,7 @@ class Const(Term):
         except KeyError:
             self = _CONSTS[name] = object.__new__(cls)
             self.name = name
-            self.free = frozenset((_CONST,))
+            self.free = _CONST
             self.size = 1
             return self
 
@@ -217,7 +240,7 @@ class SeqBinder(str):
     """The binder of a sequence x[1..n] in a meta-term, used as a Lam binder.
 
     As a string it reads ``x[1..n]``, which no variable name can equal, so the
-    free sets of Lam and App track where a sequence is in scope and occurs.
+    masks of Lam and App track where a sequence is in scope and occurs.
     """
 
     def __new__(cls, name: str, index: str):
@@ -234,15 +257,17 @@ class Splice(Term):
     """A sequence x[1..n] spliced into a meta-term as the chain x1 ... xn.
 
     In argument position an ungrouped splice is n arguments; a grouped one,
-    ``(x[1..n])``, is one argument, the chain (I at n = 0).
+    ``(x[1..n])``, is one argument, the chain (I at n = 0).  Its mask is
+    the bit of ``Var(binder)``, which it keeps alive as ``var``.
     """
 
-    __slots__ = ("binder", "grouped", "free", "size")
+    __slots__ = ("binder", "grouped", "var", "free", "size")
 
     def __init__(self, binder: SeqBinder, grouped: bool = False):
         self.binder = binder
         self.grouped = grouped
-        self.free = frozenset((binder,))
+        self.var = Var(binder)
+        self.free = self.var.free
         self.size = 1
 
     def __repr__(self):
@@ -269,43 +294,25 @@ def lams(binders, body: Term) -> Term:
 
 
 def free_vars(t: Term) -> frozenset:
-    """Free variables of t.  Constants contribute nothing (they are closed).
+    """Free variables of t.  Constants contribute nothing (they are closed)."""
+    return _names(t.free)
 
-    A narrow t answers with its own set, without ``_CONST``.  A wide t is read
-    by one walk that keeps the binders in scope and stops at every node with
-    a set; the set it makes is stored nowhere, so reading the set of a wide
-    term costs time and memory linear in its size, at every ask.
-    """
-    f = t.free
-    if f is not _UNMADE:
-        return f - {_CONST} if _CONST in f else f
-    out = set()
-    bound = {}  # binder -> how many lambdas of the walk's path bind it
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, str):  # the walk leaves the scope of the binder u
-            if bound[u] == 1:
-                del bound[u]
-            else:
-                bound[u] -= 1
-            continue
-        f = u.free
-        if f is not _UNMADE:
-            out.update([x for x in f if x not in bound] if bound else f)
-        elif type(u) is Lam:
-            b = u.binder
-            bound[b] = bound.get(b, 0) + 1
-            stack += (b, u.body)
-        else:  # only a Lam or an App is wide
-            stack += (u.arg, u.fun)
-    out.discard(_CONST)
-    return frozenset(out)
+
+def _names(mask: int) -> frozenset:
+    """The names whose bits are set in mask; the constants' mark names none.
+    The loop runs once a name, not once a bit below the highest."""
+    names = []
+    mask &= ~_CONST
+    while mask:
+        low = mask & -mask
+        names.append(_NAMES[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(names)
 
 
 def may_mention(t: Term, name: str) -> bool:
-    """Whether name may be free in t: exact for a narrow t, True for a wide one."""
-    return name in t.free
+    """Whether name is free in t."""
+    return bool(t.free & _BITS.get(name, 0))
 
 
 def size(t: Term) -> int:
@@ -388,79 +395,70 @@ def _alpha(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:
 def substitute(t: Term, name: str, repl: Term) -> Term:
     """Capture-avoiding t[name := repl]; binders are primed when needed.
 
-    t itself comes back if name is not free in it.  Else ``_substitute``
-    builds the result, given repl's exact set, which its capture test reads.
+    t itself comes back if name is not free in it.
     """
-    if name not in free_vars(t):
+    bit = _BITS.get(name, 0)
+    if not t.free & bit:
         return t
-    return repl if type(t) is Var else _substitute(t, name, repl, free_vars(repl))
+    return repl if type(t) is Var else _substitute(t, bit, repl, repl.free)
 
 
-def _substitute(t: Term, name: str, repl: Term, rf: frozenset) -> Term:
-    """substitute, on a t that is no Var and may mention name; rf is repl's
-    exact free set, made once by the caller and passed down unchanged.  Every
-    caller tests a node's slot before it passes the node down.  A wide node's
-    slot answers that it may mention any name, so the walk goes down through
-    wide nodes without making their sets, rebuilding them, and tests each
-    narrow node below exactly."""
+def _substitute(t: Term, bit: int, repl: Term, rf: int) -> Term:
+    """substitute, on a t that is no Var and has the name of the given bit
+    free; rf is repl's mask, which the capture test reads.  Every caller
+    tests a node's mask before it passes the node down."""
     c = type(t)  # faster than t.__class__ (see engine._beta_normalize)
-    if c is App:  # a child is passed down only if it may contain name, and a Var child is name
+    if c is App:  # a child is passed down only if it contains name, and a Var child is name
         fun = t.fun
         arg = t.arg
-        if name in fun.free:
-            fun = repl if type(fun) is Var else _substitute(fun, name, repl, rf)
-        if name in arg.free:
-            arg = repl if type(arg) is Var else _substitute(arg, name, repl, rf)
+        if fun.free & bit:
+            fun = repl if type(fun) is Var else _substitute(fun, bit, repl, rf)
+        if arg.free & bit:
+            arg = repl if type(arg) is Var else _substitute(arg, bit, repl, rf)
         return App(fun, arg)
     if c is Splice:  # name is a sequence binder: renaming one is not defined yet
-        raise LambdaError(f"cannot substitute for the sequence {name}")
-    binder = t.binder  # a Lam: a narrow one has name free in its body
-    if binder == name:  # a wide Lam that binds name
-        return t
+        raise LambdaError(f"cannot substitute for the sequence {t.binder}")
+    binder = t.binder  # a Lam with name free in its body
     body = t.body
-    if binder in rf:
-        bf = free_vars(body)
-        if name not in bf:  # a wide Lam that does not mention name: no renaming
-            return t
-        new = fresh_name(binder, rf | bf)
-        if binder in bf:  # so body is no Var
+    b = _BITS.get(binder, 0)
+    if rf & b:  # binder is free in repl, which it would capture
+        new = fresh_name(binder, _names(rf | body.free))
+        if body.free & b:  # so body is no Var
             fresh = Var(new)
-            body = _substitute(body, binder, fresh, fresh.free)
+            body = _substitute(body, b, fresh, fresh.free)
         binder = new
-    return Lam(binder, repl if type(body) is Var else _substitute(body, name, repl, rf))
+    return Lam(binder, repl if type(body) is Var else _substitute(body, bit, repl, rf))
 
 
 def _contract(lam: Lam, arg: Term):
     """The reduct of the redex (lam arg), for engine's beta loop, which calls
-    it once per contraction it performs (a miss of its memo).  It makes the
-    argument's exact set once, for the capture test of ``_substitute``, and
-    walks down through a wide body as ``_substitute`` does.  The result is
+    it once per contraction it performs (a miss of its memo).  The result is
     (head, args, size): the reduct is head applied to args[-1], ..., args[0]
     (the order the loop pushes them), and size is its size.  args is empty
-    unless the body is an App that may mention the binder.  Then the spine is
-    walked while the function part may mention the binder, and the first
-    spine App that does not is the head, as it is.
+    unless the body is an App that mentions the binder.  Then the spine is
+    walked while the function part mentions the binder, and the first spine
+    App that does not is the head, as it is.
     """
     body = lam.body
-    x = lam.binder
-    if x not in body.free:
+    bit = _BITS.get(lam.binder, 0)
+    if not body.free & bit:
         return body, (), body.size
-    rf = free_vars(arg)
+    rf = arg.free
     if type(body) is not App:
-        body = arg if type(body) is Var else _substitute(body, x, arg, rf)
+        body = arg if type(body) is Var else _substitute(body, bit, arg, rf)
         return body, (), body.size
     args = []
     size = 0
     u = body
-    while type(u) is App and x in u.free:
+    while type(u) is App and u.free & bit:
         a = u.arg
-        if x in a.free:
-            a = arg if type(a) is Var else _substitute(a, x, arg, rf)
+        if a.free & bit:
+            a = arg if type(a) is Var else _substitute(a, bit, arg, rf)
         args.append(a)
         size += 1 + a.size
         u = u.fun
-    if x in u.free:
-        u = arg if type(u) is Var else _substitute(u, x, arg, rf)
+    if u.free & bit:
+        u = arg if type(u) is Var else _substitute(u, bit, arg, rf)
     return u, args, size + u.size
 
 
@@ -468,13 +466,13 @@ def expand_consts(t: Term, env) -> Term:
     """Replace every Const by its (already closed) definition from env.
 
     Without an env (None) the first constant met, leftmost first, raises
-    ``UnexpandedConstant``.  The walk ends at a slot without ``_CONST`` (never
-    at a wide one) and returns a node itself if no part changed.  The walk
-    keeps its own stack, so it takes a term of any depth: a node whose parts
-    it must visit goes back on the stack under a ``None``, and is built once
-    its parts, function part first, are on ``done``.
+    ``UnexpandedConstant``.  The walk goes down only the nodes whose masks
+    hold the constants' mark, so a constant-free part comes back as it is.
+    It keeps its own stack, so it takes a term of any depth: a node whose
+    parts it must visit goes back on the stack under a ``None``, and is
+    rebuilt once its parts, function part first, are on ``done``.
     """
-    if _CONST not in t.free:
+    if not t.free & _CONST:
         return t
     done = []  # the expanded parts, in the order visited
     stack = [t]
@@ -484,12 +482,10 @@ def expand_consts(t: Term, env) -> Term:
             u = stack.pop()
             if type(u) is App:
                 arg = done.pop()
-                fun = done.pop()
-                done.append(u if fun is u.fun and arg is u.arg else App(fun, arg))
+                done.append(App(done.pop(), arg))
             else:
-                body = done.pop()
-                done.append(u if body is u.body else Lam(u.binder, body))
-        elif _CONST not in u.free:
+                done.append(Lam(u.binder, done.pop()))
+        elif not u.free & _CONST:
             done.append(u)
         elif type(u) is App:
             stack += (u, None, u.arg, u.fun)

@@ -27,8 +27,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # (file, old text, new text, what the mutant breaks, tests that must fail)
 MUTANTS = [
     ("src/varlam/terms.py",
-     "new = fresh_name(binder, rf | bf)",
-     "new = fresh_name(binder, rf)",
+     "new = fresh_name(binder, _names(rf | body.free))",
+     "new = fresh_name(binder, _names(rf))",
      "substitute renames a binder to a name free in the body, and captures it",
      ["tests/test_cli.py::test_normalize_renames_past_primed_free_names"]),
     ("src/varlam/terms.py",
@@ -37,31 +37,31 @@ MUTANTS = [
      "substitute renames a capturing binder's occurrences but keeps the binder, which captures repl",
      ["tests/test_kernel.py::test_substitute_capture_avoidance"]),
     ("src/varlam/terms.py",
-     "body = _substitute(body, binder, fresh, fresh.free)",
-     "body = _substitute(body, binder, fresh, rf)",
-     "renaming a binder in its body tests capture against repl's set, not the fresh name's, and renames an inner binder",
+     "body = _substitute(body, b, fresh, fresh.free)",
+     "body = _substitute(body, b, fresh, rf)",
+     "renaming a binder in its body tests capture against repl's mask, not the fresh name's, and renames an inner binder",
      ["tests/test_kernel.py::test_substitute_renames_a_binder_in_the_body_alone"]),
     ("src/varlam/terms.py",
-     "def __contains__(self, name) -> bool:\n        return True\n",
-     "def __contains__(self, name) -> bool:\n        return False\n",
-     "a wide node's slot answers that it mentions no name, so substitution skips it",
-     ["tests/test_kernel.py::test_substitute_into_wide_chains_as_into_eager_ones",
-      "tests/test_kernel.py::test_a_wide_family_member_reduces_in_linear_memory"]),
+     "if rf & b:  # binder is free in repl, which it would capture",
+     "if body.free & b:  # binder is free in repl, which it would capture",
+     "the capture test reads the body's mask for repl's, so it renames a binder repl does not mention and lets repl be captured",
+     ["tests/test_kernel.py::test_substitute_capture_avoidance"]),
     ("src/varlam/terms.py",
-     "    if binder == name:  # a wide Lam that binds name\n        return t\n",
+     "        self.free = f ^ bit if f & bit else f\n",
+     "        self.free = f\n",
+     "a Lam does not clear its binder's bit, so a bound name reads as free",
+     ["tests/test_kernel.py::test_free_vars_examples"]),
+    ("src/varlam/terms.py",
+     "        self.free = fun.free | arg.free\n",
+     "        self.free = fun.free\n",
+     "an App takes only its function part's mask, so a name free in the argument alone reads as absent",
+     ["tests/test_kernel.py::test_free_vars_examples",
+      "tests/test_kernel.py::test_free_vars_app_law"]),
+    ("src/varlam/terms.py",
+     "        _SPARE |= 1 << i\n",
      "",
-     "substitute replaces the bound occurrences under a wide lambda that binds the name",
-     ["tests/test_kernel.py::test_substitute_into_wide_chains_as_into_eager_ones"]),
-    ("src/varlam/terms.py",
-     "        if name not in bf:  # a wide Lam that does not mention name: no renaming\n            return t\n",
-     "",
-     "substitute renames a capturing binder of a wide lambda that does not mention the name",
-     ["tests/test_kernel.py::test_substitute_into_wide_chains_as_into_eager_ones"]),
-    ("src/varlam/terms.py",
-     "if ff is _UNMADE or af is _UNMADE:  # a wide child makes a wide App",
-     "if ff is _UNMADE:  # a wide child makes a wide App",
-     "App's constructor tests only its function part for a wide child, and reads a wide argument's slot as a set",
-     ["tests/test_kernel.py::test_alpha_eq_agrees_with_de_bruijn_on_large_families[B]"]),
+     "a dead Var frees no index, so every name made after many dropped ones takes a high bit and every mask above it is long",
+     ["tests/test_kernel.py::test_names_made_and_dropped_give_their_bits_to_later_names"]),
     ("src/varlam/terms.py",
      "ea.get(fa.name, fa.name) != eb.get(fb.name, fb.name)",
      "fa.name != fb.name",
@@ -100,7 +100,7 @@ MUTANTS = [
      "import varlam loads dataclasses, and with it inspect, in every fresh process",
      ["tests/test_cli.py::test_import_loads_neither_dataclasses_nor_inspect"]),
     ("src/varlam/engine.py",
-     "\n                        and binder not in free_vars(t.fun)):",
+     "\n                        and not may_mention(t.fun, binder)):",
      "):",
      r"the beta loop erases \x. x x as if it were an eta-redex",
      ["tests/test_engine.py::test_eta_only_when_not_free"]),
@@ -171,9 +171,9 @@ MUTANTS = [
      ["tests/test_engine.py::test_reduces_to_under_binder_maps_examples",
       "tests/test_engine.py::test_reduces_to_matches_the_renaming_search"]),
     ("src/varlam/terms.py",
-     "    rf = free_vars(arg)\n",
      "    rf = arg.free\n",
-     "a contraction passes a wide argument's slot, not its exact set, to the capture test",
+     "    rf = 0\n",
+     "a contraction's capture test finds no name in the argument, so the body's binders capture it",
      ["tests/test_kernel.py::test_beta_step_under_many_captured_wide_binders_takes_polynomial_time"]),
     ("src/varlam/meta.py",
      'Var(f"f{j}"), xs, xs) for j in (k, *range(1, n + 1))',
@@ -200,11 +200,6 @@ MUTANTS = [
      ["tests/test_cli.py::test_normalize_trace_prints_the_eta_erasure_as_one_more_line",
       "tests/test_cli.py::test_normalize_trace_ends_with_what_normalize_prints"]),
     ("src/varlam/bracket.py",
-     "return grouped(p) if q.binder == x else None",
-     "return grouped(p)",
-     "bracket abstraction absorbs a trailing splice of another sequence by sequence-eta",
-     ["tests/test_bracket.py::test_extended_soundness_parsed_shapes"]),
-    ("src/varlam/bracket.py",
      "if type(q) is Var and q.name == x and ap is None:",
      "if type(q) is Var and q.name == x:",
      r"bracket abstraction applies the eta rule [x](P x) = P where P mentions x",
@@ -215,31 +210,20 @@ MUTANTS = [
      "bracket abstraction swaps the B and C rules",
      ["tests/test_bracket.py::test_turner_more_shapes"]),
     ("src/varlam/terms.py",
-     "            self.free = frozenset((_CONST,))\n",
-     "            self.free = _EMPTY\n",
-     "a Const's set lacks the constants' mark, so expand_consts returns a term with constants as it is",
+     "            self.free = _CONST\n",
+     "            self.free = 0\n",
+     "a Const's mask lacks the constants' mark, so expand_consts returns a term with constants as it is",
      ["tests/test_kernel.py::test_expand_consts"]),
     ("src/varlam/terms.py",
-     "        return f - {_CONST} if _CONST in f else f\n",
-     "        return f\n",
-     "free_vars returns a narrow node's set with the constants' mark in it",
+     "    mask &= ~_CONST\n",
+     "",
+     "free_vars decodes the constants' mark as a name",
      ["tests/test_kernel.py::test_free_vars_examples",
       "tests/test_kernel.py::test_free_vars_agrees_with_a_naive_reference"]),
     ("src/varlam/terms.py",
-     "    out.discard(_CONST)\n",
-     "",
-     "free_vars returns a wide term's set with the constants' mark in it",
-     ["tests/test_kernel.py::test_free_vars_agrees_with_a_naive_reference"]),
-    ("src/varlam/terms.py",
-     "done.append(u if fun is u.fun and arg is u.arg else App(fun, arg))",
-     "done.append(App(fun, arg))",
-     "expand_consts rebuilds a wide App whose parts came back unchanged",
-     ["tests/test_kernel.py::test_only_wide_nodes_wait_for_their_sets",
-      "tests/test_kernel.py::test_expand_consts"]),
-    ("src/varlam/terms.py",
-     "done.append(u if body is u.body else Lam(u.binder, body))",
-     "done.append(Lam(u.binder, body))",
-     "expand_consts rebuilds a wide Lam whose body came back unchanged",
+     "        elif not u.free & _CONST:\n",
+     "        elif type(u) is Var:\n",
+     "expand_consts walks down the constant-free parts too, and rebuilds them",
      ["tests/test_kernel.py::test_expand_consts"]),
     ("src/varlam/terms.py",
      "stack += (u, None, u.arg, u.fun)",
@@ -314,7 +298,7 @@ MUTANTS = [
      "reduces_to never ends a chain at a repeated term, so a loop runs to the depth cap",
      ["tests/test_engine.py::test_reduces_to_cap_reported"]),
     ("src/varlam/terms.py",
-     "    return name in t.free\n",
+     "    return bool(t.free & _BITS.get(name, 0))\n",
      "    return True\n",
      "may_mention answers that every node mentions every name, so bracket abstraction reads any leaf as its variable",
      ["tests/test_bracket.py::test_turner_constant_golden"]),

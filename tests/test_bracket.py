@@ -101,8 +101,8 @@ def test_extended_soundness_parsed_shapes(env):
         r"\x[1..n]. \y. x[1..n]": r"\n.VarB n K (VarI n)",
         r"\p x[1..n]. (\y. x[1..n]) p": r"\n.VarC n (VarB n K (VarI n))",
         r"\g y[1..n] x. g x (y[1..n] x)": r"\n.C (B (VarB n) S) (VarI n)",
-        # a spine that ends in another sequence does not mention x, and its 41
-        # other names make it wide, so [x] walks it to the splice and gives K
+        # a spine over 41 other names that ends in another sequence does not
+        # mention x, so [x] of it is K
         rf"\y[1..n] x. {wide} y[1..n]": rf"\n.VarB n K ({wide})",
     }
     for src in sources + list(pinned):

@@ -722,9 +722,8 @@ capturing_terms = st.recursive(
 
 @st.composite
 def _wide_chains(draw):
-    """Lambdas over some of 33-80 names, more than a node's set holds before
-    it is left wide, around a capturing term applied to all of them and to
-    one more."""
+    """Lambdas over some of 33-80 names, around a capturing term applied to
+    all of them and to one more."""
     width = draw(st.integers(33, 80))
     xs = ["x", "x'", *(f"v{i}" for i in range(width - 2))]
     spine = apply(draw(capturing_terms), *map(Var, xs), draw(capturing_terms))

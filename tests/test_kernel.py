@@ -5,6 +5,7 @@ import pathlib
 import re
 import signal
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -31,6 +32,7 @@ from varlam.terms import (
     apply,
     expand_consts,
     free_vars,
+    fresh_name,
     lams,
     size,
     substitute,
@@ -309,25 +311,19 @@ def test_free_vars_app_law(a, b):
 
 
 def _naive_free(t):
-    """The free names of t by the textbook recursion, reading no stored set."""
-    c = t.__class__
-    if c is Var:
-        return {t.name}
-    if c is Lam:
-        return _naive_free(t.body) - {t.binder}
-    if c is App:
-        return _naive_free(t.fun) | _naive_free(t.arg)
-    return set()
-
-
-def _copy(t):
-    """t rebuilt from new Lam and App nodes: a wide node's set is not filled."""
-    c = t.__class__
-    if c is Lam:
-        return Lam(t.binder, _copy(t.body))
-    if c is App:
-        return App(_copy(t.fun), _copy(t.arg))
-    return t
+    """The free names of t by one walk that reads no stored set: the names
+    of its Vars not bound on their path."""
+    free, todo = set(), [(t, frozenset())]
+    while todo:
+        u, bound = todo.pop()
+        c = type(u)
+        if c is Var and u.name not in bound:
+            free.add(u.name)
+        elif c is Lam:
+            todo.append((u.body, bound | {u.binder}))
+        elif c is App:
+            todo += ((u.fun, bound), (u.arg, bound))
+    return free
 
 
 def _nodes(t):
@@ -341,15 +337,105 @@ def _nodes(t):
     return list(seen.values())
 
 
-def _eager(t):
-    """A copy of t built with no width limit, so that every node makes its set
-    in its constructor: the representation before nodes could be wide."""
-    width = kernel._WIDE
-    kernel._WIDE = sys.maxsize
-    try:
-        return _copy(t)
-    finally:
-        kernel._WIDE = width
+def _naive_subst(t, x, r):
+    """t[x := r] by the textbook recursion, reading no stored set.  A binder
+    free in r is primed past the free names of r and of its body, and only
+    on the way to an occurrence of x, as substitute does."""
+    c = type(t)
+    if c is Var:
+        return r if t.name == x else t
+    if c is App:
+        return App(_naive_subst(t.fun, x, r), _naive_subst(t.arg, x, r))
+    if c is not Lam or t.binder == x:
+        return t
+    binder, body = t.binder, t.body
+    captured = _naive_free(r)
+    if binder in captured:
+        free = _naive_free(body)
+        if x not in free:
+            return t
+        new = fresh_name(binder, captured | free)
+        binder, body = new, _naive_subst(body, binder, Var(new))
+    return Lam(binder, _naive_subst(body, x, r))
+
+
+def _naive_turner(t):
+    """turner's rules over the I, K, S, C and B constants, reading no stored
+    set: each node's free names are found once, by a walk of its own."""
+    known = {}  # id -> (node, its free names); the node is kept so its id stays its own
+
+    def free(u):
+        if id(u) not in known:
+            c = type(u)
+            known[id(u)] = u, ({u.name} if c is Var else free(u.body) - {u.binder} if c is Lam
+                               else free(u.fun) | free(u.arg) if c is App else set())
+        return known[id(u)][1]
+
+    def abstract(x, b):  # [x]b for a b with x free and no lambda
+        if type(b) is Var:
+            return Const("I")
+        p, q = b.fun, b.arg
+        in_p, in_q = x in free(p), x in free(q)
+        if not in_p and type(q) is Var:  # q is x
+            return p
+        if in_p and in_q:
+            return apply(Const("S"), abstract(x, p), abstract(x, q))
+        if in_p:
+            return apply(Const("C"), abstract(x, p), q)
+        return apply(Const("B"), p, abstract(x, q))
+
+    def go(u):
+        c = type(u)
+        if c is App:
+            return App(go(u.fun), go(u.arg))
+        if c is not Lam:
+            return u
+        body = go(u.body)
+        return abstract(u.binder, body) if u.binder in free(body) else App(Const("K"), body)
+
+    return go(t)
+
+
+def _naive_step(t):
+    """t after one leftmost-outermost beta contraction, or None if t is normal."""
+    c = type(t)
+    if c is Lam:
+        body = _naive_step(t.body)
+        return None if body is None else Lam(t.binder, body)
+    if c is not App:
+        return None
+    if type(t.fun) is Lam:
+        return _naive_subst(t.fun.body, t.fun.binder, t.arg)
+    fun = _naive_step(t.fun)
+    if fun is not None:
+        return App(fun, t.arg)
+    arg = _naive_step(t.arg)
+    return None if arg is None else App(t.fun, arg)
+
+
+def _naive_eta(t):
+    """t with its eta-redexes erased, innermost first."""
+    c = type(t)
+    if c is App:
+        return App(_naive_eta(t.fun), _naive_eta(t.arg))
+    if c is not Lam:
+        return t
+    body = _naive_eta(t.body)
+    if (type(body) is App and type(body.arg) is Var and body.arg.name == t.binder
+            and t.binder not in _naive_free(body.fun)):
+        return body.fun
+    return Lam(t.binder, body)
+
+
+def _naive_normal_form(t, steps):
+    """The beta-eta-normal form of t after exactly steps leftmost-outermost
+    contractions, its constants expanded first, or None if it differs."""
+    t = _naive_expand(t, _ENV)
+    for _ in range(steps):
+        t = _naive_step(t)
+        if t is None:
+            return None
+    return None if _naive_step(t) is not None else _naive_eta(t)
 
 
 def _chain(width, bound, head="f"):
@@ -360,9 +446,8 @@ def _chain(width, bound, head="f"):
 
 @st.composite
 def _wide_chains(draw, most_bound):
-    """Chains over 40-200 names, more than a node's set holds before it is
-    left wide: lambdas over up to most_bound of the names around a random
-    head applied to all of them and to a few random terms."""
+    """Chains over 40-200 names: lambdas over up to most_bound of the names
+    around a random head applied to all of them and to a few random terms."""
     width = draw(st.integers(40, 200))
     xs = ["x", "a'", *(f"v{i}" for i in range(width - 2))]
     spine = apply(draw(terms), *map(Var, xs), *draw(st.lists(terms, max_size=3)))
@@ -378,23 +463,11 @@ def _wide_terms(most_bound):
 @given(terms | _wide_terms(200) | st.builds(App, _wide_chains(200), consts))
 @example(_chain(40, 1))
 @example(App(_chain(200, 120), Lam("x", _chain(60, 60, "x"))))
-@example(App(_chain(40, 0), Const("K")))  # a constant below wide nodes and narrow ones
+@example(App(_chain(40, 0), Const("K")))  # a constant below a wide spine
 def test_free_vars_agrees_with_a_naive_reference(t):
     want = _naive_free(t)
-    eager = _eager(t)
-    x = min(want, default="x")  # a lambda over an eager set, wide or not
-    got = free_vars(t), free_vars(eager), free_vars(Lam(x, eager))
-    assert got == (want, want, want - {x})
-    assert not any(kernel._CONST in g for g in got)  # the constants' mark stays in the slots
-
-
-def test_only_wide_nodes_wait_for_their_sets():
-    narrow = _chain(kernel._WIDE - 1, 3)  # f and W - 1 names
-    assert narrow.free == {"f", *(f"v{i}" for i in range(1, kernel._WIDE - 3))}
-    wide = _chain(kernel._WIDE, 0)
-    assert wide.free is kernel._UNMADE and len(wide.fun.free) == kernel._WIDE
-    assert wide.size == 2 * kernel._WIDE + 1 and expand_consts(wide, None) is wide
-    assert free_vars(wide) == _naive_free(wide) and wide.free is kernel._UNMADE  # the walk fills nothing
+    x = min(want, default="x")
+    assert (free_vars(t), free_vars(Lam(x, t))) == (want, want - {x})
 
 
 _SMALL = ReductionConfig(fuel=200, max_term_size=20_000)
@@ -409,27 +482,25 @@ _SMALL = ReductionConfig(fuel=200, max_term_size=20_000)
 # the beta step substitutes a' into a wide body that binds a': the binder is primed
 @example(App(Lam("f", _chain(50, 50)), Var("a'")), "x", Var("y"))
 def test_wide_sets_lazy_or_eager_give_the_same_answers(t, x, r):
-    def answers(u):
-        out = normalize(u, _ENV, _SMALL)
-        return (print_term(substitute(u, x, r)), print_term(turner(u)),
-                out.status, out.steps, print_term(out.result))
-
-    lazy, eager = _copy(t), _eager(t)
-    assert alpha_eq(lazy, eager)
-    assert answers(lazy) == answers(eager)
+    # substitution, bracket abstraction and the beta loop on wide terms, each
+    # against a reference that reads no mask; a normal form is compared
+    # with the one reached in as many leftmost-outermost steps
+    assert print_term(substitute(t, x, r)) == print_term(_naive_subst(t, x, r))
+    assert print_term(turner(t)) == print_term(_naive_turner(t))
+    out = normalize(t, _ENV, _SMALL)
+    if out.status is Status.NORMAL_FORM:
+        assert print_term(out.result) == print_term(_naive_normal_form(t, out.steps))
 
 
 def test_turner_asks_free_vars_of_no_wide_node(monkeypatch):
-    # bracket abstraction asks each node only whether it may mention the
-    # binder, so it walks down through wide nodes, as substitution does: an
-    # exact set asked for at every level costs a walk of the wide nodes below
-    # per ask (5,888 here).  Asks are counted, not timed, through that walk.
+    # bracket abstraction reads where the binder is from the masks, one bit
+    # test a node, and decodes no mask into a set of names
     t = _chain(200, 8)
-    want = print_term(turner(_eager(t)))
+    want = print_term(_naive_turner(t))
     asks = []
-    walk = kernel.free_vars
+    decode = kernel.free_vars
     for module in (kernel, bracket):
-        monkeypatch.setattr(module, "free_vars", lambda u: asks.append(u) or walk(u))
+        monkeypatch.setattr(module, "free_vars", lambda u: asks.append(u) or decode(u))
     got = turner(t)
     assert len(asks) == 0
     assert print_term(got) == want
@@ -459,19 +530,20 @@ def _within(seconds, fn, *args):
 # a wide lambda that captures repl but does not mention the name keeps its binder
 @example(App(_chain(40, 1), Var("p")), "p", Var("x"))
 def test_substitute_into_wide_chains_as_into_eager_ones(t, x, r):
-    lazy = _within(10, substitute, _copy(t), x, _copy(r))
-    assert print_term(lazy) == print_term(substitute(_eager(t), x, _eager(r)))
+    got = _within(10, substitute, t, x, r)
+    assert print_term(got) == print_term(_naive_subst(t, x, r))
 
 
 def test_beta_step_under_many_captured_wide_binders_takes_polynomial_time():
     # (\p x1 ... x40. p x1 ... x40) (y x1 ... x40): all 40 binders capture
     # the wide argument, and renaming each one must not substitute into the
-    # body beneath it twice, which doubles the work at every binder
+    # body beneath it twice, which doubles the work at every binder.  The
+    # primed binders are eta-erased, so the normal form is the argument
     xs = [f"x{i}" for i in range(1, 41)]
-    t = App(lams(["p", *xs], apply(Var("p"), *map(Var, xs))), apply(Var("y"), *map(Var, xs)))
+    arg = apply(Var("y"), *map(Var, xs))
+    t = App(lams(["p", *xs], apply(Var("p"), *map(Var, xs))), arg)
     out = _within(10, normalize, t, _ENV, _SMALL)
-    want = normalize(_eager(t), _ENV, _SMALL)
-    assert (out.status, out.steps, print_term(out.result)) == (want.status, want.steps, print_term(want.result))
+    assert (out.status, out.steps, print_term(out.result)) == (Status.NORMAL_FORM, 1, print_term(arg))
 
 
 def test_wide_family_members_build_print_parse_and_compare_in_linear_memory():
@@ -491,15 +563,13 @@ def test_wide_family_members_build_print_parse_and_compare_in_linear_memory():
 
 
 def test_no_slot_holds_a_wide_set():
-    # only a constructor writes a free slot: free_vars, substitution's capture
-    # test, a contraction's wide argument and the eta test ask about wide
-    # nodes, and each slot stays unmade or exact, never wider than _WIDE
+    # every node's mask decodes to its free names: those substitution's
+    # capture test, a contraction's wide argument and the eta test read
     xs = [f"x{i}" for i in range(1, 41)]
     chain = _chain(200, 8)
     body, repl = _chain(200, 200, "p"), _chain(200, 0, "y")  # every binder captures
     beta = App(lams(["p", *xs], apply(Var("p"), *map(Var, xs))), apply(Var("y"), *map(Var, xs)))
     eta = Lam("x", apply(Var("f"), *map(Var, xs), Var("x"), Var("x")))  # keeps the wide f x1 ... x40 x
-    free_vars(chain)
     seen = [chain, body, repl, substitute(body, "p", repl), beta, eta]
     for t in (beta, eta):
         out = normalize(t, _ENV, _SMALL)
@@ -507,7 +577,92 @@ def test_no_slot_holds_a_wide_set():
         seen.append(out.result)
     for t in seen:
         for u in _nodes(t):
-            assert u.free is kernel._UNMADE or len(u.free) <= kernel._WIDE and u.free == _naive_free(u)
+            assert free_vars(u) == _naive_free(u)
+
+
+def test_names_made_and_dropped_give_their_bits_to_later_names():
+    # 20,000 names made and dropped leave their indices spare, and the names
+    # of a term made after them, each tagged so that no other term holds it,
+    # take the lowest of them.  With no index reused every name of the term
+    # owned a bit above 20,000, each node held a mask that long, and the
+    # reduction traced 41 MB
+    early = [Var(f"early{i}") for i in range(20_000)]
+    del early
+    t = _tagged(expand_consts(parse("Monus #60 #30 s z", _ENV), _ENV), "/late")
+    tracemalloc.start()
+    try:
+        out = normalize(t, _ENV)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.status, out.steps) == (Status.NORMAL_FORM, 13_836)
+    want = Var("z/late")
+    for _ in range(30):
+        want = App(Var("s/late"), want)
+    assert alpha_eq(out.result, want)
+    assert peak < 12 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+def test_threads_that_make_one_name_at_once_share_one_var():
+    # four threads make the same 20,000 new names at once.  With the making
+    # unlocked a name was now and then made twice, with two bits, and a
+    # lambda over it cleared one of them and read its bound name as free
+    n = 20_000
+    made = [[] for _ in range(4)]
+
+    def work(out):
+        for i in range(n):
+            out.append(Var(f"shared/{i}"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in made]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(out[i] is made[0][i] for out in made for i in range(n))
+    assert all(free_vars(Lam(v.name, v)) == set() for out in made for v in out)
+
+
+def _tagged(t, tag):
+    """t with tag appended to every name, bound or free."""
+    c = type(t)
+    if c is Var:
+        return Var(t.name + tag)
+    if c is Lam:
+        return Lam(t.binder + tag, _tagged(t.body, tag))
+    return App(_tagged(t.fun, tag), _tagged(t.arg, tag)) if c is App else t
+
+
+def _bits(ts):
+    return {u.free for t in ts for u in _nodes(t) if type(u) is Var}
+
+
+@given(st.lists(terms, min_size=1, max_size=4), st.lists(terms, min_size=1, max_size=4),
+       st.lists(terms, min_size=1, max_size=4))
+def test_a_reused_bit_never_confuses_a_live_term(kept, dropped, made):
+    # the names of the dropped terms die with them, and the names made next
+    # take their bits, lowest first: every live node's mask still decodes to
+    # its own free names.  The collector is paused, so that no other name
+    # dies mid-test and frees a lower index
+    gc.disable()
+    try:
+        kept = [_tagged(t, "/kept") for t in kept]
+        dropped = [_tagged(t, "/dropped") for t in dropped]
+        freed = _bits(dropped)
+        del dropped
+        made = [_tagged(t, "/made") for t in made]
+    finally:
+        gc.enable()
+    assert _bits(made) & freed or not freed or not _bits(made)
+    for t in kept + made:
+        for u in _nodes(t):
+            assert free_vars(u) == _naive_free(u)
 
 
 def test_a_wide_family_member_reduces_in_linear_memory():
@@ -711,10 +866,10 @@ def test_expand_consts(env):
     sb = expand_consts(parse("S B", env), env)
     assert expand_consts(sb, None) is sb
     assert alpha_eq(sb, App(parse(r"\x y z. x z (y z)"), parse(r"\x y z. x (y z)")))
-    for u in (_chain(8, 2), _chain(40, 40)):  # constant-free, narrow and wide
+    for u in (_chain(8, 2), _chain(40, 40)):  # constant-free, short and wide
         assert expand_consts(u, None) is u
-    # the constants end a wide spine, so only the wide nodes' slots lie above
-    # them: the walk goes down through those, and keeps the constant-free part
+    # the constants end a wide spine: the walk goes down the nodes whose masks
+    # hold the constants' mark, and keeps the constant-free part as it is
     spine = _chain(40, 0)
     t = apply(spine, Const("K"), Const("S"))
     got = expand_consts(t, env)
@@ -725,8 +880,8 @@ def test_expand_consts(env):
 
 
 def test_expand_consts_walks_a_term_deeper_than_the_recursion_limit(env):
-    # 12,000 lambdas over a spine of 12,000 arguments: every node above the
-    # innermost spine is wide, so the walk goes down all of it, on its own stack
+    # 12,000 lambdas over a spine of 12,000 arguments: with a constant at the
+    # head of the spine the walk goes down all of it, on its own stack
     xs = [f"v{i}" for i in range(12_000)]
     t = lams(xs, apply(Var("f"), *map(Var, reversed(xs))))
     assert expand_consts(t, None) is t
@@ -801,21 +956,25 @@ def test_no_module_reads_the_class_attribute():
     assert reads == []
 
 
+_MASK_TABLES = ("_CONST", "_VARS", "_BITS", "_NAMES", "_SPARE")
+
+
 def test_only_terms_reads_a_free_slot():
-    # the free-set format (a wide node's slot is _UNMADE, a constant's set
-    # holds _CONST) is terms' own: every other module reads sets through free_vars
+    # the mask format (a name's bit is found in terms' private tables, and
+    # _CONST marks a constant below) is terms' own: every other module reads
+    # masks through free_vars and may_mention
     reads = [f"{path.name}:{node.lineno}"
              for path in sorted(pathlib.Path(kernel.__file__).parent.glob("*.py")) if path.name != "terms.py"
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "free"
-             or isinstance(node, ast.Name) and node.id in ("_UNMADE", "_CONST")
-             or isinstance(node, ast.alias) and node.name in ("_UNMADE", "_CONST")]
+             or isinstance(node, ast.Name) and node.id in _MASK_TABLES
+             or isinstance(node, ast.alias) and node.name in _MASK_TABLES]
     assert reads == []
 
 
 def test_only_a_constructor_writes_a_free_slot():
-    # a node's free slot is written where the node is built and never after:
-    # an exact set of a wide node is made by free_vars and kept nowhere
+    # a node's free slot is written where the node is built and never after,
+    # so a mask is fixed for the node's life (the reuse of bits relies on it)
     def writes(node, scope):
         """(names of the enclosing classes and defs, line) of each write to a .free."""
         for child in ast.iter_child_nodes(node):
