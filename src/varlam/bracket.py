@@ -94,7 +94,7 @@ def extended_bound(m: Term) -> Term:
     index, binders = _index_and_binders(m)
     free = free_vars(m)
     if index is None:
-        return Lam(fresh_name("n", free) if "n" in free else "n", turner(m))
+        return Lam(fresh_name("n", free), turner(m))
     if index in free or index in binders:
         raise MixedSequenceUse(f"the index variable {index} is also a term variable")
     return Lam(index, turner(m))

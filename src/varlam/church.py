@@ -70,5 +70,5 @@ def tuple_of(components) -> Term:
     """The ordered n-tuple lam z. z E1 ... En; the empty tuple is lam z.z."""
     components = list(components)
     avoid = set().union(*(free_vars(c) for c in components))
-    z = "z" if "z" not in avoid else fresh_name("z", avoid)
+    z = fresh_name("z", avoid)
     return Lam(z, apply(Var(z), *components))

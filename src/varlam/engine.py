@@ -10,9 +10,10 @@ early with ``NO_NORMAL_FORM`` when an argument it starts to normalize is
 alpha-equal to an argument it is still normalizing, and when an App it is
 weak-head reducing reduces back into itself (see ``_beta_normalize``).
 
-``trace`` is an independent, deliberately naive implementation of the same
-strategy (one global leftmost-outermost step at a time); the test suite holds
-the two implementations to the same answers.
+``trace`` runs the same strategy naively, one leftmost-outermost step at a
+time, but not independently: ``step_once`` calls ``terms.substitute``, as
+the beta loop's ``_contract`` does.  The independent oracle is
+``tests/reference.py``, which reads terms only through their parts.
 
 ``reduces_to`` decides reachability M ->> N by standardization: it follows
 weak-head chains on the same named terms, matches parts under binder maps

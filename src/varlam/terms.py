@@ -325,8 +325,8 @@ def size(t: Term) -> int:
 
 
 def fresh_name(base: str, avoid) -> str:
-    """Deterministic fresh name: prime the base until it is not in avoid."""
-    name = base + "'"
+    """Deterministic fresh name: base, primed until it is not in avoid."""
+    name = base
     while name in avoid:
         name += "'"
     return name
@@ -472,8 +472,6 @@ def expand_consts(t: Term, env) -> Term:
     parts it must visit goes back on the stack under a ``None``, and is
     rebuilt once its parts, function part first, are on ``done``.
     """
-    if not t.free & _CONST:
-        return t
     done = []  # the expanded parts, in the order visited
     stack = [t]
     while stack:

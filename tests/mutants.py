@@ -32,6 +32,14 @@ MUTANTS = [
      "substitute renames a binder to a name free in the body, and captures it",
      ["tests/test_cli.py::test_normalize_renames_past_primed_free_names"]),
     ("src/varlam/terms.py",
+     "    while name in avoid:\n        name += \"'\"\n",
+     "",
+     "fresh_name returns its base even when it is taken, so a capturing binder keeps its name and captures repl",
+     ["tests/test_kernel.py::test_substitute_capture_avoidance",
+      "tests/test_cli.py::test_normalize_renames_past_primed_free_names",
+      "tests/test_kernel.py::test_substitute_into_wide_chains_agrees_with_the_reference",
+      "tests/test_engine.py::test_contract_builds_what_substitute_builds"]),
+    ("src/varlam/terms.py",
      "        binder = new\n",
      "",
      "substitute renames a capturing binder's occurrences but keeps the binder, which captures repl",

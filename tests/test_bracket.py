@@ -1,5 +1,6 @@
 import pytest
 
+import reference as ref
 from varlam import meta
 from varlam.bracket import (
     BUILTIN_META_NAMES,
@@ -12,15 +13,7 @@ from varlam.church import church
 from varlam.engine import ReductionConfig, Verdict, beta_eta_equal
 from varlam.env import standard_env
 from varlam.syntax import parse, parse_meta, print_term
-from varlam.terms import App, Lam, Term, alpha_eq, expand_consts
-
-
-def _lam_free(t: Term) -> bool:
-    if t.__class__ is Lam:
-        return False
-    if t.__class__ is App:
-        return _lam_free(t.fun) and _lam_free(t.arg)
-    return True
+from varlam.terms import App, expand_consts
 
 
 def test_turner_succ_golden():
@@ -51,15 +44,15 @@ def test_turner_consts_are_opaque(env):
 def test_random_closed_terms_are_distinct():
     # a repeated draw would count one encoding twice in turner soundness
     for corpus, count in ((random_closed_terms(), 200), (random_closed_terms(count=40, seed=7), 40)):
-        assert len(corpus) == count
-        assert not any(alpha_eq(t, u) for i, t in enumerate(corpus) for u in corpus[:i])
+        assert len({ref.de_bruijn(t) for t in corpus}) == len(corpus) == count
 
 
 def test_turner_purity_and_soundness(env):
     corpus = random_closed_terms(count=100, seed=31)
     for t in corpus:
         enc = turner(t)
-        assert _lam_free(enc)
+        assert "\\" not in print_term(enc)  # no lambda left
+        assert ref.identical(enc, ref.turner(t))
         assert beta_eta_equal(expand_consts(enc, env), t, env) is Verdict.EQUAL
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -407,6 +408,25 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-I", "-c", code, src],
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == []
+
+
+def test_a_failing_property_prints_its_falsifying_example(tmp_path):
+    # under the suite's own settings, where a warning is an error, a failing
+    # hypothesis property prints its example and the tests after it run; a
+    # deprecation warning in hypothesis's report hook ended such a session in
+    # INTERNALERROR, with no example printed
+    root = Path(__file__).resolve().parents[1]
+    for name in ("pyproject.toml", "tests/conftest.py"):
+        (tmp_path / Path(name).name).write_text((root / name).read_text())
+    (tmp_path / "test_throwaway.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(n):\n    assert n < 5\n\n\n"
+        "def test_after():\n    pass\n")
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_throwaway.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "Falsifying example" in done.stdout and "1 failed, 1 passed" in done.stdout
 
 
 # -- the CLI contract: any argv ends in a documented exit code ----------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from varlam.checks import CaseResult, random_closed_terms
 from varlam.church import church
 from varlam.engine import (
@@ -34,11 +35,8 @@ from varlam.terms import (
     alpha_eq,
     apply,
     expand_consts,
-    free_vars,
-    fresh_name,
     lams,
     size,
-    substitute,
 )
 
 OMEGA = r"(\x.x x) (\x.x x)"
@@ -110,27 +108,6 @@ def test_eta_only_when_not_free():
     assert alpha_eq(nf(parse(r"\x. x x")), parse(r"\x. x x"))
 
 
-def eta_reference(t: Term) -> Term:
-    """Erase every eta-redex lam x.(P x) with x not free in P, post-order, in
-    a separate pass: the reference for the erasure inside normalize."""
-    cls = t.__class__
-    if cls is App:
-        fun = eta_reference(t.fun)
-        arg = eta_reference(t.arg)
-        return t if fun is t.fun and arg is t.arg else App(fun, arg)
-    if cls is Lam:
-        body = eta_reference(t.body)
-        if (
-            body.__class__ is App
-            and body.arg.__class__ is Var
-            and body.arg.name == t.binder
-            and t.binder not in free_vars(body.fun)
-        ):
-            return body.fun
-        return Lam(t.binder, body) if body is not t.body else t
-    return t
-
-
 def test_eta_erased_in_the_finished_parts_of_a_stopped_result():
     t = parse(r"x (\y. f y) ((\x.x x x) (\x.x x x))")
     on = normalize(t, None, ReductionConfig(fuel=2))
@@ -195,17 +172,17 @@ def test_trace_stops_at_the_size_limit():
     out = normalize(t, None, cfg)
     assert (out.status, out.steps, len(steps) - 1) == (Status.SIZE_EXCEEDED, 3, 3)
     assert steps[-1].size > 30 >= steps[-2].size
-    assert alpha_eq(steps[-1], out.result)
+    assert ref.identical(steps[-1], out.result)
 
 
 def test_trace_agrees_with_normalize(env):
-    # the naive global stepper and the zipper machine are independent
-    # implementations of the same strategy
+    # the naive global stepper and the zipper machine implement the same
+    # strategy, and share only substitution
     for t in random_closed_terms(count=40, seed=7):
         out = normalize(t, None, ReductionConfig(eta=False))
         steps = trace(t)
         assert len(steps) - 1 == out.steps
-        assert alpha_eq(steps[-1], out.result)
+        assert ref.identical(steps[-1], out.result)
 
 
 def test_normalize_idempotent(env):
@@ -213,22 +190,14 @@ def test_normalize_idempotent(env):
         out = normalize(t)
         again = normalize(out.result)
         assert again.steps == 0
-        assert alpha_eq(again.result, out.result)
-
-
-def _has_beta_redex(t: Term) -> bool:
-    if t.__class__ is App:
-        return (t.fun.__class__ is Lam) or _has_beta_redex(t.fun) or _has_beta_redex(t.arg)
-    if t.__class__ is Lam:
-        return _has_beta_redex(t.body)
-    return False
+        assert ref.identical(again.result, out.result)
 
 
 def test_no_residual_redexes():
     for t in random_closed_terms(count=60, seed=9):
         r = nf(t)
-        assert not _has_beta_redex(r)
-        assert eta_reference(r) is r  # no eta-redex left to erase
+        assert ref.step(r) is None
+        assert ref.identical(ref.eta(r), r)  # no eta-redex left to erase
 
 
 def test_equivalence_coherence():
@@ -237,24 +206,7 @@ def test_equivalence_coherence():
     for a in corpus[:10]:
         for b in corpus[10:]:
             verdict = beta_eta_equal(a, b)
-            assert (verdict is Verdict.EQUAL) == alpha_eq(nf(a), nf(b))
-
-
-def one_step_reducts(t: Term) -> list[Term]:
-    """All single-step beta-reducts of t (every redex position)."""
-    out = []
-    cls = t.__class__
-    if cls is App:
-        if t.fun.__class__ is Lam:
-            out.append(substitute(t.fun.body, t.fun.binder, t.arg))
-        for s in one_step_reducts(t.fun):
-            out.append(App(s, t.arg))
-        for s in one_step_reducts(t.arg):
-            out.append(App(t.fun, s))
-    elif cls is Lam:
-        for s in one_step_reducts(t.body):
-            out.append(Lam(t.binder, s))
-    return out
+            assert (verdict is Verdict.EQUAL) == (ref.de_bruijn(nf(a)) == ref.de_bruijn(nf(b)))
 
 
 def random_strategy_normalize(t: Term, fuel: int = 10_000, max_size: int = 200_000, seed: int = 0):
@@ -263,7 +215,7 @@ def random_strategy_normalize(t: Term, fuel: int = 10_000, max_size: int = 200_0
     for _ in range(fuel):
         if t.size > max_size:
             return None
-        reducts = one_step_reducts(t)
+        reducts = list(ref.one_step_reducts(t))
         if not reducts:
             return t
         t = rng.choice(reducts)
@@ -276,7 +228,7 @@ def test_confluence_spot_check():
         for attempt in range(3):
             other = random_strategy_normalize(t, seed=1000 * i + attempt)
             if other is not None:
-                assert alpha_eq(eta_reference(other), expected)
+                assert ref.de_bruijn(ref.eta(other)) == ref.de_bruijn(expected)
                 break
 
 
@@ -288,7 +240,7 @@ def test_step_once_is_leftmost_outermost():
 
 def test_one_step_reducts_cover_all_positions():
     t = parse(r"((\x.x) a) ((\y.y) b)")
-    reds = one_step_reducts(t)
+    reds = list(ref.one_step_reducts(t))
     assert len(reds) == 2
 
 
@@ -365,47 +317,51 @@ reach_terms = st.recursive(
 )
 
 
+def _reached(a, path):
+    """The term a reaches by contracting, at each index of path, that redex
+    (modulo their number), until a normal form."""
+    for i in path:
+        reducts = list(ref.one_step_reducts(a))
+        if not reducts:
+            break
+        a = reducts[i % len(reducts)]
+    return a
+
+
 def _naive_reduces_to(a, target, node_cap, depth_cap):
-    """The reference search: breadth-first over the reducts at every redex,
-    with pairwise alpha-equality."""
-    if alpha_eq(a, target):
-        return True, False, 1, 0
-    seen, frontier, capped, generated = [a], [a], False, 0
+    """(found, inconclusive) of the reference search: breadth-first over the
+    reducts at every redex, terms told apart by their de Bruijn keys."""
+    goal = ref.de_bruijn(target)
+    seen, frontier, capped = {ref.de_bruijn(a)}, [a], False
+    if goal in seen:
+        return True, False
     for _ in range(depth_cap):
         if not frontier:
-            return False, capped, len(seen), generated
+            return False, capped
         nxt = []
         for t in frontier:
-            reducts = one_step_reducts(t)
-            generated += len(reducts)
-            for r in reducts:
-                if any(alpha_eq(r, s) for s in seen):
+            for r in ref.one_step_reducts(t):
+                key = ref.de_bruijn(r)
+                if key == goal:
+                    return True, False
+                if key in seen:
                     continue
-                if alpha_eq(r, target):
-                    return True, False, len(seen) + 1, generated
                 if len(seen) >= node_cap:
                     capped = True
                     continue
-                seen.append(r)
+                seen.add(key)
                 nxt.append(r)
         frontier = nxt
-    return False, capped or bool(frontier), len(seen), generated
+    return False, capped or bool(frontier)
 
 
 @given(reach_terms, reach_terms, st.lists(st.integers(0, 7), max_size=4),
        st.integers(1, 25), st.integers(1, 5))
 def test_reduces_to_matches_naive_search(a, other, path, node_cap, depth_cap):
     # the target is either an unrelated term or one reached along `path`
-    target = other
-    if path:
-        target = a
-        for i in path:
-            reducts = one_step_reducts(target)
-            if not reducts:
-                break
-            target = reducts[i % len(reducts)]
+    target = _reached(a, path) if path else other
     res = reduces_to(a, target)
-    found, inconclusive, _, _ = _naive_reduces_to(a, target, node_cap, depth_cap)
+    found, inconclusive = _naive_reduces_to(a, target, node_cap, depth_cap)
     if found or path:
         assert res.found and not res.inconclusive
     if not inconclusive:
@@ -413,9 +369,10 @@ def test_reduces_to_matches_naive_search(a, other, path, node_cap, depth_cap):
 
 
 def _renaming_reduces_to(a, target, node_cap=100_000, depth_cap=200):
-    """reduces_to as it searched before binder maps: the bodies of two
-    lambdas are searched after substitute renames both binders to one name,
-    and a chain term is compared with its target at any size."""
+    """reduces_to as it searched before binder maps, on the reference: the
+    bodies of two lambdas are searched after substitution renames both
+    binders to one name, and a chain term is compared with its target at any
+    size, by de Bruijn keys."""
     explored = generated = 0
     inconclusive = False
 
@@ -423,10 +380,10 @@ def _renaming_reduces_to(a, target, node_cap=100_000, depth_cap=200):
         x, y = m.binder, n.binder
         if x == y:
             return m.body, n.body
-        if y not in free_vars(m):
-            return substitute(m.body, x, Var(y)), n.body
-        z = Var(fresh_name(y, free_vars(m.body) | free_vars(n.body)))
-        return substitute(m.body, x, z), substitute(n.body, y, z)
+        if y not in ref.free(m):
+            return ref.subst(m.body, x, Var(y)), n.body
+        z = Var(ref.primed(y, ref.free(m.body) | ref.free(n.body)))
+        return ref.subst(m.body, x, z), ref.subst(n.body, y, z)
 
     def reach(m, n):
         nonlocal explored, generated, inconclusive
@@ -434,19 +391,20 @@ def _renaming_reduces_to(a, target, node_cap=100_000, depth_cap=200):
             inconclusive = True
             return False
         explored += 1
-        seen = []
+        seen = set()
         match = True
         for steps in range(depth_cap + 1):
+            key = ref.de_bruijn(m)
             if match:
-                if alpha_eq(m, n):
+                if key == ref.de_bruijn(n):
                     return True
                 if m.__class__ is n.__class__ is Lam:
                     return reach(*common_binder(m, n))
                 if m.__class__ is n.__class__ is App and reach(m.fun, n.fun) and reach(m.arg, n.arg):
                     return True
-            if any(alpha_eq(m, s) for s in seen):
+            if key in seen:
                 return False
-            seen.append(m)
+            seen.add(key)
             head = m
             while head.__class__ is App:
                 head = head.fun
@@ -456,7 +414,7 @@ def _renaming_reduces_to(a, target, node_cap=100_000, depth_cap=200):
                 inconclusive = True
                 return False
             match = m.fun is head
-            m = step_once(m)
+            m = ref.step(m)
             generated += 1
 
     found = reach(a, target)
@@ -476,14 +434,7 @@ def test_reduces_to_under_binder_maps_examples():
        st.integers(1, 40), st.integers(0, 8))
 def test_reduces_to_matches_the_renaming_search(a, other, path, node_cap, depth_cap):
     # binder maps and the size test change no answer and no count
-    target = other
-    if path:
-        target = a
-        for i in path:
-            reducts = one_step_reducts(target)
-            if not reducts:
-                break
-            target = reducts[i % len(reducts)]
+    target = _reached(a, path) if path else other
     assert (reduces_to(a, target, node_cap=node_cap, depth_cap=depth_cap)
             == _renaming_reduces_to(a, target, node_cap, depth_cap))
 
@@ -527,8 +478,8 @@ def test_certified_no_normal_form_examples(env):
                           (r"(\x. x x) (\x. (\y. y) x x)", 6)):
         out = normalize(parse(source), None, ReductionConfig(fuel=100))
         assert out.status is Status.NO_NORMAL_FORM and out.steps == steps
-        # the result is the term the machine stopped on: the trace's last term
-        assert alpha_eq(out.result, trace(parse(source), None, ReductionConfig(fuel=steps))[-1])
+        # the result is the term the machine stopped on, after as many steps
+        assert ref.identical(out.result, ref.naive_run(parse(source), steps, 10**6)[0])
 
 
 def test_head_loops_the_certificate_does_not_cover(env):
@@ -626,21 +577,7 @@ def test_eta_in_the_beta_loop_matches_the_separate_pass(t):
     on = normalize(t, None, cfg)
     assert (on.status, on.steps) == (off.status, off.steps)
     if on.status is Status.NORMAL_FORM:
-        assert print_term(on.result) == print_term(eta_reference(off.result))
-
-
-def _reference_run(t: Term, fuel: int, max_size: int):
-    """(term, steps, status) where normalize (eta off) must stop, by step_once,
-    the step of trace."""
-    for steps in range(fuel + 1):
-        if steps and t.size > max_size:
-            return t, steps, Status.SIZE_EXCEEDED
-        nxt = step_once(t)
-        if nxt is None:
-            return t, steps, Status.NORMAL_FORM
-        if steps == fuel:
-            return t, steps, Status.FUEL_EXHAUSTED
-        t = nxt
+        assert ref.identical(on.result, ref.eta(off.result))
 
 
 # Self-application-heavy terms: Omega's variants meet each other, free
@@ -665,11 +602,11 @@ self_applying_terms = st.recursive(
 def test_certificate_never_fires_on_a_normalizing_term(t):
     fuel, max_size = 200, 2_000
     out = normalize(t, None, ReductionConfig(fuel=fuel, max_term_size=max_size, eta=False))
-    ref, steps, status = _reference_run(t, fuel, max_size)
+    want, steps, status = ref.naive_run(t, fuel, max_size)
     if status is Status.NORMAL_FORM:
         assert out.status is Status.NORMAL_FORM
         assert out.steps == steps
-        assert alpha_eq(out.result, ref)
+        assert ref.identical(out.result, want)
     else:
         assert out.status is not Status.NORMAL_FORM
 
@@ -687,27 +624,6 @@ SHARING_TERMS = (
     r"Catenate #3 (\z. z a1 a2 a3) #3 (\z. z b1 b2 b3)",
     THREE_MEETINGS,
 )
-
-
-def _identical(a: Term, b: Term) -> bool:
-    """The same tree, binder names included (what print_term shows)."""
-    pairs = [(a, b)]
-    while pairs:
-        a, b = pairs.pop()
-        if a is b:
-            continue
-        cls = a.__class__
-        if cls is not b.__class__:
-            return False
-        if cls is App:
-            pairs += ((a.arg, b.arg), (a.fun, b.fun))
-        elif cls is Lam:
-            if a.binder != b.binder:
-                return False
-            pairs.append((a.body, b.body))
-        elif a.name != b.name:
-            return False
-    return True
 
 
 # Four names, one of them primed: binders capture the argument's free names
@@ -738,11 +654,11 @@ _contracted_terms = capturing_terms | _wide_chains()
 @example(parse(r"\x. x"), parse("z"))  # the body is the binder: the argument itself
 @example(parse(r"\y. \x. y x"), parse("x x'"))  # x captures, and is renamed past x' to x''
 def test_contract_builds_what_substitute_builds(lam, arg):
-    # the pieces the beta loop pushes make the reduct substitute makes, binder
-    # names included, and their size is its size
+    # the pieces the beta loop pushes make the reduct the reference
+    # substitution makes, binder names included, and their size is its size
     head, args, size = _contract(lam, arg)
     reduct = engine._rebuild(head, args)
-    assert _identical(reduct, substitute(lam.body, lam.binder, arg))
+    assert ref.identical(reduct, ref.subst(lam.body, lam.binder, arg))
     assert size == reduct.size
 
 
@@ -757,13 +673,13 @@ def _assert_stops_match_trace(t: Term):
         out = normalize(t, None, ReductionConfig(fuel=fuel, eta=False))
         status = Status.NORMAL_FORM if fuel == last else Status.FUEL_EXHAUSTED
         assert (out.status, out.steps) == (status, fuel), fuel
-        assert _identical(out.result, steps[fuel]), fuel
+        assert ref.identical(out.result, steps[fuel]), fuel
     for limit in sorted(set(sizes)):
         out = normalize(t, None, ReductionConfig(max_term_size=limit, eta=False))
         first = next((k for k in range(1, last + 1) if sizes[k] > limit), None)
         expected = (Status.NORMAL_FORM, last) if first is None else (Status.SIZE_EXCEEDED, first)
         assert (out.status, out.steps) == expected, limit
-        assert _identical(out.result, steps[out.steps]), limit
+        assert ref.identical(out.result, steps[out.steps]), limit
 
 
 def test_shared_reducts_stop_where_trace_does(env):
@@ -805,7 +721,7 @@ def test_shared_reducts_keep_normal_order_counts(monkeypatch):
         assert contractions[0] == performed, n
         again = normalize(t, None, cfg)  # now every App on the way has its reduct recorded
         assert (again.status, again.steps) == (out.status, out.steps)
-        assert print_term(again.result) == print_term(out.result)
+        assert ref.identical(again.result, out.result)
 
 
 def test_each_redex_is_contracted_once_per_call(monkeypatch):
@@ -909,14 +825,14 @@ def test_a_lambda_head_records_every_update_frame_at_the_top():
 def test_shared_reducts_match_trace_exactly(t, fuel, max_size):
     normalize(t, None, ReductionConfig(fuel=200, max_term_size=2_000))  # record reducts first
     out = normalize(t, None, ReductionConfig(fuel=fuel, max_term_size=max_size, eta=False))
-    ref, steps, status = _reference_run(t, fuel, max_size)
+    want, steps, status = ref.naive_run(t, fuel, max_size)
     if out.status is Status.NO_NORMAL_FORM:
         # the certificate may stop earlier, never on a term that normalizes
         assert status is not Status.NORMAL_FORM and out.steps <= steps
-        ref = trace(t, None, ReductionConfig(fuel=out.steps))[-1]
+        want = ref.naive_run(t, out.steps, max_size)[0]
     else:
         assert (out.status, out.steps) == (status, steps)
-    assert print_term(out.result) == print_term(ref)
+    assert ref.identical(out.result, want)
 
 
 # -- the cycle collector is paused for one kernel call, and restored ---------

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import reference as ref
 from varlam.church import church, numeral_value
 from varlam import bracket, meta, syntax, terms as kernel
 from varlam.bracket import turner
@@ -32,7 +33,6 @@ from varlam.terms import (
     apply,
     expand_consts,
     free_vars,
-    fresh_name,
     lams,
     size,
     substitute,
@@ -211,7 +211,7 @@ def test_print_examples():
 
 @given(terms)
 def test_print_parse_roundtrip(t):
-    assert alpha_eq(parse(print_term(t)), t)
+    assert ref.identical(parse(print_term(t)), t)
 
 
 _ENV = standard_env()
@@ -302,28 +302,12 @@ def test_free_vars_examples(env):
 
 @given(names, terms)
 def test_free_vars_lam_law(x, t):
-    assert free_vars(Lam(x, t)) == free_vars(t) - {x}
+    assert free_vars(Lam(x, t)) == ref.free(t) - {x}
 
 
 @given(terms, terms)
 def test_free_vars_app_law(a, b):
-    assert free_vars(App(a, b)) == free_vars(a) | free_vars(b)
-
-
-def _naive_free(t):
-    """The free names of t by one walk that reads no stored set: the names
-    of its Vars not bound on their path."""
-    free, todo = set(), [(t, frozenset())]
-    while todo:
-        u, bound = todo.pop()
-        c = type(u)
-        if c is Var and u.name not in bound:
-            free.add(u.name)
-        elif c is Lam:
-            todo.append((u.body, bound | {u.binder}))
-        elif c is App:
-            todo += ((u.fun, bound), (u.arg, bound))
-    return free
+    assert free_vars(App(a, b)) == ref.free(a) | ref.free(b)
 
 
 def _nodes(t):
@@ -335,107 +319,6 @@ def _nodes(t):
             seen[id(u)] = u
             todo += (u.body,) if type(u) is Lam else (u.fun, u.arg) if type(u) is App else ()
     return list(seen.values())
-
-
-def _naive_subst(t, x, r):
-    """t[x := r] by the textbook recursion, reading no stored set.  A binder
-    free in r is primed past the free names of r and of its body, and only
-    on the way to an occurrence of x, as substitute does."""
-    c = type(t)
-    if c is Var:
-        return r if t.name == x else t
-    if c is App:
-        return App(_naive_subst(t.fun, x, r), _naive_subst(t.arg, x, r))
-    if c is not Lam or t.binder == x:
-        return t
-    binder, body = t.binder, t.body
-    captured = _naive_free(r)
-    if binder in captured:
-        free = _naive_free(body)
-        if x not in free:
-            return t
-        new = fresh_name(binder, captured | free)
-        binder, body = new, _naive_subst(body, binder, Var(new))
-    return Lam(binder, _naive_subst(body, x, r))
-
-
-def _naive_turner(t):
-    """turner's rules over the I, K, S, C and B constants, reading no stored
-    set: each node's free names are found once, by a walk of its own."""
-    known = {}  # id -> (node, its free names); the node is kept so its id stays its own
-
-    def free(u):
-        if id(u) not in known:
-            c = type(u)
-            known[id(u)] = u, ({u.name} if c is Var else free(u.body) - {u.binder} if c is Lam
-                               else free(u.fun) | free(u.arg) if c is App else set())
-        return known[id(u)][1]
-
-    def abstract(x, b):  # [x]b for a b with x free and no lambda
-        if type(b) is Var:
-            return Const("I")
-        p, q = b.fun, b.arg
-        in_p, in_q = x in free(p), x in free(q)
-        if not in_p and type(q) is Var:  # q is x
-            return p
-        if in_p and in_q:
-            return apply(Const("S"), abstract(x, p), abstract(x, q))
-        if in_p:
-            return apply(Const("C"), abstract(x, p), q)
-        return apply(Const("B"), p, abstract(x, q))
-
-    def go(u):
-        c = type(u)
-        if c is App:
-            return App(go(u.fun), go(u.arg))
-        if c is not Lam:
-            return u
-        body = go(u.body)
-        return abstract(u.binder, body) if u.binder in free(body) else App(Const("K"), body)
-
-    return go(t)
-
-
-def _naive_step(t):
-    """t after one leftmost-outermost beta contraction, or None if t is normal."""
-    c = type(t)
-    if c is Lam:
-        body = _naive_step(t.body)
-        return None if body is None else Lam(t.binder, body)
-    if c is not App:
-        return None
-    if type(t.fun) is Lam:
-        return _naive_subst(t.fun.body, t.fun.binder, t.arg)
-    fun = _naive_step(t.fun)
-    if fun is not None:
-        return App(fun, t.arg)
-    arg = _naive_step(t.arg)
-    return None if arg is None else App(t.fun, arg)
-
-
-def _naive_eta(t):
-    """t with its eta-redexes erased, innermost first."""
-    c = type(t)
-    if c is App:
-        return App(_naive_eta(t.fun), _naive_eta(t.arg))
-    if c is not Lam:
-        return t
-    body = _naive_eta(t.body)
-    if (type(body) is App and type(body.arg) is Var and body.arg.name == t.binder
-            and t.binder not in _naive_free(body.fun)):
-        return body.fun
-    return Lam(t.binder, body)
-
-
-def _naive_normal_form(t, steps):
-    """The beta-eta-normal form of t after exactly steps leftmost-outermost
-    contractions, its constants expanded first, or None if it differs."""
-    t = _naive_expand(t, _ENV)
-    for _ in range(steps):
-        t = _naive_step(t)
-        if t is None:
-            return None
-    return None if _naive_step(t) is not None else _naive_eta(t)
 
 
 def _chain(width, bound, head="f"):
@@ -465,7 +348,7 @@ def _wide_terms(most_bound):
 @example(App(_chain(200, 120), Lam("x", _chain(60, 60, "x"))))
 @example(App(_chain(40, 0), Const("K")))  # a constant below a wide spine
 def test_free_vars_agrees_with_a_naive_reference(t):
-    want = _naive_free(t)
+    want = ref.free(t)
     x = min(want, default="x")
     assert (free_vars(t), free_vars(Lam(x, t))) == (want, want - {x})
 
@@ -481,29 +364,31 @@ _SMALL = ReductionConfig(fuel=200, max_term_size=20_000)
 @example(_chain(40, 0), "v37", Var("y"))  # only the last argument of a wide spine changes
 # the beta step substitutes a' into a wide body that binds a': the binder is primed
 @example(App(Lam("f", _chain(50, 50)), Var("a'")), "x", Var("y"))
-def test_wide_sets_lazy_or_eager_give_the_same_answers(t, x, r):
+def test_wide_terms_agree_with_the_reference(t, x, r):
     # substitution, bracket abstraction and the beta loop on wide terms, each
-    # against a reference that reads no mask; a normal form is compared
-    # with the one reached in as many leftmost-outermost steps
-    assert print_term(substitute(t, x, r)) == print_term(_naive_subst(t, x, r))
-    assert print_term(turner(t)) == print_term(_naive_turner(t))
+    # against the reference, tree for tree; a normal form is compared with
+    # the one the reference reaches in as many leftmost-outermost steps
+    assert ref.identical(substitute(t, x, r), ref.subst(t, x, r))
+    assert ref.identical(turner(t), ref.turner(t))
     out = normalize(t, _ENV, _SMALL)
     if out.status is Status.NORMAL_FORM:
-        assert print_term(out.result) == print_term(_naive_normal_form(t, out.steps))
+        beta, steps, status = ref.naive_run(ref.expand(t, _ENV), _SMALL.fuel, _SMALL.max_term_size)
+        assert (status, steps) == (Status.NORMAL_FORM, out.steps)
+        assert ref.identical(out.result, ref.eta(beta))
 
 
 def test_turner_asks_free_vars_of_no_wide_node(monkeypatch):
     # bracket abstraction reads where the binder is from the masks, one bit
     # test a node, and decodes no mask into a set of names
     t = _chain(200, 8)
-    want = print_term(_naive_turner(t))
+    want = ref.turner(t)
     asks = []
     decode = kernel.free_vars
     for module in (kernel, bracket):
         monkeypatch.setattr(module, "free_vars", lambda u: asks.append(u) or decode(u))
     got = turner(t)
     assert len(asks) == 0
-    assert print_term(got) == want
+    assert ref.identical(got, want)
 
 
 def _within(seconds, fn, *args):
@@ -529,9 +414,9 @@ def _within(seconds, fn, *args):
          "x", Var("a"))
 # a wide lambda that captures repl but does not mention the name keeps its binder
 @example(App(_chain(40, 1), Var("p")), "p", Var("x"))
-def test_substitute_into_wide_chains_as_into_eager_ones(t, x, r):
+def test_substitute_into_wide_chains_agrees_with_the_reference(t, x, r):
     got = _within(10, substitute, t, x, r)
-    assert print_term(got) == print_term(_naive_subst(t, x, r))
+    assert ref.identical(got, ref.subst(t, x, r))
 
 
 def test_beta_step_under_many_captured_wide_binders_takes_polynomial_time():
@@ -543,7 +428,7 @@ def test_beta_step_under_many_captured_wide_binders_takes_polynomial_time():
     arg = apply(Var("y"), *map(Var, xs))
     t = App(lams(["p", *xs], apply(Var("p"), *map(Var, xs))), arg)
     out = _within(10, normalize, t, _ENV, _SMALL)
-    assert (out.status, out.steps, print_term(out.result)) == (Status.NORMAL_FORM, 1, print_term(arg))
+    assert (out.status, out.steps) == (Status.NORMAL_FORM, 1) and ref.identical(out.result, arg)
 
 
 def test_wide_family_members_build_print_parse_and_compare_in_linear_memory():
@@ -562,7 +447,7 @@ def test_wide_family_members_build_print_parse_and_compare_in_linear_memory():
     assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
-def test_no_slot_holds_a_wide_set():
+def test_every_mask_decodes_to_its_free_names():
     # every node's mask decodes to its free names: those substitution's
     # capture test, a contraction's wide argument and the eta test read
     xs = [f"x{i}" for i in range(1, 41)]
@@ -577,7 +462,7 @@ def test_no_slot_holds_a_wide_set():
         seen.append(out.result)
     for t in seen:
         for u in _nodes(t):
-            assert free_vars(u) == _naive_free(u)
+            assert free_vars(u) == ref.free(u)
 
 
 def test_names_made_and_dropped_give_their_bits_to_later_names():
@@ -599,7 +484,7 @@ def test_names_made_and_dropped_give_their_bits_to_later_names():
     want = Var("z/late")
     for _ in range(30):
         want = App(Var("s/late"), want)
-    assert alpha_eq(out.result, want)
+    assert ref.identical(out.result, want)
     assert peak < 12 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
@@ -662,7 +547,7 @@ def test_a_reused_bit_never_confuses_a_live_term(kept, dropped, made):
     assert _bits(made) & freed or not freed or not _bits(made)
     for t in kept + made:
         for u in _nodes(t):
-            assert free_vars(u) == _naive_free(u)
+            assert free_vars(u) == ref.free(u)
 
 
 def test_a_wide_family_member_reduces_in_linear_memory():
@@ -677,7 +562,7 @@ def test_a_wide_family_member_reduces_in_linear_memory():
     finally:
         tracemalloc.stop()
     assert (out.status.value, out.steps) == ("normal-form", 202)
-    assert alpha_eq(out.result, App(apply(Var("a"), *cs), apply(Var("b"), *cs)))
+    assert ref.identical(out.result, App(apply(Var("a"), *cs), apply(Var("b"), *cs)))
     assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
@@ -728,22 +613,6 @@ def test_alpha_eq_transitive(a, b, c):
         assert alpha_eq(a, c)
 
 
-def _de_bruijn(t, bound=()):
-    """t as nested tuples in which a bound variable is the number of lambdas
-    between it and its binder: alpha-equal terms, and only they, render equal."""
-    c = t.__class__
-    if c is Var:
-        for i in range(len(bound) - 1, -1, -1):
-            if bound[i] == t.name:
-                return ("bound", len(bound) - 1 - i)
-        return ("free", t.name)
-    if c is Lam:
-        return ("lam", _de_bruijn(t.body, (*bound, t.binder)))
-    if c is App:
-        return ("app", _de_bruijn(t.fun, bound), _de_bruijn(t.arg, bound))
-    return ("const", t.name)
-
-
 def _rebind(t, picks, ren=None):
     """t with each binder, in preorder, renamed to the next of picks and its
     bound occurrences after it; a free name may be captured on the way."""
@@ -772,17 +641,17 @@ _shadowed_terms = st.recursive(
 def test_alpha_eq_agrees_with_de_bruijn(a, b, picks):
     # b is most often not alpha-equal to a; a with its binders renamed often is
     for other in (b, _rebind(a, itertools.cycle(picks))):
-        assert alpha_eq(a, other) == (_de_bruijn(a) == _de_bruijn(other))
+        assert alpha_eq(a, other) == (ref.de_bruijn(a) == ref.de_bruijn(other))
 
 
 @pytest.mark.parametrize("name", sorted(meta._META_SOURCES))
 def test_alpha_eq_agrees_with_de_bruijn_on_large_families(name):
     # tests alpha_eq at scale, not the oracle: two separate expansions share no App or Lam
     expanded = meta.expand(meta.builtin_meta(name), 300)
-    assert _de_bruijn(expanded) == _de_bruijn(meta.build(name, 300))
+    assert ref.de_bruijn(expanded) == ref.de_bruijn(meta.build(name, 300))
     assert alpha_eq(expanded, meta.build(name, 300))
     assert not alpha_eq(expanded, meta.build(name, 301))
-    assert _de_bruijn(expanded) != _de_bruijn(meta.build(name, 301))
+    assert ref.de_bruijn(expanded) != ref.de_bruijn(meta.build(name, 301))
 
 
 @given(_shadowed_terms, st.lists(_SHADOWED | st.just("z"), min_size=1, max_size=6))
@@ -818,7 +687,7 @@ def test_substitute_renames_a_binder_in_the_body_alone():
 @example(parse(r"\a. x a'"), "x", Var("a"))  # a renamed to a' would capture the free a'
 def test_substitute_free_vars_law(t, x, r):
     # no free name of t or r is captured: renamed binders avoid them all
-    want = free_vars(t) - {x} | free_vars(r) if x in free_vars(t) else free_vars(t)
+    want = ref.free(t) - {x} | ref.free(r) if x in ref.free(t) else ref.free(t)
     assert free_vars(substitute(t, x, r)) == want
 
 
@@ -844,20 +713,8 @@ def test_substitute_into_a_meta_term():
 
 @given(terms, names, terms)
 def test_substitute_noop_when_not_free(t, x, r):
-    if x not in free_vars(t):
-        assert alpha_eq(substitute(t, x, r), t)
-
-
-def _naive_expand(t, env):
-    """t with every Const replaced by its definition, every node rebuilt."""
-    c = type(t)
-    if c is Const:
-        return env.expanded(t.name)
-    if c is Lam:
-        return Lam(t.binder, _naive_expand(t.body, env))
-    if c is App:
-        return App(_naive_expand(t.fun, env), _naive_expand(t.arg, env))
-    return t
+    if x not in ref.free(t):
+        assert substitute(t, x, r) is t
 
 
 def test_expand_consts(env):
@@ -873,7 +730,7 @@ def test_expand_consts(env):
     spine = _chain(40, 0)
     t = apply(spine, Const("K"), Const("S"))
     got = expand_consts(t, env)
-    assert alpha_eq(got, _naive_expand(t, env)) and got.fun.fun is spine
+    assert ref.identical(got, ref.expand(t, env)) and got.fun.fun is spine
     with pytest.raises(UnexpandedConstant) as raised:
         expand_consts(t, None)
     assert raised.value.name == "K"  # the leftmost constant
@@ -992,3 +849,27 @@ def test_only_a_constructor_writes_a_free_slot():
              for write in writes(ast.parse(path.read_text()), ())]
     assert found  # the constructors' own writes
     assert [f"{path}:{line}" for path, scope, line in found if scope[-2:] not in constructors] == []
+
+
+def test_the_reference_is_the_one_oracle_and_shares_no_code_with_the_kernel():
+    # tests/reference.py imports only constructors, apply and Status, reads a
+    # term only through its parts and calls no kernel oracle; no other test
+    # module defines a helper named like an oracle
+    tests = pathlib.Path(__file__).parent
+    tree = ast.parse((tests / "reference.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert {getattr(node, "module", None) for node in imports} <= {"varlam.terms", "varlam.engine"}
+    assert {a.name for node in imports for a in node.names} <= {"App", "Lam", "Var", "Const", "apply", "Status"}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not (names | read) & {"substitute", "free_vars", "alpha_eq", "fresh_name", "step_once", "print_term"}
+    # besides a term's parts: Env.expanded, Status members, container methods
+    assert read <= {"name", "binder", "body", "fun", "arg", "expanded",
+                    "NORMAL_FORM", "FUEL_EXHAUSTED", "SIZE_EXCEEDED", "add", "append", "pop", "index"}
+    words = {"subst", "substitute", "step", "eta", "reducts", "redex", "bruijn", "identical",
+             "reference", "normal", "turner", "expand"}
+    copies = [f"{path.name}:{node.name}" for path in sorted(tests.glob("*.py")) if path.name != "reference.py"
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("test_")
+              and set(node.name.split("_")) & words]
+    assert copies == []
